@@ -27,8 +27,11 @@ from ..core.encoding import (
     encode_term_text,
 )
 from ..core.loader import LoadReport
-from ..core.prost import _apply_modifiers
-from ..core.results import QueryExecutionReport, ResultSet
+from ..core.results import (
+    QueryExecutionReport,
+    ResultSet,
+    apply_solution_modifiers,
+)
 from ..errors import LoaderError
 from ..kvstore.store import SortedKeyValueStore
 from ..rdf.graph import Graph
@@ -161,7 +164,7 @@ class Rya:
             for row in rows:
                 unique.setdefault(tuple(t.n3() if t else None for t in row), row)
             rows = list(unique.values())
-        rows = _apply_modifiers(parsed, rows)
+        rows = apply_solution_modifiers(parsed, rows)
 
         metrics = self.store.metrics
         report = QueryExecutionReport(

@@ -25,12 +25,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from ..columnar.schema import ColumnSchema, TableSchema
-from ..core.encoding import decode_row, encode_term
+from ..core.encoding import encode_term
 from ..core.filters import SparqlCondition
 from ..core.loader import LoadReport
 from ..core.naming import assign_names
-from ..core.prost import _apply_modifiers
-from ..core.results import QueryExecutionReport, ResultSet
+from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
 from ..engine.cluster import ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
@@ -311,8 +310,8 @@ class S2Rdf:
             )
             self.last_query_report_ = report
             return ResultSet(tuple(v.name for v in parsed.projection), [], report)
-        encoded, engine_report = frame.collect_with_report()
-        rows = _apply_modifiers(parsed, [decode_row(row) for row in encoded])
+        data, engine_report = frame.collect_data_with_report()
+        rows = finalize_solutions(parsed, data)
         report = QueryExecutionReport(
             simulated_sec=engine_report.simulated_sec,
             wall_clock_sec=time.perf_counter() - started,

@@ -17,12 +17,11 @@ import time
 import zlib
 
 from ..columnar.schema import ColumnSchema, TableSchema
-from ..core.encoding import cell_for_text, decode_row, encode_term, encode_term_text
+from ..core.encoding import cell_for_text, encode_term, encode_term_text
 from ..core.filters import SparqlCondition
 from ..core.loader import LoadReport, estimate_load_seconds
 from ..core.naming import assign_names
-from ..core.prost import _apply_modifiers
-from ..core.results import QueryExecutionReport, ResultSet
+from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
 from ..errors import UnsupportedSparqlError
 from ..engine.cluster import ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
@@ -163,8 +162,8 @@ class SparqlGx:
         started = time.perf_counter()
         frame = self.dataframe(parsed)
         # No Catalyst: the compiled plan runs as-is (no pushdown/pruning).
-        encoded, engine_report = frame.collect_with_report(run_optimizer=False)
-        rows = _apply_modifiers(parsed, [decode_row(row) for row in encoded])
+        data, engine_report = frame.collect_data_with_report(run_optimizer=False)
+        rows = finalize_solutions(parsed, data)
         report = QueryExecutionReport(
             simulated_sec=engine_report.simulated_sec,
             wall_clock_sec=time.perf_counter() - started,
@@ -333,8 +332,8 @@ class SparqlGxDirect:
             )
         started = time.perf_counter()
         frame = self.dataframe(parsed)
-        encoded, engine_report = frame.collect_with_report(run_optimizer=False)
-        rows = _apply_modifiers(parsed, [decode_row(row) for row in encoded])
+        data, engine_report = frame.collect_data_with_report(run_optimizer=False)
+        rows = finalize_solutions(parsed, data)
         report = QueryExecutionReport(
             simulated_sec=engine_report.simulated_sec,
             wall_clock_sec=time.perf_counter() - started,

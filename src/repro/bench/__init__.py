@@ -7,12 +7,6 @@ from .harness import (
     QueryResult,
     SystemRun,
 )
-from .micro import (
-    JOIN_HEAVY_GROUPS,
-    render_quick_bench,
-    run_quick_bench,
-    write_bench_json,
-)
 from .reporting import (
     render_bar_chart,
     render_figure2,
@@ -27,12 +21,8 @@ __all__ = [
     "BenchmarkConfig",
     "BenchmarkSuite",
     "EMULATED_TRIPLES",
-    "JOIN_HEAVY_GROUPS",
     "QueryResult",
     "SystemRun",
-    "render_quick_bench",
-    "run_quick_bench",
-    "write_bench_json",
     "render_bar_chart",
     "render_figure2",
     "render_figure3",

@@ -12,7 +12,6 @@ Installed as ``prost-repro``::
     prost-repro benchmark --scale 300 --experiment table2
     prost-repro queries --scale 300 --name C3
     prost-repro fuzz --seed 0 --iterations 50
-    prost-repro bench --quick
     prost-repro config --markdown
     prost-repro serve --data watdiv.nt
     prost-repro replay --scale 400
@@ -452,33 +451,6 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench.micro import render_quick_bench, run_quick_bench, write_bench_json
-
-    if not args.quick:
-        print("error: only --quick is implemented so far", file=sys.stderr)
-        return 2
-    tracer = None
-    if args.trace_out:
-        from .obs.tracer import Tracer
-
-        tracer = Tracer()
-    payload = run_quick_bench(
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        tracer=tracer,
-        cluster_config=_governed_config(args),
-    )
-    write_bench_json(payload, args.out)
-    print(render_quick_bench(payload))
-    print(f"wrote {args.out}")
-    if tracer is not None:
-        tracer.write_json(args.trace_out)
-        print(f"wrote trace to {args.trace_out}")
-    return 0
-
-
 def _cmd_fuzz(args: argparse.Namespace) -> int:
     from .testing import ALL_SYSTEMS, chaos_seed_from_env, fuzz_defaults, run_fuzz
 
@@ -755,29 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also render figure 3 as ASCII log-scale bars",
     )
     benchmark.set_defaults(handler=_cmd_benchmark)
-
-    bench = commands.add_parser(
-        "bench",
-        help="wall-clock microbenchmarks (not the simulated paper figures)",
-        description="Measure real wall-clock performance of this process. "
-        "--quick loads a WatDiv graph and runs the join-heavy query mix "
-        "with string cells and with dictionary term IDs, writing the "
-        "ablation results to BENCH_engine.json.",
-    )
-    bench.add_argument(
-        "--quick", action="store_true", help="strings-vs-IDs ablation on a small graph"
-    )
-    bench.add_argument("--scale", type=int, default=2000)
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--repeats", type=int, default=5, help="samples per query (median)")
-    bench.add_argument("--out", default="BENCH_engine.json", help="output JSON path")
-    bench.add_argument(
-        "--trace-out",
-        metavar="PATH",
-        help="write a span trace (loads + first sample per query) as JSON",
-    )
-    _add_governance_flags(bench)
-    bench.set_defaults(handler=_cmd_bench)
 
     fuzz = commands.add_parser(
         "fuzz",

@@ -7,34 +7,31 @@ injective — equal IDs are equal terms — and reversible: result rows decode
 back to term objects only at the emission boundary, via a memoized O(1)
 dictionary lookup.
 
-With ID execution disabled (the strings ablation, ``REPRO_TERM_IDS=0``)
-cells fall back to the legacy N-Triples serialization (``<iri>``,
-``"literal"^^<dt>``, ``_:b0``) and decoding reparses the text. Persisted
-artifacts always store the lexical form either way; see
-:func:`repro.rdf.dictionary.storage_row`.
+Persisted artifacts store the lexical N-Triples serialization (``<iri>``,
+``"literal"^^<dt>``, ``_:b0``) instead; see
+:func:`repro.rdf.dictionary.storage_row`. Cells carrying that text (Rya's
+index keys, generic engine tables) still decode, through the dictionary's
+memoized text → term cache.
 """
 
 from __future__ import annotations
 
-from ..rdf.dictionary import TERM_ID_BASE, TermId, default_dictionary, ids_enabled
-from ..rdf.ntriples import parse_term
+from ..rdf.dictionary import TERM_ID_BASE, TermId, default_dictionary
 from ..rdf.terms import XSD_INTEGER, Literal, Term
 
 
-def encode_term(term: Term) -> TermId | str:
-    """Encode a term for storage in a table cell.
+def encode_term(term: Term) -> TermId:
+    """Encode a term for storage in a table cell: its interned
+    :class:`TermId`.
 
-    Returns the interned :class:`TermId` (or, in the strings ablation, the
-    N-Triples text). Query constants go through here too, so a constant
-    always compares against data cells in the same representation.
+    Query constants go through here too, so a constant always compares
+    against data cells in the same representation.
     """
-    if ids_enabled():
-        return default_dictionary().intern_term(term)
-    return term.n3()
+    return default_dictionary().intern_term(term)
 
 
 def encode_term_text(term: Term) -> str:
-    """The lexical (N-Triples) encoding, regardless of the ID mode.
+    """The lexical (N-Triples) encoding.
 
     This is what persisted artifacts store: columnar files, SPARQLGX's
     plain-text VP files, and Rya's sorted index keys.
@@ -49,8 +46,8 @@ def decode_term(cell: TermId | str | int | None) -> Term | None:
     the dictionary's memoized term cache. Integers below the base are
     engine-produced COUNT values and decode to ``xsd:integer`` literals.
     String cells parse their N-Triples text — memoized through the
-    dictionary when ID execution is on, so baselines that carry lexical
-    cells (Rya's index keys) decode at amortized O(1).
+    dictionary, so baselines that carry lexical cells (Rya's index keys)
+    decode at amortized O(1).
     """
     if cell is None:
         return None
@@ -58,9 +55,7 @@ def decode_term(cell: TermId | str | int | None) -> Term | None:
         if cell >= TERM_ID_BASE:
             return default_dictionary().term_of(cell)
         return Literal(str(cell), datatype=XSD_INTEGER)
-    if ids_enabled():
-        return default_dictionary().term_for_text(cell)
-    return parse_term(cell)
+    return default_dictionary().term_for_text(cell)
 
 
 def decode_row(row: tuple) -> tuple[Term | None, ...]:
@@ -68,15 +63,11 @@ def decode_row(row: tuple) -> tuple[Term | None, ...]:
     return tuple([decode_term(cell) for cell in row])
 
 
-def cell_for_text(text: str) -> TermId | str:
-    """A runtime cell for already-encoded text (interned in ID mode)."""
-    if ids_enabled():
-        return default_dictionary().intern_text(text)
-    return text
+def cell_for_text(text: str) -> TermId:
+    """The runtime cell for already-encoded text (interned)."""
+    return default_dictionary().intern_text(text)
 
 
-def cell_text(cell: TermId | str) -> str:
+def cell_text(cell: TermId) -> str:
     """The lexical encoding behind a runtime cell (inverse of the above)."""
-    if isinstance(cell, int):
-        return default_dictionary().text_of(cell)
-    return cell
+    return default_dictionary().text_of(cell)

@@ -21,19 +21,15 @@ from ..engine.cluster import ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
 from ..governor import Governor
-from ..engine.vectorized import ColumnarData, _concat
 from ..errors import LoaderError, UnsupportedSparqlError
-from ..rdf.dictionary import TERM_ID_BASE, default_dictionary, ids_enabled
 from ..rdf.graph import Graph
-from ..rdf.terms import term_sort_key
 from ..sparql.algebra import SelectQuery
 from ..sparql.parser import parse_sparql
-from .encoding import decode_row, decode_term
 from .executor import JoinTreeExecutor
 from .filters import SparqlCondition
 from .join_tree import JoinTree
 from .loader import LoadReport, ProstStore, load_prost_store
-from .results import QueryExecutionReport, ResultSet, solution_sort_key
+from .results import QueryExecutionReport, ResultSet, finalize_solutions
 from .translator import JoinTreeTranslator
 
 
@@ -397,22 +393,7 @@ class ProstEngine:
                 tracer.span("finalize") if tracer is not None else nullcontext()
             )
             with final_cm:
-                if ids_enabled() and isinstance(data, ColumnarData):
-                    # Fully columnar finalize: sort an index permutation
-                    # over the encoded columns, slice OFFSET/LIMIT, and
-                    # only then decode — each column decodes one dictionary
-                    # lookup per *distinct* ID, and dropped rows never
-                    # materialize at all (late materialization).
-                    rows = _finalize_columnar(parsed, data)
-                elif ids_enabled():
-                    # Order (and OFFSET/LIMIT-slice) the *encoded* rows
-                    # first: the dictionary memoizes one sort key per ID,
-                    # and rows dropped by LIMIT are never decoded at all.
-                    encoded_rows = _apply_modifiers_encoded(parsed, data.all_rows())
-                    rows = [decode_row(row) for row in encoded_rows]
-                else:
-                    rows = [decode_row(row) for row in data.all_rows()]
-                    rows = _apply_modifiers(parsed, rows)
+                rows = finalize_solutions(parsed, data)
         wall = time.perf_counter() - started
         explain_text = None
         if tracer is not None:
@@ -546,141 +527,3 @@ class ProstEngine:
     def last_query_report(self) -> QueryExecutionReport | None:
         """The report of the most recent :meth:`sparql` call."""
         return self.last_query_report_
-
-
-def _apply_modifiers(
-    query: SelectQuery, rows: list[tuple]
-) -> list[tuple]:
-    """ORDER BY / deterministic sort, then OFFSET / LIMIT (on the driver)."""
-    projection = list(query.projection)
-    if query.order_by:
-        for condition in reversed(query.order_by):
-            position = projection.index(condition.variable)
-            rows.sort(
-                key=lambda row: solution_sort_key((row[position],)),
-                reverse=condition.descending,
-            )
-    else:
-        rows.sort(key=solution_sort_key)
-    if query.offset:
-        rows = rows[query.offset :]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return rows
-
-
-def _apply_modifiers_encoded(
-    query: SelectQuery, rows: list[tuple]
-) -> list[tuple]:
-    """The encoded-row twin of :func:`_apply_modifiers`.
-
-    Produces the same final ordering (dictionary sort keys are exactly the
-    decoded terms' :func:`term_sort_key`), so both paths emit identical
-    result sets — the differential fuzz suite holds them to that.
-    """
-    sort_key_of = default_dictionary().sort_key_of
-    base = TERM_ID_BASE
-
-    def cell_key(cell) -> tuple:
-        if type(cell) is int and cell >= base:
-            return sort_key_of(cell)
-        if cell is None:
-            return (-1, "")
-        return term_sort_key(decode_term(cell))
-
-    projection = list(query.projection)
-    if query.order_by:
-        for condition in reversed(query.order_by):
-            position = projection.index(condition.variable)
-            rows.sort(
-                key=lambda row: cell_key(row[position]),
-                reverse=condition.descending,
-            )
-    else:
-        rows.sort(key=lambda row: [cell_key(cell) for cell in row])
-    if query.offset:
-        rows = rows[query.offset :]
-    if query.limit is not None:
-        rows = rows[: query.limit]
-    return rows
-
-
-def _finalize_columnar(query: SelectQuery, data: ColumnarData) -> list[tuple]:
-    """Columnar result finalization: modifiers and decode without row tuples.
-
-    The columnar twin of :func:`_apply_modifiers_encoded` followed by
-    :func:`~repro.core.encoding.decode_row`, with identical output: the
-    same ``cell_key`` ordering applied as repeated stable sorts of an index
-    permutation, OFFSET/LIMIT as a slice of that permutation, and the
-    surviving rows decoded column-wise. Sort keys and decoded terms are
-    computed once per *distinct* cell of each column — result columns are
-    low-cardinality, so this is where late materialization pays.
-    """
-    batch = _concat(data)
-    columns = batch.columns
-    sort_key_of = default_dictionary().sort_key_of
-    base = TERM_ID_BASE
-
-    def cell_key(cell) -> tuple:
-        if type(cell) is int and cell >= base:
-            return sort_key_of(cell)
-        if cell is None:
-            return (-1, "")
-        return term_sort_key(decode_term(cell))
-
-    def key_vector(column) -> list:
-        try:
-            distinct = dict.fromkeys(column)
-        except TypeError:  # unhashable cells: fall back to a linear cache
-            cache: dict = {}
-            out = []
-            for cell in column:
-                key = cache.get(id(cell))
-                if key is None:
-                    key = cell_key(cell)
-                    cache[id(cell)] = key
-                out.append(key)
-            return out
-        keys = {cell: cell_key(cell) for cell in distinct}
-        return list(map(keys.__getitem__, column))
-
-    order = list(range(batch.length))
-    projection = list(query.projection)
-    if query.order_by:
-        for condition in reversed(query.order_by):
-            position = projection.index(condition.variable)
-            keys = key_vector(columns[position])
-            order.sort(key=keys.__getitem__, reverse=condition.descending)
-    elif len(columns) == 1:
-        keys = key_vector(columns[0])
-        order.sort(key=keys.__getitem__)
-    elif columns:
-        # Whole-row ordering: one composite key tuple per row via zip (the
-        # same lexicographic order as the row path's per-row key lists).
-        keys = list(zip(*(key_vector(column) for column in columns)))
-        order.sort(key=keys.__getitem__)
-    if query.offset:
-        order = order[query.offset :]
-    if query.limit is not None:
-        order = order[: query.limit]
-
-    decoded_columns = []
-    for column in columns:
-        try:
-            decoded = {
-                cell: None if cell is None else decode_term(cell)
-                for cell in dict.fromkeys(column)
-            }
-        except TypeError:  # unhashable cells: decode row-at-a-time
-            out = [
-                None if column[i] is None else decode_term(column[i]) for i in order
-            ]
-            decoded_columns.append(out)
-            continue
-        # Two C-speed passes: decode each cell through the per-distinct
-        # cache, then gather in emission order.
-        full = list(map(decoded.__getitem__, column))
-        decoded_columns.append(list(map(full.__getitem__, order)))
-    if not decoded_columns:
-        return [()] * len(order)
-    return list(zip(*decoded_columns))

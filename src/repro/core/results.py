@@ -5,8 +5,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 
+from ..engine.data import ColumnarData
 from ..engine.session import QueryReport
+from ..rdf.dictionary import TERM_ID_BASE, default_dictionary
 from ..rdf.terms import Term, term_sort_key
+from ..sparql.algebra import SelectQuery
+from .encoding import decode_term
 
 
 @dataclass(frozen=True)
@@ -97,3 +101,114 @@ def solution_sort_key(row: tuple[Term | None, ...]):
     return [
         (-1, "") if term is None else term_sort_key(term) for term in row
     ]
+
+
+def apply_solution_modifiers(
+    query: SelectQuery, rows: list[tuple[Term | None, ...]]
+) -> list[tuple[Term | None, ...]]:
+    """ORDER BY / deterministic sort, then OFFSET / LIMIT, over *decoded*
+    rows — for a system with no engine plan behind its solutions (Rya);
+    everything on :mod:`repro.engine` goes through
+    :func:`finalize_solutions` instead.
+    """
+    projection = list(query.projection)
+    if query.order_by:
+        for condition in reversed(query.order_by):
+            position = projection.index(condition.variable)
+            rows.sort(
+                key=lambda row: solution_sort_key((row[position],)),
+                reverse=condition.descending,
+            )
+    else:
+        rows.sort(key=solution_sort_key)
+    if query.offset:
+        rows = rows[query.offset :]
+    if query.limit is not None:
+        rows = rows[: query.limit]
+    return rows
+
+
+def finalize_solutions(
+    query: SelectQuery, data: ColumnarData
+) -> list[tuple[Term | None, ...]]:
+    """Solution modifiers and decode for an engine result, without
+    intermediate row tuples.
+
+    ORDER BY (or, without one, the deterministic whole-row order of
+    :func:`solution_sort_key`) runs as repeated stable sorts of an index
+    permutation over the encoded columns — the dictionary's sort keys are
+    exactly the decoded terms' :func:`term_sort_key` — OFFSET/LIMIT slice
+    that permutation, and only the surviving rows decode, column-wise.
+    Sort keys and decoded terms are computed once per *distinct* cell of
+    each column — result columns are low-cardinality, so this is where
+    late materialization pays, and rows dropped by LIMIT never materialize
+    at all.
+    """
+    batch = data.concat()
+    columns = batch.columns
+    sort_key_of = default_dictionary().sort_key_of
+    base = TERM_ID_BASE
+
+    def cell_key(cell) -> tuple:
+        if type(cell) is int and cell >= base:
+            return sort_key_of(cell)
+        if cell is None:
+            return (-1, "")
+        return term_sort_key(decode_term(cell))
+
+    def key_vector(column) -> list:
+        try:
+            distinct = dict.fromkeys(column)
+        except TypeError:  # unhashable cells: fall back to a linear cache
+            cache: dict = {}
+            out = []
+            for cell in column:
+                key = cache.get(id(cell))
+                if key is None:
+                    key = cell_key(cell)
+                    cache[id(cell)] = key
+                out.append(key)
+            return out
+        keys = {cell: cell_key(cell) for cell in distinct}
+        return list(map(keys.__getitem__, column))
+
+    order = list(range(batch.length))
+    projection = list(query.projection)
+    if query.order_by:
+        for condition in reversed(query.order_by):
+            position = projection.index(condition.variable)
+            keys = key_vector(columns[position])
+            order.sort(key=keys.__getitem__, reverse=condition.descending)
+    elif len(columns) == 1:
+        keys = key_vector(columns[0])
+        order.sort(key=keys.__getitem__)
+    elif columns:
+        # Whole-row ordering: one composite key tuple per row via zip (the
+        # same lexicographic order as solution_sort_key's per-row lists).
+        keys = list(zip(*(key_vector(column) for column in columns)))
+        order.sort(key=keys.__getitem__)
+    if query.offset:
+        order = order[query.offset :]
+    if query.limit is not None:
+        order = order[: query.limit]
+
+    decoded_columns = []
+    for column in columns:
+        try:
+            decoded = {
+                cell: None if cell is None else decode_term(cell)
+                for cell in dict.fromkeys(column)
+            }
+        except TypeError:  # unhashable cells: decode row-at-a-time
+            out = [
+                None if column[i] is None else decode_term(column[i]) for i in order
+            ]
+            decoded_columns.append(out)
+            continue
+        # Two C-speed passes: decode each cell through the per-distinct
+        # cache, then gather in emission order.
+        full = list(map(decoded.__getitem__, column))
+        decoded_columns.append(list(map(full.__getitem__, order)))
+    if not decoded_columns:
+        return [()] * len(order)
+    return list(zip(*decoded_columns))

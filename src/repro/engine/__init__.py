@@ -9,6 +9,7 @@ from .cluster import (
     estimate_cost,
 )
 from .data import (
+    ColumnarData,
     HashPartitioner,
     PartitionedData,
     estimate_row_bytes,
@@ -49,6 +50,7 @@ __all__ = [
     "AggregateSpec",
     "Catalog",
     "ClusterConfig",
+    "ColumnarData",
     "CostBreakdown",
     "DataFrame",
     "Distinct",

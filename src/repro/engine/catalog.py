@@ -1,7 +1,8 @@
 """Table catalog: registered, partitioned, storage-backed tables.
 
-A :class:`StoredTable` couples the in-memory :class:`PartitionedData` the
-executor scans with the columnar-file statistics used for IO accounting.
+A :class:`StoredTable` couples the in-memory :class:`PartitionedData` a
+loader registered (scans read its cached :class:`ColumnarData` transpose)
+with the columnar-file statistics used for IO accounting.
 Loaders register tables here; scans resolve them by name.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from ..columnar.schema import TableSchema
 from ..columnar.table_file import FileStatistics
 from ..errors import CatalogError
-from .data import PartitionedData
+from .data import ColumnarData, PartitionedData
 
 
 @dataclass
@@ -21,24 +22,21 @@ class StoredTable:
 
     Attributes:
         name: catalog-unique table name.
-        data: partitioned rows served to scans.
+        data: the partitioned rows as registered (the stored form).
         file_stats: statistics of the backing columnar file, when the table
             was persisted; drives byte-accurate scan costs and Table 1 sizes.
         hdfs_path: backing file location, when persisted.
-        pruned_cache: memoized column-pruned projections of ``data``, keyed
-            by the projected column tuple; catalog tables are immutable once
-            registered, so repeated scans can share them.
-        columnar_cache: memoized columnar (:class:`~repro.engine.vectorized.
-            ColumnarData`) forms of ``data`` for vectorized scans — the full
-            transpose under key ``None``, zero-copy column subsets under the
-            projected column tuple.
+        columnar_cache: memoized :class:`ColumnarData` forms of ``data``
+            served to scans — the full transpose under key ``None``,
+            zero-copy column subsets under the projected column tuple.
+            Catalog tables are immutable once registered, so repeated scans
+            share them.
     """
 
     name: str
     data: PartitionedData
     file_stats: FileStatistics | None = None
     hdfs_path: str | None = None
-    pruned_cache: dict = field(default_factory=dict, repr=False)
     columnar_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -50,6 +48,14 @@ class StoredTable:
     def row_count(self) -> int:
         """Rows in the stored table."""
         return self.data.num_rows
+
+    def columnar(self) -> ColumnarData:
+        """The columnar form of ``data`` (transposed once, then cached)."""
+        base = self.columnar_cache.get(None)
+        if base is None:
+            base = ColumnarData.from_partitioned(self.data)
+            self.columnar_cache[None] = base
+        return base
 
     def scan_bytes(self, columns: tuple[str, ...] | None = None) -> int:
         """Bytes a scan of ``columns`` must read (column pruning applied).

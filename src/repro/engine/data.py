@@ -1,11 +1,15 @@
 """Partitioned in-memory datasets and row-size estimation.
 
-The engine's unit of data is :class:`PartitionedData`: a schema plus a list
-of partitions (lists of row tuples) and an optional :class:`HashPartitioner`
-describing how rows were placed. Partitioner awareness lets the join operator
-skip a shuffle when both sides are already hash-partitioned on the join keys
-with the same partition count — the engine-level analogue of co-located
-joins.
+Two dataset shapes share one surface (``schema`` / ``partitioner`` /
+``num_partitions`` / ``num_rows`` / ``all_rows`` / ``is_partitioned_on`` /
+``estimated_bytes``): :class:`PartitionedData` — a schema plus a list of
+partitions (lists of row tuples), the catalog's stored form — and
+:class:`ColumnarData` — one :class:`~repro.vector.ColumnBatch` per
+partition, what every physical operator consumes and produces. Both carry
+an optional :class:`HashPartitioner` describing how rows were placed.
+Partitioner awareness lets the join operator skip a shuffle when both sides
+are already hash-partitioned on the join keys with the same partition
+count — the engine-level analogue of co-located joins.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from ..columnar.schema import TableSchema
 from ..errors import PlanError
 from ..rdf.dictionary import TERM_ID_BASE, default_dictionary
+from ..vector import ColumnBatch, batch_bytes
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,7 @@ class PartitionedData:
         self.partitioner = partitioner
         # Partitions are immutable after construction (operators always
         # build fresh partition lists), so sizing is computed once. Any
-        # code that does replace the payload in place — e.g. a vectorized
-        # scan swapping in freshly decoded rows — must call
+        # code that does replace the payload in place must call
         # invalidate_size_cache(), or the cost model and the PV205
         # broadcast-threshold checks would keep pricing the old payload.
         self._num_rows: int | None = None
@@ -129,6 +133,116 @@ class PartitionedData:
                     total += estimate_row_bytes(row)
             self._estimated_bytes = total
         return self._estimated_bytes
+
+
+class ColumnarData:
+    """Partitioned columnar dataset: one :class:`~repro.vector.ColumnBatch`
+    per partition — the runtime representation every operator works on.
+
+    Row tuples are only materialized at the edges (:meth:`all_rows`), which
+    is where dictionary term IDs finally decode — late materialization.
+    """
+
+    __slots__ = ("schema", "batches", "partitioner", "_num_rows", "_estimated_bytes")
+
+    def __init__(
+        self,
+        schema,
+        batches: list[ColumnBatch],
+        partitioner: HashPartitioner | None = None,
+    ):
+        if not batches:
+            batches = [ColumnBatch(tuple([] for _ in schema.names), 0)]
+        if partitioner is not None and partitioner.num_partitions != len(batches):
+            raise PlanError(
+                "partitioner partition count does not match the batch list"
+            )
+        self.schema = schema
+        self.batches = batches
+        self.partitioner = partitioner
+        # Like PartitionedData, batches are immutable after construction —
+        # operators always build fresh batch lists (or selection views) —
+        # so sizing is computed once; see invalidate_size_cache().
+        self._num_rows: int | None = None
+        self._estimated_bytes: int | None = None
+
+    @classmethod
+    def from_partitioned(cls, data: PartitionedData) -> "ColumnarData":
+        """Transpose a row dataset into batches, carrying its size memos.
+
+        Raises:
+            PlanError: when the source's memoized row count disagrees with
+                the rows actually present — i.e. someone replaced the
+                payload without ``invalidate_size_cache()``.
+        """
+        width = len(data.schema.names)
+        batches = [ColumnBatch.from_rows(width, part) for part in data.partitions]
+        result = cls(data.schema, batches, data.partitioner)
+        if data._num_rows is not None:
+            actual = sum(batch.num_rows for batch in batches)
+            if actual != data._num_rows:
+                raise PlanError(
+                    "stale PartitionedData size memo: the payload changed "
+                    "without invalidate_size_cache()"
+                )
+        result._num_rows = data._num_rows
+        result._estimated_bytes = data._estimated_bytes
+        return result
+
+    @property
+    def num_partitions(self) -> int:
+        """How many batches (partitions) the data is split into."""
+        return len(self.batches)
+
+    @property
+    def num_rows(self) -> int:
+        """Total live rows across all batches (cached)."""
+        if self._num_rows is None:
+            self._num_rows = sum(batch.num_rows for batch in self.batches)
+        return self._num_rows
+
+    def all_rows(self) -> list[tuple]:
+        """Materialize every live row as a tuple (driver-side collect)."""
+        rows: list[tuple] = []
+        for batch in self.batches:
+            rows.extend(batch.rows())
+        return rows
+
+    def concat(self) -> ColumnBatch:
+        """All live rows as one compacted batch (driver-side gather)."""
+        if len(self.batches) == 1:
+            return self.batches[0].compact()
+        columns: list[list] = [[] for _ in self.schema.names]
+        total = 0
+        for batch in self.batches:
+            sel = batch.sel
+            if sel is None:
+                for j, column in enumerate(batch.columns):
+                    columns[j].extend(column)
+                total += batch.length
+            else:
+                for j, column in enumerate(batch.columns):
+                    columns[j].extend(column[i] for i in sel)
+                total += len(sel)
+        return ColumnBatch(tuple(columns), total)
+
+    def is_partitioned_on(self, columns: tuple[str, ...]) -> bool:
+        """Whether rows are hash-placed by exactly these columns."""
+        return self.partitioner is not None and self.partitioner.columns == columns
+
+    def estimated_bytes(self) -> int:
+        """Shuffle-size estimate: :func:`estimate_row_bytes` summed over
+        the live rows, priced through each batch's cached byte vector."""
+        if self._estimated_bytes is None:
+            self._estimated_bytes = sum(
+                batch_bytes(batch) for batch in self.batches
+            )
+        return self._estimated_bytes
+
+    def invalidate_size_cache(self) -> None:
+        """Drop the memoized sizes after a payload replacement."""
+        self._num_rows = None
+        self._estimated_bytes = None
 
 
 def estimate_row_bytes(row: tuple) -> int:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..errors import PlanError
+from .data import ColumnarData
 from .expressions import Expression, col
 from .logical import (
     Aggregate,
@@ -158,14 +159,14 @@ class DataFrame:
         )
         return data.all_rows(), report
 
-    def collect_data_with_report(self, run_optimizer: bool = True, tracer=None):
+    def collect_data_with_report(
+        self, run_optimizer: bool = True, tracer=None
+    ) -> tuple[ColumnarData, QueryReport]:
         """Execute and return the physical dataset itself, unmaterialized.
 
-        Under vectorized execution the result is a
-        :class:`~repro.engine.vectorized.ColumnarData`, letting callers
-        (e.g. the SPARQL finalizer) sort/slice/decode on columns without
-        ever building intermediate row tuples; otherwise a
-        :class:`~repro.engine.data.PartitionedData`.
+        The :class:`~repro.engine.data.ColumnarData` lets callers (e.g. the
+        SPARQL finalizer) sort/slice/decode on columns without ever
+        building intermediate row tuples.
         """
         return self.session.execute(
             self.plan, run_optimizer=run_optimizer, tracer=tracer

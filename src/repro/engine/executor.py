@@ -1,9 +1,17 @@
 """Physical execution of logical plans over the simulated cluster.
 
 The executor walks a (previously optimized) logical plan bottom-up, producing
-:class:`PartitionedData` at every node and charging work to an
-:class:`ExecutionMetrics`. Join strategy selection happens here, with the
-runtime sizes in hand, mirroring Spark's adaptive behaviour:
+:class:`~repro.engine.data.ColumnarData` — one
+:class:`~repro.vector.ColumnBatch` of dictionary-ID cells per partition — at
+every node and charging work to an :class:`ExecutionMetrics`. Filters narrow
+a selection vector with one list comprehension per predicate; projections
+and semi/anti joins are zero-copy column-subset or selection-only views;
+hash joins gather output columns from index lists. Row tuples are only
+materialized at the edges (:meth:`ColumnarData.all_rows`), which is where
+term IDs finally decode — late materialization.
+
+Join strategy selection happens here, with the runtime sizes in hand,
+mirroring Spark's adaptive behaviour:
 
 - **colocated join** — both sides already hash-partitioned on the join keys
   with equal partition counts: zip partitions, no network traffic;
@@ -12,25 +20,31 @@ runtime sizes in hand, mirroring Spark's adaptive behaviour:
   small side once, keep the big side in place;
 - **shuffle hash join** — otherwise: hash-repartition both sides on the keys
   and join partition-wise, paying the full shuffle.
+
+Every operator charges its counters *before* recording its stage: the seeded
+:class:`~repro.engine.faults.FaultInjector` attributes the counter delta
+since the previous stage to the stage being recorded, so the order of
+charges — not just their totals — is part of the contract.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+import zlib
+from itertools import chain, repeat
 
 from ..errors import ExecutionError, PlanError
-from ..governor.spill import grace_hash_join_partition
+from ..governor.spill import grace_hash_join
+from ..vector import ColumnBatch
 from .catalog import Catalog
 from .cluster import ClusterConfig, ExecutionMetrics
-from .expressions import ColumnRef
 from .data import (
+    ColumnarData,
     HashPartitioner,
-    PartitionedData,
-    estimate_row_bytes,
+    _mix_int,
     partition_evenly,
     repartition_by_key,
-    stable_hash,
 )
+from .expressions import ColumnRef, LiteralValue, _ColumnsRow
 from .logical import (
     Aggregate,
     Distinct,
@@ -70,39 +84,27 @@ class PhysicalExecutor:
     def __init__(self, catalog: Catalog, config: ClusterConfig):
         self.catalog = catalog
         self.config = config
-        self._vectorized = False
 
     def execute(
         self, plan: LogicalPlan, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
-        """Run ``plan`` and return its materialized output.
-
-        Under ``REPRO_VECTORIZE=1`` (the default) the plan runs on the
-        vectorized operators of :mod:`repro.engine.vectorized` and the
-        result is a :class:`~repro.engine.vectorized.ColumnarData` — same
-        dataset surface, column-batch representation, rows materialized
-        only when collected. ``REPRO_VECTORIZE=0`` keeps this row path for
-        ablation; both produce identical rows, partitioning, and metrics.
+    ) -> ColumnarData:
+        """Run ``plan`` and return its output, rows still unmaterialized.
 
         With a :class:`~repro.obs.tracer.Tracer` attached, every operator
         records a span carrying its output cardinality and the deltas of
         every registry counter it charged (see :mod:`repro.obs.metrics`).
         """
-        from ..vector import vectorize_enabled
-
-        self._vectorized = vectorize_enabled()
         result = self._run(plan, metrics, tracer)
         metrics.rows_output = result.num_rows
-        if self._vectorized:
-            # Every output row's term decode was deferred past execution.
-            metrics.rows_late_materialized += result.num_rows
+        # Every output row's term decode was deferred past execution.
+        metrics.rows_late_materialized += result.num_rows
         return result
 
     # -- dispatch -------------------------------------------------------------
 
     def _run(
         self, plan: LogicalPlan, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    ) -> ColumnarData:
         if tracer is None:
             return self._dispatch(plan, metrics, None, None)
         # Imported lazily: the engine layer sits below obs in the module
@@ -126,40 +128,44 @@ class PhysicalExecutor:
 
     def _dispatch(
         self, plan: LogicalPlan, metrics: ExecutionMetrics, tracer, span
-    ) -> PartitionedData:
-        if self._vectorized:
-            # Imported lazily to keep the row path import-free of the
-            # vectorized module (and break the module cycle).
-            from .vectorized import dispatch_vectorized
+    ) -> ColumnarData:
+        """Route one plan node to its operator.
 
-            return dispatch_vectorized(self, plan, metrics, tracer, span)
+        ``engine.vector_batches`` counts each operator's output batches
+        (charged after the operator's stage record; the fault injector only
+        snapshots the scan/row/shuffle work counters, so the ordering is
+        inert to fault accounting).
+        """
         if isinstance(plan, TableScan):
-            return self._scan(plan, metrics)
-        if isinstance(plan, InMemoryRelation):
-            return self._local(plan, metrics)
-        if isinstance(plan, Filter):
-            return self._filter(plan, metrics, tracer)
-        if isinstance(plan, Project):
-            return self._project(plan, metrics, tracer)
-        if isinstance(plan, Join):
-            return self._join(plan, metrics, tracer, span)
-        if isinstance(plan, Explode):
-            return self._explode(plan, metrics, tracer)
-        if isinstance(plan, Distinct):
-            return self._distinct(plan, metrics, tracer)
-        if isinstance(plan, Sort):
-            return self._sort(plan, metrics, tracer)
-        if isinstance(plan, Limit):
-            return self._limit(plan, metrics, tracer)
-        if isinstance(plan, Union):
-            return self._union(plan, metrics, tracer)
-        if isinstance(plan, Aggregate):
-            return self._aggregate(plan, metrics, tracer)
-        raise PlanError(f"no physical implementation for {type(plan).__name__}")
+            result = self._scan(plan, metrics)
+        elif isinstance(plan, InMemoryRelation):
+            result = self._local(plan, metrics)
+        elif isinstance(plan, Filter):
+            result = self._filter(plan, metrics, tracer)
+        elif isinstance(plan, Project):
+            result = self._project(plan, metrics, tracer)
+        elif isinstance(plan, Join):
+            result = self._join(plan, metrics, tracer, span)
+        elif isinstance(plan, Explode):
+            result = self._explode(plan, metrics, tracer)
+        elif isinstance(plan, Distinct):
+            result = self._distinct(plan, metrics, tracer)
+        elif isinstance(plan, Sort):
+            result = self._sort(plan, metrics, tracer)
+        elif isinstance(plan, Limit):
+            result = self._limit(plan, metrics, tracer)
+        elif isinstance(plan, Union):
+            result = self._union(plan, metrics, tracer)
+        elif isinstance(plan, Aggregate):
+            result = self._aggregate(plan, metrics, tracer)
+        else:
+            raise PlanError(f"no physical implementation for {type(plan).__name__}")
+        metrics.vector_batches += result.num_partitions
+        return result
 
     # -- leaves ---------------------------------------------------------------
 
-    def _scan(self, plan: TableScan, metrics: ExecutionMetrics) -> PartitionedData:
+    def _scan(self, plan: TableScan, metrics: ExecutionMetrics) -> ColumnarData:
         table = self.catalog.get(plan.table_name)
         columns = plan.columns
         metrics.bytes_scanned += table.scan_bytes(columns)
@@ -168,104 +174,161 @@ class PhysicalExecutor:
             tasks=table.data.num_partitions,
             note=f"Scan {plan.table_name} cols={list(columns) if columns else '*'}",
         )
+        base = table.columnar()
         if columns is None:
-            return table.data
-        # Pruned projections are cached per table: repeated queries re-scan
-        # the same column subsets, and partitions are immutable (the
-        # engine-side analogue of Parquet serving materialized column
-        # chunks).
-        cached = table.pruned_cache.get(columns)
+            return base
+        cached = table.columnar_cache.get(columns)
         if cached is not None:
             return cached
+        # Column pruning is a zero-copy column subset.
         indexes = [table.schema.index_of(name) for name in columns]
-        getter = _row_getter(indexes)
-        partitions = [
-            [getter(row) for row in partition] for partition in table.data.partitions
+        batches = [
+            ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length, batch.sel)
+            for batch in base.batches
         ]
         partitioner = table.data.partitioner
         if partitioner is not None and not set(partitioner.columns) <= set(columns):
             partitioner = None
-        pruned = PartitionedData(
-            table.schema.select(list(columns)), partitions, partitioner
-        )
-        table.pruned_cache[columns] = pruned
+        pruned = ColumnarData(table.schema.select(list(columns)), batches, partitioner)
+        table.columnar_cache[columns] = pruned
         return pruned
 
-    def _local(self, plan: InMemoryRelation, metrics: ExecutionMetrics) -> PartitionedData:
+    def _local(self, plan: InMemoryRelation, metrics: ExecutionMetrics) -> ColumnarData:
         metrics.record_stage(tasks=1, note=f"LocalRelation {plan.label}")
         partitions = partition_evenly(list(plan.rows), self.config.default_partitions)
-        return PartitionedData(plan.relation_schema, partitions)
+        width = len(plan.relation_schema.names)
+        batches = [ColumnBatch.from_rows(width, part) for part in partitions]
+        return ColumnarData(plan.relation_schema, batches)
 
     # -- narrow operators --------------------------------------------------------
 
-    def _filter(
-        self, plan: Filter, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _filter(self, plan: Filter, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
-        predicate = plan.condition.bind(child.schema)
+        predicate = plan.condition.bind_vector(child.schema)
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(
             tasks=child.num_partitions, note=f"Filter {plan.condition.describe()}"
         )
-        partitions = [[row for row in part if predicate(row)] for part in child.partitions]
-        return PartitionedData(child.schema, partitions, child.partitioner)
+        # The selection produced over an unselected batch is a pure function of
+        # (columns, condition); prepared-statement plans reuse their condition
+        # objects across repeated queries, so the computed selection is memoized
+        # on the batch's shared cache, keyed by the condition itself (identity
+        # hash — holding it in the key pins the object, so the key can never
+        # collide with a later condition the way a bare id() could). Selection
+        # vectors are never mutated downstream, making the share safe.
+        try:
+            memo_key = ("filter", plan.condition)
+            hash(memo_key)
+        except TypeError:
+            memo_key = None
+        batches = []
+        for batch in child.batches:
+            if batch.sel is None and memo_key is not None:
+                sel = batch.bytes_cache.get(memo_key)
+                if sel is None:
+                    sel = predicate(batch.columns, batch.live())
+                    batch.bytes_cache[memo_key] = sel
+            else:
+                sel = predicate(batch.columns, batch.live())
+            batches.append(ColumnBatch(batch.columns, batch.length, sel, batch.bytes_cache))
+        return ColumnarData(child.schema, batches, child.partitioner)
 
-    def _project(
-        self, plan: Project, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _project(self, plan: Project, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
-        # Pure column shuffles (the overwhelmingly common projection) run as
-        # one C-level itemgetter per row instead of N bound-lambda calls.
         if all(isinstance(expr, ColumnRef) for _, expr in plan.outputs):
+            # Pure column shuffles share the underlying vectors and the
+            # selection — no cells are touched at all.
             indexes = [child.schema.index_of(expr.name) for _, expr in plan.outputs]
-            getter = _row_getter(indexes)
-            partitions = [[getter(row) for row in part] for part in child.partitions]
-        else:
-            bound = [expression.bind(child.schema) for _, expression in plan.outputs]
-            partitions = [
-                [tuple(fn(row) for fn in bound) for row in part]
-                for part in child.partitions
+            batches = [
+                ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length, batch.sel)
+                for batch in child.batches
             ]
+        else:
+            # Computed outputs need value columns aligned with the live rows,
+            # so compact first; plain column/literal outputs stay whole-column
+            # and only genuinely computed expressions evaluate per row.
+            batches = []
+            for source in child.batches:
+                compacted = source.compact()
+                length = compacted.length
+                out_columns = []
+                for _, expression in plan.outputs:
+                    if isinstance(expression, ColumnRef):
+                        out_columns.append(
+                            compacted.columns[child.schema.index_of(expression.name)]
+                        )
+                    elif isinstance(expression, LiteralValue):
+                        out_columns.append([expression.value] * length)
+                    else:
+                        fn = expression.bind(child.schema)
+                        cursor = _ColumnsRow(compacted.columns)
+                        values = []
+                        for i in range(length):
+                            cursor.index = i
+                            values.append(fn(cursor))
+                        out_columns.append(values)
+                batches.append(ColumnBatch(tuple(out_columns), length))
         partitioner = _project_partitioner(plan, child.partitioner)
-        return PartitionedData(plan.schema, partitions, partitioner)
+        return ColumnarData(plan.schema, batches, partitioner)
 
-    def _explode(
-        self, plan: Explode, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _explode(self, plan: Explode, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
         index = child.schema.index_of(plan.column)
         if metrics.governor is not None:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
-        partitions: list[list[tuple]] = []
-        after = index + 1
-        for part in child.partitions:
-            out: list[tuple] = []
-            for row in part:
-                values = row[index]
-                if not values:
+        # An explode of an unselected batch is a pure function of (columns,
+        # column index); persistent scan batches keep their exploded form (and
+        # its size memos) across queries.
+        memo_key = ("explode", index)
+        batches = []
+        for batch in child.batches:
+            if batch.sel is None:
+                cached = batch.bytes_cache.get(memo_key)
+                if cached is not None:
+                    batches.append(cached)
                     continue
-                if len(values) == 1:
-                    out.append(row[:index] + (values[0],) + row[after:])
-                    continue
-                prefix = row[:index]
-                suffix = row[after:]
-                for value in values:
-                    out.append(prefix + (value,) + suffix)
-            partitions.append(out)
+            source = batch.columns[index]
+            live = batch.live()
+            # C-speed flatten: empty/None cells contribute zero elements, and
+            # the gather list repeats each source row once per element.
+            if batch.sel is None:
+                cells = [cell or () for cell in source]
+            else:
+                cells = [source[i] or () for i in live]
+            lens = list(map(len, cells))
+            flat = list(chain.from_iterable(cells))
+            if batch.sel is None and lens and min(lens) == 1 == max(lens):
+                # Every cell holds exactly one element: the explode is a pure
+                # unwrap of the list column — all other columns pass through.
+                out_columns = tuple(
+                    flat if j == index else column
+                    for j, column in enumerate(batch.columns)
+                )
+                out = ColumnBatch(out_columns, batch.length)
+            else:
+                gather = list(chain.from_iterable(map(repeat, live, lens)))
+                out_columns = tuple(
+                    flat if j == index else [column[i] for i in gather]
+                    for j, column in enumerate(batch.columns)
+                )
+                out = ColumnBatch(out_columns, len(gather))
+            if batch.sel is None:
+                batch.bytes_cache[memo_key] = out
+            batches.append(out)
         partitioner = child.partitioner
         if partitioner is not None and plan.column in partitioner.columns:
             partitioner = None
-        return PartitionedData(plan.schema, partitions, partitioner)
+        return ColumnarData(plan.schema, batches, partitioner)
 
     # -- joins ---------------------------------------------------------------------
 
     def _join(
-        self, plan: Join, metrics: ExecutionMetrics, tracer=None, span=None
-    ) -> PartitionedData:
+        self, plan: Join, metrics: ExecutionMetrics, tracer, span
+    ) -> ColumnarData:
         left = self._run(plan.left, metrics, tracer)
         right = self._run(plan.right, metrics, tracer)
         if plan.how == "cross":
@@ -284,8 +347,8 @@ class PhysicalExecutor:
         strategy = self._choose_strategy(plan, left, right, left_bytes, right_bytes, keys)
         # Degradation ladder: a broadcast build over the memory budget falls
         # back to a shuffle join; a hash build over budget runs the
-        # grace-hash spill kernel. Both decisions read only contract-equal
-        # byte estimates, so the vectorized path makes the same calls.
+        # grace-hash spill kernel, which works on rows (batches → rows →
+        # batches), trading vector speed for bounded memory.
         governor = metrics.governor
         spill_fanout = 0
         if governor is not None:
@@ -298,6 +361,26 @@ class PhysicalExecutor:
                 if governor.should_degrade_broadcast(metrics, build_bytes, span):
                     strategy = "shuffle"
             spill_fanout = governor.plan_join_build(metrics, right_bytes, span)
+        out_width = len(plan.schema.names)
+
+        def join_pair(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
+            if spill_fanout:
+                rows = grace_hash_join(
+                    left_batch.rows(),
+                    right_batch.rows(),
+                    left_key_idx,
+                    right_key_idx,
+                    right_keep_idx,
+                    plan.how,
+                    spill_fanout,
+                    governor.new_spill_store(metrics),
+                )
+                return ColumnBatch.from_rows(out_width, rows)
+            build = _build_index(right_batch, right_key_idx)
+            return _probe_batch(
+                left_batch, right_batch, build, left_key_idx, right_keep_idx, plan.how
+            )
+
         if span is not None:
             span.set("on", list(keys))
             span.set("how", plan.how)
@@ -318,8 +401,8 @@ class PhysicalExecutor:
             metrics.record_stage(
                 tasks=left.num_partitions, note=f"ColocatedJoin on={list(keys)}"
             )
-            left_parts, right_parts = left.partitions, right.partitions
             partitioner = left.partitioner
+            pairs = zip(left.batches, right.batches)
         elif strategy == "broadcast":
             # Only inner joins may broadcast the probe (left) side: for
             # semi/anti/left joins a left row must be matched against the
@@ -336,15 +419,19 @@ class PhysicalExecutor:
                 note=f"BroadcastHashJoin on={list(keys)} build={'right' if small_is_right else 'left'}",
             )
             if small_is_right:
-                left_parts = left.partitions
-                right_parts = [right.all_rows()] * left.num_partitions
+                # The replicated build side is one unselected batch, so its
+                # index is built by the first probe and memoized on the
+                # batch for every further left batch.
+                right_batch = right.concat()
                 partitioner = left.partitioner
+                pairs = [(left_batch, right_batch) for left_batch in left.batches]
             else:
-                # Inner join only: replicate the small left side to every
-                # right partition (each right row is matched exactly once).
-                left_parts = [left.all_rows()] * right.num_partitions
-                right_parts = right.partitions
+                # Inner join only: the small left side replicates to every
+                # right partition, so the build runs per right batch against
+                # the one concatenated probe side.
+                left_batch = left.concat()
                 partitioner = None
+                pairs = [(left_batch, right_batch) for right_batch in right.batches]
         else:  # shuffle
             num_partitions = self.config.default_partitions
             partitioner = HashPartitioner(columns=keys, num_partitions=num_partitions)
@@ -353,47 +440,24 @@ class PhysicalExecutor:
             metrics.record_stage(
                 tasks=num_partitions, note=f"ShuffleHashJoin on={list(keys)}"
             )
-            left_parts = repartition_by_key(left.partitions, left_key_idx, partitioner)
-            right_parts = repartition_by_key(right.partitions, right_key_idx, partitioner)
-
-        partitions = []
-        for left_part, right_part in zip(left_parts, right_parts):
-            if spill_fanout:
-                partitions.append(
-                    grace_hash_join_partition(
-                        left_part,
-                        right_part,
-                        left_key_idx,
-                        right_key_idx,
-                        right_keep_idx,
-                        plan.how,
-                        spill_fanout,
-                        governor.new_spill_store(metrics),
-                    )
-                )
-            else:
-                partitions.append(
-                    _hash_join_partition(
-                        left_part, right_part, left_key_idx, right_key_idx, right_keep_idx, plan.how
-                    )
-                )
+            pairs = zip(
+                _repartition(left, left_key_idx, partitioner),
+                _repartition(right, right_key_idx, partitioner),
+            )
+        batches = [join_pair(left_batch, right_batch) for left_batch, right_batch in pairs]
         if plan.how in ("semi", "anti"):
             out_partitioner = left.partitioner
         else:
             out_partitioner = partitioner
-            if out_partitioner is not None and out_partitioner.num_partitions != len(partitions):
+            if out_partitioner is not None and out_partitioner.num_partitions != len(batches):
                 out_partitioner = None
-        return PartitionedData(plan.schema, partitions, out_partitioner)
+        return ColumnarData(plan.schema, batches, out_partitioner)
 
     def _cross_join(
-        self,
-        plan: Join,
-        left: PartitionedData,
-        right: PartitionedData,
-        metrics: ExecutionMetrics,
-    ) -> PartitionedData:
-        """Cartesian product: broadcast the smaller side to every partition
-        of the larger one and emit all row pairs."""
+        self, plan: Join, left: ColumnarData, right: ColumnarData, metrics: ExecutionMetrics
+    ) -> ColumnarData:
+        """Cartesian product on columns: repeat the big side's cells in place,
+        tile the broadcast small side — no per-row tuple concatenation."""
         left_bytes = left.estimated_bytes()
         right_bytes = right.estimated_bytes()
         small_is_right = right_bytes <= left_bytes
@@ -401,22 +465,27 @@ class PhysicalExecutor:
         metrics.broadcast_count += 1
         metrics.rows_processed += left.num_rows + right.num_rows
         big = left if small_is_right else right
-        small_rows = (right if small_is_right else left).all_rows()
+        small = (right if small_is_right else left).concat()
+        small_rows = small.length
         metrics.record_stage(tasks=big.num_partitions, note="CartesianProduct")
-        partitions: list[list[tuple]] = []
-        for part in big.partitions:
-            out: list[tuple] = []
-            for row in part:
-                for other in small_rows:
-                    out.append(row + other if small_is_right else other + row)
-            partitions.append(out)
-        return PartitionedData(plan.schema, partitions)
+        batches: list[ColumnBatch] = []
+        for batch in big.batches:
+            compacted = batch.compact()
+            big_rows = compacted.length
+            repeated = [
+                [value for value in column for _ in range(small_rows)]
+                for column in compacted.columns
+            ]
+            tiled = [list(column) * big_rows for column in small.columns]
+            columns = repeated + tiled if small_is_right else tiled + repeated
+            batches.append(ColumnBatch(tuple(columns), big_rows * small_rows))
+        return ColumnarData(plan.schema, batches)
 
     def _choose_strategy(
         self,
         plan: Join,
-        left: PartitionedData,
-        right: PartitionedData,
+        left: ColumnarData,
+        right: ColumnarData,
         left_bytes: int,
         right_bytes: int,
         keys: tuple[str, ...],
@@ -444,15 +513,13 @@ class PhysicalExecutor:
 
     # -- wide operators -----------------------------------------------------------
 
-    def _distinct(
-        self, plan: Distinct, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _distinct(self, plan: Distinct, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
         if metrics.governor is not None:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
         all_columns = tuple(child.schema.names)
         if child.is_partitioned_on(all_columns):
-            partitions = child.partitions
+            batches = child.batches
             partitioner = child.partitioner
         else:
             num_partitions = self.config.default_partitions
@@ -460,55 +527,70 @@ class PhysicalExecutor:
             metrics.shuffle_bytes += child.estimated_bytes()
             metrics.shuffle_rows += child.num_rows
             key_idx = list(range(len(all_columns)))
-            partitions = repartition_by_key(child.partitions, key_idx, partitioner)
+            batches = _repartition(child, key_idx, partitioner)
         metrics.rows_processed += child.num_rows
-        metrics.record_stage(tasks=len(partitions), note="Distinct")
+        metrics.record_stage(tasks=len(batches), note="Distinct")
         deduped = []
-        for part in partitions:
+        for batch in batches:
+            columns = batch.columns
             seen: set[tuple] = set()
-            out: list[tuple] = []
-            for row in part:
-                frozen = _freeze_row(row)
+            keep: list[int] = []
+            for i in batch.live():
+                frozen = _freeze_row(tuple(column[i] for column in columns))
                 if frozen not in seen:
                     seen.add(frozen)
-                    out.append(row)
-            deduped.append(out)
-        return PartitionedData(child.schema, deduped, partitioner)
+                    keep.append(i)
+            deduped.append(ColumnBatch(columns, batch.length, keep, batch.bytes_cache))
+        return ColumnarData(child.schema, deduped, partitioner)
 
-    def _sort(
-        self, plan: Sort, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _sort(self, plan: Sort, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
         if metrics.governor is not None:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
-        rows = child.all_rows()
-        metrics.rows_processed += len(rows)
+        combined = child.concat()
+        metrics.rows_processed += combined.length
         metrics.shuffle_bytes += child.estimated_bytes()  # gather to driver
         metrics.record_stage(tasks=1, note=plan._describe_line())
+        # Sort an index permutation instead of moving rows: precompute the key
+        # vector per sort column, then one stable sort per key, last key first.
+        order = list(range(combined.length))
         for name, descending in reversed(plan.keys):
-            index = child.schema.index_of(name)
-            rows.sort(key=lambda row: _sort_key(row[index]), reverse=descending)
-        return PartitionedData(child.schema, [rows])
+            column = combined.columns[child.schema.index_of(name)]
+            key_vector = [_sort_key(value) for value in column]
+            order.sort(key=key_vector.__getitem__, reverse=descending)
+        return ColumnarData(
+            child.schema,
+            [ColumnBatch(combined.columns, combined.length, order, combined.bytes_cache)],
+        )
 
-    def _limit(
-        self, plan: Limit, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _limit(self, plan: Limit, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
-        rows = child.all_rows()
         metrics.record_stage(tasks=1, note=plan._describe_line())
-        rows = rows[plan.offset :]
-        if plan.count is not None:
-            rows = rows[: plan.count]
-        return PartitionedData(child.schema, [rows])
+        stop = None if plan.count is None else plan.offset + plan.count
+        if len(child.batches) == 1:
+            # The common shape (LIMIT over a sorted single batch) slices the
+            # selection without touching any cells.
+            batch = child.batches[0]
+            live = batch.live()
+            sliced = live[plan.offset : stop] if stop is not None else live[plan.offset :]
+            return ColumnarData(
+                child.schema,
+                [ColumnBatch(batch.columns, batch.length, list(sliced), batch.bytes_cache)],
+            )
+        refs = [(batch, i) for batch in child.batches for i in batch.live()]
+        refs = refs[plan.offset : stop] if stop is not None else refs[plan.offset :]
+        width = len(child.schema.names)
+        columns = tuple(
+            [batch.columns[j][i] for batch, i in refs] for j in range(width)
+        )
+        return ColumnarData(child.schema, [ColumnBatch(columns, len(refs))])
 
-    def _aggregate(
-        self, plan: Aggregate, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _aggregate(self, plan: Aggregate, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         """Hash aggregation with map-side partial aggregation.
 
-        Each input partition pre-aggregates locally (Spark's partial
-        aggregate), then only the per-group partial states shuffle — the
-        reason COUNT-style queries are cheap even over big inputs.
+        Each input batch pre-aggregates locally (Spark's partial aggregate),
+        then only the per-group partial states shuffle — the reason
+        COUNT-style queries are cheap even over big inputs.
         """
         child = self._run(plan.child, metrics, tracer)
         if metrics.governor is not None:
@@ -522,12 +604,13 @@ class PhysicalExecutor:
         ]
         metrics.rows_processed += child.num_rows
 
-        # Map side: one partial state per (partition, group).
         partials: list[dict[tuple, list]] = []
-        for part in child.partitions:
+        for batch in child.batches:
+            columns = batch.columns
+            key_columns = [columns[i] for i in key_idx]
             local: dict[tuple, list] = {}
-            for row in part:
-                key = tuple(row[i] for i in key_idx)
+            for i in batch.live():
+                key = tuple(column[i] for column in key_columns)
                 state = local.get(key)
                 if state is None:
                     state = [
@@ -536,10 +619,15 @@ class PhysicalExecutor:
                     ]
                     local[key] = state
                 for position, (spec, column) in enumerate(zip(plan.aggregates, input_idx)):
-                    value = row[column] if column is not None else row
-                    if column is not None and value is None:
-                        continue
+                    if column is not None:
+                        value = columns[column][i]
+                        if value is None:
+                            continue
+                    else:
+                        value = None
                     if spec.op == "count_distinct":
+                        if column is None:
+                            value = tuple(col[i] for col in columns)
                         state[position].add(_freeze_value(value))
                     else:
                         state[position] += 1
@@ -550,7 +638,6 @@ class PhysicalExecutor:
         metrics.shuffle_bytes += partial_groups * (16 + 8 * len(plan.aggregates))
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
 
-        # Reduce side: merge partial states by group key.
         merged: dict[tuple, list] = {}
         for local in partials:
             for key, state in local.items():
@@ -565,8 +652,7 @@ class PhysicalExecutor:
                         target[position] += state[position]
         if not plan.keys and not merged:
             merged[()] = [
-                set() if spec.op == "count_distinct" else 0
-                for spec in plan.aggregates
+                set() if spec.op == "count_distinct" else 0 for spec in plan.aggregates
             ]
 
         rows = []
@@ -587,117 +673,187 @@ class PhysicalExecutor:
             if partitioner
             else [rows]
         )
-        return PartitionedData(plan.schema, partitions, partitioner)
+        width = len(plan.schema.names)
+        batches = [ColumnBatch.from_rows(width, part) for part in partitions]
+        return ColumnarData(plan.schema, batches, partitioner)
 
-    def _union(
-        self, plan: Union, metrics: ExecutionMetrics, tracer=None
-    ) -> PartitionedData:
+    def _union(self, plan: Union, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         results = [self._run(child, metrics, tracer) for child in plan.inputs]
         metrics.record_stage(tasks=len(results), note="Union")
-        partitions: list[list[tuple]] = []
+        batches: list[ColumnBatch] = []
         for result in results:
-            partitions.extend(result.partitions)
-        return PartitionedData(plan.schema, partitions)
+            batches.extend(result.batches)
+        return ColumnarData(plan.schema, batches)
 
 
-def _row_getter(indexes: list[int]):
-    """A row → tuple-of-cells projection (C-level for two or more columns;
-    ``itemgetter`` with one index returns a bare cell, so wrap that case)."""
-    if not indexes:
-        return lambda row: ()
-    if len(indexes) == 1:
-        index = indexes[0]
-        return lambda row: (row[index],)
-    return itemgetter(*indexes)
+# -- batch plumbing -----------------------------------------------------------
 
 
-def _hash_join_partition(
-    left_rows: list[tuple],
-    right_rows: list[tuple],
-    left_key_idx: list[int],
-    right_key_idx: list[int],
-    right_keep_idx: list[int],
-    how: str,
-) -> list[tuple]:
-    """Classic build/probe hash join of one partition pair."""
+def _partition_sel(
+    batch: ColumnBatch, key_indexes: list[int], partitioner: HashPartitioner
+) -> list[list[int]]:
+    """Selection vectors placing each live row into its shuffle partition.
+
+    Same splitmix64/crc32 per-cell hashing as
+    ``engine.data.repartition_by_key``, which places catalog-table rows at
+    load: a shuffled dataset and a table hash-partitioned on the same keys
+    agree on every row's partition, which is what lets them join colocated.
+    """
+    num_partitions = partitioner.num_partitions
+    out: list[list[int]] = [[] for _ in range(num_partitions)]
+    if len(key_indexes) == 1:
+        column = batch.columns[key_indexes[0]]
+        crc32 = zlib.crc32
+        for i in batch.live():
+            part = column[i]
+            if isinstance(part, int):
+                h = _mix_int(part) & 0x7FFFFFFFFFFFFFFF
+            elif isinstance(part, str):
+                h = crc32(part.encode("utf-8", "surrogatepass"))
+            else:
+                h = crc32(repr(part).encode("utf-8", "surrogatepass"))
+            out[h % num_partitions].append(i)
+        return out
+    key_columns = [batch.columns[i] for i in key_indexes]
+    for i in batch.live():
+        key = tuple(column[i] for column in key_columns)
+        out[partitioner.partition_for(key)].append(i)
+    return out
+
+
+def _repartition(
+    data: ColumnarData, key_indexes: list[int], partitioner: HashPartitioner
+) -> list[ColumnBatch]:
+    """Columnar shuffle: one concatenated batch, viewed per target partition.
+
+    The shuffle write is a single gather into one batch plus per-partition
+    selection vectors over it — target batches share the concatenated
+    columns instead of copying rows into per-partition lists.
+    """
+    combined = data.concat()
+    return [
+        ColumnBatch(combined.columns, combined.length, sel, combined.bytes_cache)
+        for sel in _partition_sel(combined, key_indexes, partitioner)
+    ]
+
+
+def _build_index(batch: ColumnBatch, key_indexes: list[int]) -> dict:
+    """Hash-join build side: key → live row indices, insertion-ordered.
+
+    NULL keys (any NULL part for multi-key joins) never enter the index, so
+    a NULL probe key finds no match — SQL semantics. For an unselected batch
+    the index is a pure function of (columns, keys), so it is memoized in the
+    batch's shared cache — scans of build-side tables keep their indexes
+    across queries. Probes only read the index, never mutate it.
+    """
+    cache_key = None
+    if batch.sel is None:
+        cache_key = ("build", tuple(key_indexes))
+        cached = batch.bytes_cache.get(cache_key)
+        if cached is not None:
+            return cached
     build: dict = {}
-    output: list[tuple] = []
-    if len(left_key_idx) == 1:
-        # Single-key joins (every SPARQL variable join) build and probe on
-        # the bare cell: no per-row key tuples, and dictionary term IDs
-        # hash as native ints. NULL never enters ``build``, so a NULL probe
-        # key falls out of ``build.get`` with the right SQL semantics.
-        li, ri = left_key_idx[0], right_key_idx[0]
+    if len(key_indexes) == 1:
+        column = batch.columns[key_indexes[0]]
         build_get = build.get
-        for row in right_rows:
-            key = row[ri]
+        for i in batch.live():
+            key = column[i]
             if key is not None:
                 bucket = build_get(key)
                 if bucket is None:
-                    build[key] = [row]
+                    build[key] = [i]
                 else:
-                    bucket.append(row)
-        keep = _row_getter(right_keep_idx)
-        if how == "inner":
-            for row in left_rows:
-                matches = build.get(row[li])
-                if matches:
-                    for match in matches:
-                        output.append(row + keep(match))
-            return output
-        if how == "left":
-            nulls = (None,) * len(right_keep_idx)
-            for row in left_rows:
-                matches = build.get(row[li])
-                if matches:
-                    for match in matches:
-                        output.append(row + keep(match))
-                else:
-                    output.append(row + nulls)
-            return output
-        if how == "semi":
-            return [row for row in left_rows if build.get(row[li])]
-        if how == "anti":
-            return [row for row in left_rows if not build.get(row[li])]
-        raise ExecutionError(f"unsupported join type {how!r}")
-    for row in right_rows:
-        key = tuple(row[i] for i in right_key_idx)
+                    bucket.append(i)
+        if cache_key is not None:
+            batch.bytes_cache[cache_key] = build
+        return build
+    key_columns = [batch.columns[i] for i in key_indexes]
+    for i in batch.live():
+        key = tuple(column[i] for column in key_columns)
         if any(part is None for part in key):
-            continue  # SQL semantics: NULL keys never match
-        build.setdefault(key, []).append(row)
-    for row in left_rows:
-        key = tuple(row[i] for i in left_key_idx)
-        if any(part is None for part in key):
-            matches = None
-        else:
-            matches = build.get(key)
-        if how == "inner":
+            continue
+        build.setdefault(key, []).append(i)
+    if cache_key is not None:
+        batch.bytes_cache[cache_key] = build
+    return build
+
+
+def _probe_batch(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    build: dict,
+    left_key_idx: list[int],
+    right_keep_idx: list[int],
+    how: str,
+) -> ColumnBatch:
+    """Probe one left batch against a build index over ``right``.
+
+    Emits left-major output in build insertion order. Semi/anti joins are
+    selection-only views over the left batch (zero copies); inner/left
+    joins gather per column from index lists, with ``-1`` marking a
+    left-join miss to fill NULLs on the right side.
+    """
+    single = len(left_key_idx) == 1
+    if single:
+        probe_column = left.columns[left_key_idx[0]]
+        probe_key = probe_column.__getitem__
+    else:
+        probe_columns = [left.columns[i] for i in left_key_idx]
+
+        def probe_key(i):
+            key = tuple(column[i] for column in probe_columns)
+            if any(part is None for part in key):
+                return None  # NULL keys never match (SQL semantics)
+            return key
+
+    build_get = build.get
+    if how == "semi":
+        sel = [i for i in left.live() if build_get(probe_key(i))]
+        return ColumnBatch(left.columns, left.length, sel, left.bytes_cache)
+    if how == "anti":
+        sel = [i for i in left.live() if not build_get(probe_key(i))]
+        return ColumnBatch(left.columns, left.length, sel, left.bytes_cache)
+
+    out_left: list[int] = []
+    out_right: list[int] = []
+    if how == "inner":
+        for i in left.live():
+            matches = build_get(probe_key(i))
             if matches:
-                for match in matches:
-                    output.append(row + tuple(match[i] for i in right_keep_idx))
-        elif how == "left":
+                for m in matches:
+                    out_left.append(i)
+                    out_right.append(m)
+        misses = False
+    elif how == "left":
+        for i in left.live():
+            matches = build_get(probe_key(i))
             if matches:
-                for match in matches:
-                    output.append(row + tuple(match[i] for i in right_keep_idx))
+                for m in matches:
+                    out_left.append(i)
+                    out_right.append(m)
             else:
-                output.append(row + tuple(None for _ in right_keep_idx))
-        elif how == "semi":
-            if matches:
-                output.append(row)
-        elif how == "anti":
-            if not matches:
-                output.append(row)
+                out_left.append(i)
+                out_right.append(-1)
+        misses = True
+    else:
+        raise ExecutionError(f"unsupported join type {how!r}")
+
+    columns: list[list] = [
+        [column[i] for i in out_left] for column in left.columns
+    ]
+    for j in right_keep_idx:
+        column = right.columns[j]
+        if misses:
+            columns.append([None if i < 0 else column[i] for i in out_right])
         else:
-            raise ExecutionError(f"unsupported join type {how!r}")
-    return output
+            columns.append([column[i] for i in out_right])
+    return ColumnBatch(tuple(columns), len(out_left))
 
 
 def _project_partitioner(plan: Project, partitioner: HashPartitioner | None):
     """Survive the partitioner through a rename-only projection."""
     if partitioner is None:
         return None
-    from .expressions import ColumnRef
-
     rename: dict[str, str] = {}
     for out_name, expression in plan.outputs:
         if isinstance(expression, ColumnRef):
@@ -740,4 +896,4 @@ def _sort_key(value):
     return (4, repr(value), 0)
 
 
-__all__ = ["PhysicalExecutor", "stable_hash", "estimate_row_bytes"]
+__all__ = ["PhysicalExecutor"]

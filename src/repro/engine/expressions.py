@@ -6,17 +6,17 @@ A small Catalyst-style expression tree. Expressions are built with
     (col("age") > lit(18)) & col("email").is_not_null()
 
 Before execution an expression is *bound* to a schema, producing a plain
-Python closure over row tuples — the moral equivalent of Spark's whole-stage
+Python closure over one row — the moral equivalent of Spark's whole-stage
 codegen, and the reason per-row evaluation stays cheap.
 
-Under vectorized execution (:mod:`repro.vector`) the same tree compiles
+Filters over column batches (:mod:`repro.vector`) compile the same tree
 via :meth:`Expression.bind_vector` into a **selection-vector kernel**:
 ``fn(columns, sel) -> new_sel``, taking the batch's column vectors and the
 ordered live row indices and returning the surviving indices in order. Hot
 nodes (equality against a constant, column-to-column equality, IS NOT
 NULL, AND chains) override it with single list comprehensions over one
 column; everything else falls back to the row closure evaluated through a
-:class:`_ColumnsRow` cursor, so the two paths cannot disagree.
+:class:`_ColumnsRow` cursor, so a kernel and its closure cannot disagree.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class BinaryComparison(Expression):
 
     def bind_vector(self, schema: TableSchema) -> VectorPredicate:
         # The same two hot shapes as `bind`, as single comprehensions over
-        # one or two column vectors — the vectorized engine's tightest loop.
+        # one or two column vectors — the engine's tightest loop.
         if self.op == "=":
             if isinstance(self.left, ColumnRef) and isinstance(self.right, LiteralValue):
                 if self.right.value is not None:

@@ -50,7 +50,7 @@ def optimize(plan: LogicalPlan) -> LogicalPlan:
 
     The result is memoized on the (immutable) plan instance: re-executing a
     prepared plan reuses the exact same rewritten node objects, which keeps
-    filter-condition identity stable — the vectorized executor memoizes
+    filter-condition identity stable — the executor memoizes
     per-batch selections by condition — and skips redundant rewriting.
     """
     cached = plan.__dict__.get("_optimized_memo")

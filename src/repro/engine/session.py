@@ -16,7 +16,7 @@ from ..hdfs.filesystem import SimulatedHdfs
 from ..rdf.dictionary import storage_row
 from .catalog import Catalog, StoredTable
 from .cluster import ClusterConfig, CostBreakdown, ExecutionMetrics, SimulatedCluster
-from .data import PartitionedData, partition_by_hash, partition_evenly
+from .data import ColumnarData, PartitionedData, partition_by_hash, partition_evenly
 from .executor import PhysicalExecutor
 from .logical import LogicalPlan
 from .optimizer import optimize
@@ -175,7 +175,7 @@ class EngineSession:
 
     def execute(
         self, plan: LogicalPlan, run_optimizer: bool = True, tracer=None
-    ) -> tuple[PartitionedData, QueryReport]:
+    ) -> tuple[ColumnarData, QueryReport]:
         """Optimize (unless disabled), run, and cost a logical plan.
 
         With a tracer attached, the optimizer pass gets its own span, every

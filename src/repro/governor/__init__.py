@@ -13,7 +13,7 @@ governance story. Four pieces:
   retry loop;
 - :class:`~repro.governor.context.GovernorContext` — the per-query object
   carrying both, attached to ``ExecutionMetrics`` exactly like the fault
-  injector so the executors need no new plumbing;
+  injector so the executor needs no new plumbing;
 - :class:`~repro.governor.admission.Governor` — the engine front door:
   concurrent-query slots, aggregate-memory reservations, bounded queueing
   and load-shedding.
@@ -34,7 +34,7 @@ from .admission import Governor
 from .budget import MAX_SPILL_FANOUT, MIN_SPILL_FANOUT, MemoryBudget
 from .context import GovernorContext
 from .deadline import Deadline
-from .spill import SpillStore, grace_hash_join_partition
+from .spill import SpillStore, grace_hash_join
 
 #: Environment fallback for ``ClusterConfig.memory_budget_bytes``.
 MEM_BUDGET_ENV = "REPRO_MEM_BUDGET"
@@ -52,7 +52,7 @@ __all__ = [
     "MemoryBudget",
     "QUERY_TIMEOUT_ENV",
     "SpillStore",
-    "grace_hash_join_partition",
+    "grace_hash_join",
     "governor_context_for",
     "memory_budget_from_env",
     "query_timeout_from_env",

@@ -3,16 +3,15 @@
 The budget models the executor-memory ceiling of one Spark task slot: the
 paper's cluster ran 21 GB executors, and a join whose hash build outgrows
 that ceiling either spills (Spark's ``ShuffledHashJoin`` falling back to
-sort-merge with external sort) or dies with an OOM. Here the executors
-charge every memory-hungry site — hash-join build, explode, distinct,
+sort-merge with external sort) or dies with an OOM. Here the executor
+charges every memory-hungry site — hash-join build, explode, distinct,
 sort, aggregate — against a :class:`MemoryBudget`, and a charge that
 exceeds the *effective* budget triggers the degradation ladder instead of
 an error (see :mod:`repro.governor.context`).
 
-Sizing reuses the engine's shuffle accounting (``estimate_row_bytes`` /
-``batch_bytes``), which is contract-equal between the row and vectorized
-paths, so both paths see the same charges and make the same degradation
-decisions.
+Sizing reuses the engine's shuffle accounting (``batch_bytes``, held equal
+to ``estimate_row_bytes`` by unit test), so a degradation decision reads
+the same bytes the cost model prices.
 """
 
 from __future__ import annotations
@@ -82,8 +81,7 @@ class MemoryBudget:
         Rounds ``nbytes / effective_budget`` up to the next power of two so
         every sub-partition's build is expected to fit, clamped to
         [:data:`MIN_SPILL_FANOUT`, :data:`MAX_SPILL_FANOUT`]. Purely a
-        function of the charge and the effective budget — deterministic,
-        and identical across the row and vector paths.
+        function of the charge and the effective budget — deterministic.
         """
         needed = -(-nbytes // self.effective_bytes)  # ceil division
         fanout = MIN_SPILL_FANOUT

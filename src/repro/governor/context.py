@@ -2,8 +2,8 @@
 
 One :class:`GovernorContext` is attached to each query's
 ``ExecutionMetrics`` (the same non-counter side-channel the fault injector
-uses), so both executors reach it through the ``metrics`` object they
-already thread everywhere — no new plumbing, and one ``is None`` check of
+uses), so the executor reaches it through the ``metrics`` object it
+already threads everywhere — no new plumbing, and one ``is None`` check of
 overhead when governance is off.
 
 The context is the single decision point for the degradation ladder:
@@ -16,10 +16,9 @@ The context is the single decision point for the degradation ladder:
    the trip (``governor.budget_trips``) and proceed — observability
    without wrong answers.
 
-Because every decision input (the contract-equal byte estimates, the
-seeded memory-pressure shrinks, the simulated retry waits) is identical
-between the row and vectorized paths, the two paths always take the same
-rungs of the ladder.
+Every decision input (the byte estimates, the seeded memory-pressure
+shrinks, the simulated retry waits) is deterministic, so a query takes the
+same rungs of the ladder on every run.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .spill import SpillStore
 
 
 class GovernorContext:
-    """Per-query governance state shared by both execution paths.
+    """Per-query governance state.
 
     Attributes:
         budget: the memory budget, or ``None`` when unbudgeted.

@@ -1,7 +1,7 @@
 """Deterministic grace-hash spill join — the over-budget hash-join path.
 
-When a hash-join build side outgrows the memory budget, both executors
-swap the in-memory build/probe kernel for the classic grace hash join:
+When a hash-join build side outgrows the memory budget, the executor
+swaps the in-memory build/probe kernel for the classic grace hash join:
 partition both inputs by an independent hash of the join key into a
 deterministic fanout of disk buckets, then join each bucket pair
 in-memory. Three properties matter:
@@ -9,17 +9,17 @@ in-memory. Three properties matter:
 - **Output equivalence**: every emitted row is tagged with its original
   probe-side index and the merged output is stably re-sorted by it, so
   the spilled join returns rows in *exactly* the order of the in-memory
-  kernel (``executor._hash_join_partition``) — spilling is invisible to
-  everything downstream, including the row-vs-vector equivalence suite.
+  columnar build/probe kernel — spilling is invisible to everything
+  downstream.
 - **Deterministic buckets**: bucket placement re-mixes ``stable_hash``
   through splitmix64, decorrelating it from the shuffle partitioner (a
   shuffled partition holds keys congruent mod the partition count, so
   reusing the same hash would collapse every row into one bucket). The
   same inputs always produce byte-identical bucket files.
-- **Shared kernel**: the vectorized path converts affected batches to row
-  tuples (cells stay term-ID-encoded) and runs this same kernel, so both
-  paths charge identical ``governor.*`` counters and produce identical
-  rows; the degraded path deliberately trades vector speed for parity.
+- **Row-level kernel**: the executor converts the affected batches to
+  row tuples (cells stay term-ID-encoded), since rows are what pickles
+  into bucket files; the degraded path deliberately trades vector speed
+  for bounded memory.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ class SpillStore:
 
     Writes pickled row lists to ``directory`` and accounts the spilled
     volume into ``metrics.spill_bytes`` using the engine's
-    ``estimate_row_bytes`` sizing — the same contract-equal estimate both
-    execution paths use everywhere else, so the counter is byte-identical
-    between the row and vector paths (actual pickle sizes are not: they
-    depend on object-sharing patterns).
+    ``estimate_row_bytes`` sizing — the estimate the cost model uses
+    everywhere else, so the counter is deterministic (actual pickle sizes
+    are not: they depend on object-sharing patterns).
 
     Attributes:
         directory: pre-created directory the bucket files land in.
@@ -86,7 +85,7 @@ def bucket_of(key: tuple, fanout: int) -> int:
     return _mix_int(stable_hash(key) ^ _BUCKET_SALT) % fanout
 
 
-def grace_hash_join_partition(
+def grace_hash_join(
     left_rows: list[tuple],
     right_rows: list[tuple],
     left_key_idx: list[int],
@@ -98,11 +97,11 @@ def grace_hash_join_partition(
 ) -> list[tuple]:
     """Grace-hash join of one partition pair through disk buckets.
 
-    Drop-in replacement for ``executor._hash_join_partition``: identical
-    rows in identical order, with the build held one bucket at a time
-    instead of whole. Both sides spill (probe rows tagged with their
-    original index), then bucket pairs join in-memory and the merged
-    output is stably sorted back into probe order.
+    Drop-in replacement for the executor's in-memory build/probe over the
+    same pair: identical rows in identical order, with the build held one
+    bucket at a time instead of whole. Both sides spill (probe rows tagged
+    with their original index), then bucket pairs join in-memory and the
+    merged output is stably sorted back into probe order.
     """
     left_buckets: list[list[tuple]] = [[] for _ in range(fanout)]
     for index, row in enumerate(left_rows):
@@ -147,7 +146,8 @@ def grace_hash_join_partition(
 
 
 def _row_getter(indexes: list[int]):
-    """Row → tuple-of-cells projection (mirrors ``executor._row_getter``)."""
+    """A row → tuple-of-cells projection (C-level for two or more columns;
+    ``itemgetter`` with one index returns a bare cell, so wrap that case)."""
     if not indexes:
         return lambda row: ()
     if len(indexes) == 1:
@@ -166,8 +166,8 @@ def _probe_bucket(
 ) -> list[tuple[int, tuple]]:
     """Join one bucket pair in memory, tagging outputs with probe indexes.
 
-    A faithful port of ``executor._hash_join_partition`` (single-key fast
-    path, NULL-keys-never-match, left/semi/anti emission rules) over
+    Classic build/probe hash join (single-key fast path on the bare cell,
+    NULL keys never match, left/semi/anti emission rules) over
     ``(original_index, row)`` probe pairs.
     """
     build: dict = {}

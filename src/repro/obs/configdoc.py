@@ -92,7 +92,7 @@ class EnvVar:
     """One documented ``REPRO_*`` environment variable.
 
     Attributes:
-        name: the variable, e.g. ``REPRO_VECTORIZE``.
+        name: the variable, e.g. ``REPRO_PLAN_CHECK``.
         scope: ``runtime`` (read by the library/CLI) or ``tests`` (read
             only by the test suite).
         default: behavior when unset, as reader-facing text.
@@ -162,19 +162,9 @@ ENV_VARS: tuple[EnvVar, ...] = (
         "Default result-cache capacity of a `QueryServer` (0 disables the cache).",
     ),
     EnvVar(
-        "REPRO_TERM_IDS", "runtime", "1 (dictionary IDs on)",
-        "repro.rdf.dictionary",
-        "Set to 0 to run on legacy lexical string cells (the strings-vs-IDs ablation).",
-    ),
-    EnvVar(
         "REPRO_UPDATE_GOLDENS", "tests", "0 (assert, don't rewrite)",
         "tests/obs",
         "Set to 1 to rewrite golden EXPLAIN fixtures instead of asserting against them.",
-    ),
-    EnvVar(
-        "REPRO_VECTORIZE", "runtime", "1 (vectorized executor on)",
-        "repro.vector.batch",
-        "Set to 0 to run the row-at-a-time executor (the vectorization ablation).",
     ),
 )
 

@@ -5,10 +5,7 @@ from .dictionary import (
     TermDictionary,
     TermId,
     default_dictionary,
-    ids_enabled,
     is_term_id,
-    set_ids_enabled,
-    term_ids,
 )
 from .graph import Graph
 from .ntriples import (
@@ -53,9 +50,6 @@ __all__ = [
     "Triple",
     "collect_statistics",
     "default_dictionary",
-    "ids_enabled",
-    "set_ids_enabled",
-    "term_ids",
     "load_statistics",
     "save_statistics",
     "statistics_from_json",

@@ -25,18 +25,13 @@ Design points:
 - **Storage stays lexical.** Simulated on-disk artifacts (columnar files,
   SPARQLGX text files, Rya index keys) keep the N-Triples strings —
   :func:`storage_row` converts an ID row back at the persistence boundary —
-  so storage footprints (Table 1) and scan-cost accounting are unchanged.
-- **The ablation switch.** :func:`set_ids_enabled` flips the whole system
-  between ID cells and the legacy string cells (the ``bench --quick``
-  strings-vs-IDs ablation); ``REPRO_TERM_IDS=0`` does the same from the
-  environment.
+  so storage footprints (Table 1) and scan-cost accounting are those of
+  the lexical form.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
 
 from .ntriples import parse_term
 from .terms import Term, term_sort_key
@@ -46,10 +41,7 @@ __all__ = [
     "TermId",
     "TermDictionary",
     "default_dictionary",
-    "ids_enabled",
     "is_term_id",
-    "set_ids_enabled",
-    "term_ids",
     "storage_cell",
     "storage_row",
 ]
@@ -173,7 +165,7 @@ class TermDictionary:
         return self._len_by_id
 
     def clear(self) -> None:
-        """Drop every entry (fresh ID space; used between bench ablations)."""
+        """Drop every entry (fresh ID space; used between benchmark passes)."""
         self._id_by_text.clear()
         self._text_by_id.clear()
         self._term_by_id.clear()
@@ -187,37 +179,6 @@ _DEFAULT = TermDictionary()
 def default_dictionary() -> TermDictionary:
     """The process-wide dictionary shared by every engine and baseline."""
     return _DEFAULT
-
-
-_ids_enabled = os.environ.get("REPRO_TERM_IDS", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def ids_enabled() -> bool:
-    """Whether cells carry :class:`TermId` (default) or lexical strings."""
-    return _ids_enabled
-
-
-def set_ids_enabled(enabled: bool) -> bool:
-    """Flip ID execution on/off; returns the previous setting."""
-    global _ids_enabled
-    previous = _ids_enabled
-    _ids_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def term_ids(enabled: bool):
-    """Scoped :func:`set_ids_enabled` (tests and the bench ablation)."""
-    previous = set_ids_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_ids_enabled(previous)
 
 
 def storage_cell(cell):

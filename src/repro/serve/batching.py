@@ -8,10 +8,10 @@ redundant in two distinct ways:
   canonical query once and fans the rows out to every requester
   (``serve.batched_queries`` counts the queries that rode along);
 - **shared tables**: distinct queries still scan overlapping PT/VP
-  tables. On the vectorized path a table's columnar transposition is the
-  dominant scan setup cost; :func:`execute_batch` walks every planned
-  frame for its table scans, warms each *distinct* table once before any
-  query runs, and counts every further reference as a shared scan
+  tables. A table's columnar transposition is the dominant scan setup
+  cost; :func:`execute_batch` walks every planned frame for its table
+  scans, warms each *distinct* table once before any query runs, and
+  counts every further reference as a shared scan
   (``serve.shared_scans``).
 
 Correctness is by construction: batching changes neither plans nor
@@ -102,14 +102,11 @@ def _share_scans(server: QueryServer, entries) -> None:
         references.extend(tables_scanned(entry.frame.plan))
     distinct = dict.fromkeys(references)  # insertion-ordered, deterministic
     shared = len(references) - len(distinct)
-    from ..vector import vectorize_enabled
-
-    if vectorize_enabled():
-        from ..engine.vectorized import warm_table
-
-        catalog = server.engine.session.catalog
-        for name in distinct:
-            warm_table(catalog.get(name))
+    # Build each distinct table's transposition up front, so the queries
+    # of the batch share it instead of racing to build it.
+    catalog = server.engine.session.catalog
+    for name in distinct:
+        catalog.get(name).columnar()
     if shared:
         with server._lock:
             server.stats.shared_scans += shared

@@ -478,10 +478,18 @@ class _Parser:
                     )
         elif query.group_by:
             raise SparqlSyntaxError("GROUP BY requires an aggregate in the projection")
+        projected = set(query.projection)
         for condition in query.order_by:
             if condition.variable not in bgp_variables and condition.variable not in aliases:
                 raise SparqlSyntaxError(
                     f"ORDER BY variable {condition.variable} does not occur in the pattern"
+                )
+            if condition.variable not in projected:
+                # Finalization sorts the projected columns; the sort column
+                # would have to ride through the projection first.
+                raise UnsupportedSparqlError(
+                    f"ORDER BY on a non-projected variable ({condition.variable}) "
+                    "is not supported"
                 )
 
 

@@ -1,8 +1,7 @@
-"""Column-vector batch abstraction for the vectorized data plane.
+"""Column-vector batch abstraction for the data plane.
 
-See :mod:`repro.vector.batch` for the format and the ``REPRO_VECTORIZE``
-ablation switch; the vectorized physical operators that consume these
-batches live in :mod:`repro.engine.vectorized`.
+See :mod:`repro.vector.batch` for the format; the physical operators that
+consume these batches live in :mod:`repro.engine.executor`.
 """
 
 from .batch import (
@@ -11,9 +10,6 @@ from .batch import (
     estimate_batch_bytes,
     pack_ints,
     row_bytes_vector,
-    set_vectorize_enabled,
-    vectorize_enabled,
-    vectorized,
 )
 
 __all__ = [
@@ -22,7 +18,4 @@ __all__ = [
     "estimate_batch_bytes",
     "pack_ints",
     "row_bytes_vector",
-    "set_vectorize_enabled",
-    "vectorize_enabled",
-    "vectorized",
 ]

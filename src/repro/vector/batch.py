@@ -1,6 +1,6 @@
 """The column-batch abstraction: fixed layout, selection vectors, null masks.
 
-A :class:`ColumnBatch` is the vectorized executor's unit of data: a tuple of
+A :class:`ColumnBatch` is the executor's unit of data: a tuple of
 parallel cell vectors (Python lists, or ``array('q')`` for packed integer
 columns out of the columnar reader), a physical row count, and an optional
 **selection vector** — an ordered sequence of live row indices. Filters
@@ -18,19 +18,12 @@ Null handling is positional: a NULL cell is ``None`` in its vector (exactly
 as in row tuples), and :meth:`ColumnBatch.null_mask` derives the per-column
 mask over live rows when an operator wants it explicitly (OPTIONAL's left
 joins produce runs of ``None`` in the right-side columns).
-
-The ablation switch mirrors ``rdf/dictionary.py``:
-:func:`set_vectorize_enabled` flips the engine between column batches and
-the legacy row-tuple operators; ``REPRO_VECTORIZE=0`` does the same from
-the environment.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Sequence
-from contextlib import contextmanager
 
 from ..rdf.dictionary import TERM_ID_BASE, default_dictionary
 
@@ -40,9 +33,6 @@ __all__ = [
     "estimate_batch_bytes",
     "pack_ints",
     "row_bytes_vector",
-    "set_vectorize_enabled",
-    "vectorize_enabled",
-    "vectorized",
 ]
 
 #: Bounds of a signed 64-bit ``array('q')`` slot.
@@ -144,12 +134,12 @@ def pack_ints(values: list) -> "array | list":
 
 
 def estimate_batch_bytes(columns: tuple[Sequence, ...], live: Sequence[int]) -> int:
-    """Columnar twin of ``engine.data.estimate_row_bytes``, summed per batch.
+    """``engine.data.estimate_row_bytes`` summed over a batch's live rows.
 
     Charges the exact same per-cell arithmetic (term IDs at their *decoded*
-    serialization length, 8 bytes of framing per row), so broadcast-vs-
-    shuffle decisions and the cost model are byte-identical between the
-    vectorized and row paths — a unit test holds the two accountings equal.
+    serialization length, 8 bytes of framing per row), so a table prices the
+    same in its stored row form and in its columnar form — a unit test holds
+    the two accountings equal.
     """
     lengths = default_dictionary().decoded_lengths
     base = TERM_ID_BASE
@@ -245,34 +235,3 @@ def batch_bytes(batch: ColumnBatch) -> int:
             cache["total"] = total
         return total
     return sum(vector[i] for i in sel)
-
-
-_vectorize_enabled = os.environ.get("REPRO_VECTORIZE", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def vectorize_enabled() -> bool:
-    """Whether the engine executes on column batches (default) or row tuples."""
-    return _vectorize_enabled
-
-
-def set_vectorize_enabled(enabled: bool) -> bool:
-    """Flip vectorized execution on/off; returns the previous setting."""
-    global _vectorize_enabled
-    previous = _vectorize_enabled
-    _vectorize_enabled = bool(enabled)
-    return previous
-
-
-@contextmanager
-def vectorized(enabled: bool):
-    """Scoped :func:`set_vectorize_enabled` (tests and the bench ablation)."""
-    previous = set_vectorize_enabled(enabled)
-    try:
-        yield
-    finally:
-        set_vectorize_enabled(previous)

@@ -31,9 +31,8 @@ CHAOS_SEED = 1729
 CASE_SEEDS = tuple(range(25))
 QUERIES_PER_GRAPH = 2
 
-#: Small enough that fuzz-scale join builds trip it (see
-#: tests/governor/test_mode_parity.py, which proves 512 forces spills on
-#: the same corpus); the deadline is slack — timeouts are not under test.
+#: Small enough that fuzz-scale join builds trip it (the aggregate check
+#: below asserts it did); the deadline is slack — timeouts are not under test.
 MEMORY_BUDGET_BYTES = 1024
 QUERY_TIMEOUT_SEC = 60.0
 

@@ -1,4 +1,4 @@
-"""Term ↔ cell encoding tests (dictionary IDs and the strings ablation)."""
+"""Term ↔ cell encoding tests (dictionary IDs, and lexical cells decoding)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +11,7 @@ from repro.core import (
     encode_term,
     encode_term_text,
 )
-from repro.rdf import is_term_id, term_ids
+from repro.rdf import is_term_id
 from repro.rdf.terms import IRI, BlankNode, Literal
 
 
@@ -74,13 +74,6 @@ class TestTermIdContract:
         cell = cell_for_text("<http://ex/text-round-trip>")
         assert cell_text(cell) == "<http://ex/text-round-trip>"
 
-    def test_strings_ablation_uses_lexical_cells(self):
-        with term_ids(False):
-            cell = encode_term(IRI("http://ex/ablation"))
-            assert cell == "<http://ex/ablation>"
-            assert decode_term(cell) == IRI("http://ex/ablation")
-            assert cell_for_text(cell) == cell
-
 
 _terms = (
     st.from_regex(r"[a-z0-9/._-]{1,12}", fullmatch=True).map(lambda s: IRI("http://ex/" + s))
@@ -93,10 +86,3 @@ _terms = (
 @settings(max_examples=100, deadline=None)
 def test_property_term_cells_round_trip(term):
     assert decode_term(encode_term(term)) == term
-
-
-@given(_terms)
-@settings(max_examples=100, deadline=None)
-def test_property_strings_mode_round_trip(term):
-    with term_ids(False):
-        assert decode_term(encode_term(term)) == term

@@ -1,10 +1,11 @@
 """The grace-hash spill kernel: exact equivalence with the in-memory join.
 
 The spilled join must be *invisible*: identical rows in identical order to
-``executor._hash_join_partition`` for every join type, every fanout, and
-adversarial inputs (NULL keys, duplicate keys, empty sides). Bucket files
-must also be deterministic — byte-identical across reruns of the same
-inputs — which is what makes governed chaos runs replayable.
+the kernel it replaces — ``ColumnBatch.from_rows`` → the executor's
+columnar build/probe → ``.rows()`` — for every join type, every fanout,
+and adversarial inputs (NULL keys, duplicate keys, empty sides). Bucket
+files must also be deterministic — byte-identical across reruns of the
+same inputs — which is what makes governed chaos runs replayable.
 """
 
 import os
@@ -13,9 +14,10 @@ import random
 import pytest
 
 from repro.engine import ExecutionMetrics
-from repro.engine.executor import _hash_join_partition
-from repro.governor import SpillStore, grace_hash_join_partition
+from repro.engine.executor import _build_index, _probe_batch
+from repro.governor import SpillStore, grace_hash_join
 from repro.governor.spill import bucket_of
+from repro.vector import ColumnBatch
 
 
 def _store(tmp_path, metrics=None):
@@ -39,6 +41,16 @@ def _random_rows(rng, count, width, key_cardinality, null_rate=0.15):
 HOWS = ("inner", "left", "semi", "anti")
 
 
+def _in_memory_join(left, right, widths, left_keys, right_keys, right_keep, how):
+    """The executor's columnar kernel over one partition pair, as rows."""
+    left_batch = ColumnBatch.from_rows(widths[0], left)
+    right_batch = ColumnBatch.from_rows(widths[1], right)
+    build = _build_index(right_batch, right_keys)
+    return _probe_batch(
+        left_batch, right_batch, build, left_keys, right_keep, how
+    ).rows()
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("how", HOWS)
     @pytest.mark.parametrize("seed", range(8))
@@ -46,9 +58,9 @@ class TestEquivalence:
         rng = random.Random(seed)
         left = _random_rows(rng, rng.randrange(0, 40), 3, 5)
         right = _random_rows(rng, rng.randrange(0, 40), 2, 5)
-        expected = _hash_join_partition(left, right, [1], [0], [1], how)
+        expected = _in_memory_join(left, right, (3, 2), [1], [0], [1], how)
         for fanout in (2, 4, 16):
-            actual = grace_hash_join_partition(
+            actual = grace_hash_join(
                 left, right, [1], [0], [1], how, fanout,
                 _store(tmp_path / f"{how}-{seed}-{fanout}"),
             )
@@ -60,8 +72,8 @@ class TestEquivalence:
         rng = random.Random(1000 + seed)
         left = _random_rows(rng, rng.randrange(0, 30), 4, 3)
         right = _random_rows(rng, rng.randrange(0, 30), 3, 3)
-        expected = _hash_join_partition(left, right, [0, 2], [0, 1], [2], how)
-        actual = grace_hash_join_partition(
+        expected = _in_memory_join(left, right, (4, 3), [0, 2], [0, 1], [2], how)
+        actual = grace_hash_join(
             left, right, [0, 2], [0, 1], [2], how, 4,
             _store(tmp_path / f"{how}-{seed}"),
         )
@@ -69,10 +81,10 @@ class TestEquivalence:
 
     def test_empty_sides(self, tmp_path):
         rows = [("a", "b"), ("c", "d")]
-        assert grace_hash_join_partition(
+        assert grace_hash_join(
             [], rows, [0], [0], [1], "inner", 2, _store(tmp_path / "l")
         ) == []
-        assert grace_hash_join_partition(
+        assert grace_hash_join(
             rows, [], [0], [0], [1], "left", 2, _store(tmp_path / "r")
         ) == [("a", "b", None), ("c", "d", None)]
 
@@ -80,7 +92,7 @@ class TestEquivalence:
         from repro.errors import ExecutionError
 
         with pytest.raises(ExecutionError, match="unsupported join type"):
-            grace_hash_join_partition(
+            grace_hash_join(
                 [("a",)], [("a",)], [0], [0], [], "full", 2, _store(tmp_path)
             )
 
@@ -110,7 +122,7 @@ class TestBuckets:
         contents = []
         for run in ("first", "second"):
             store = _store(tmp_path / run)
-            grace_hash_join_partition(left, right, [0], [0], [1], "inner", 4, store)
+            grace_hash_join(left, right, [0], [0], [1], "inner", 4, store)
             contents.append(
                 [
                     (path.rsplit("/", 1)[-1], open(path, "rb").read())
@@ -121,7 +133,7 @@ class TestBuckets:
 
     def test_writes_one_left_and_one_right_file_per_bucket(self, tmp_path):
         store = _store(tmp_path)
-        grace_hash_join_partition(
+        grace_hash_join(
             [("a", 1)], [("a", 2)], [0], [0], [1], "inner", 4, store
         )
         assert len(store.paths) == 8  # 4 buckets × 2 sides
@@ -134,7 +146,7 @@ class TestAccounting:
         metrics = ExecutionMetrics()
         left = [("abc", "defg")]
         right = [("abc", "x")]
-        grace_hash_join_partition(
+        grace_hash_join(
             left, right, [0], [0], [1], "inner", 2, _store(tmp_path, metrics)
         )
         expected = sum(estimate_row_bytes(r) for r in left + right)

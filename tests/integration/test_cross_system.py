@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import Rya, S2Rdf, SparqlGx
 from repro.core import ProstEngine
+from repro.errors import UnsupportedSparqlError
 from repro.rdf import Graph, IRI, Triple
 from repro.rdf.reference import ReferenceEvaluator
 from repro.sparql import parse_sparql
@@ -45,6 +46,19 @@ def test_watdiv_query_set_matches_reference(watdiv, system_name):
         got = system.sparql(parsed).rows
         want = reference.evaluate(parsed)
         assert got == want, f"{system_name} differs on {query.name}"
+
+
+@pytest.mark.parametrize("system_name", sorted(SYSTEM_FACTORIES))
+def test_order_by_non_projected_variable_is_a_typed_error(system_name):
+    """Every system rejects it the same way, before planning — not with a
+    raw ``ValueError`` out of result finalization."""
+    system = SYSTEM_FACTORIES[system_name]()
+    system.load(Graph([Triple(_SUBJECTS[0], _PREDICATES[0], _OBJECTS[1])]))
+    query = "SELECT ?s WHERE { ?s <http://r/p0> ?o } ORDER BY ?o"
+    with pytest.raises(UnsupportedSparqlError, match="non-projected"):
+        system.sparql(query)
+    with pytest.raises(UnsupportedSparqlError, match="non-projected"):
+        system.explain(query)
 
 
 # -- randomized graphs and queries ------------------------------------------------

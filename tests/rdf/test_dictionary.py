@@ -8,12 +8,9 @@ from repro.rdf.dictionary import (
     TERM_ID_BASE,
     TermDictionary,
     default_dictionary,
-    ids_enabled,
     is_term_id,
-    set_ids_enabled,
     storage_cell,
     storage_row,
-    term_ids,
 )
 from repro.rdf.terms import IRI, BlankNode, Literal, XSD_INTEGER
 
@@ -71,26 +68,6 @@ class TestTermDictionary:
         term = d.term_for_text("<http://ex/via-text>")
         assert term == IRI("http://ex/via-text")
         assert d.lookup("<http://ex/via-text>") is not None
-
-
-class TestModeSwitch:
-    def test_default_is_ids_on(self):
-        assert ids_enabled()
-
-    def test_set_returns_previous(self):
-        previous = set_ids_enabled(False)
-        try:
-            assert previous is True
-            assert not ids_enabled()
-        finally:
-            set_ids_enabled(previous)
-
-    def test_context_manager_restores_on_error(self):
-        with pytest.raises(RuntimeError):
-            with term_ids(False):
-                assert not ids_enabled()
-                raise RuntimeError("boom")
-        assert ids_enabled()
 
 
 class TestStorageBoundary:

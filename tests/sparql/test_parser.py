@@ -140,6 +140,16 @@ class TestModifiers:
         with pytest.raises(SparqlSyntaxError):
             parse_sparql("SELECT ?s WHERE { ?s <http://ex/p> ?o } ORDER BY ?zzz")
 
+    def test_order_by_non_projected_variable_unsupported(self):
+        with pytest.raises(UnsupportedSparqlError, match="non-projected"):
+            parse_sparql("SELECT ?s WHERE { ?s <http://ex/p> ?o } ORDER BY ?o")
+        # SELECT * projects every pattern variable, aggregates their alias.
+        parse_sparql("SELECT * WHERE { ?s <http://ex/p> ?o } ORDER BY ?o")
+        parse_sparql(
+            "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://ex/p> ?o } "
+            "GROUP BY ?s ORDER BY DESC(?n)"
+        )
+
 
 class TestErrors:
     def test_empty_bgp_rejected(self):

@@ -249,7 +249,7 @@ class TestConfig:
         out = capsys.readouterr().out
         assert "[ClusterConfig]" in out
         assert "num_workers" in out
-        assert "REPRO_VECTORIZE" in out
+        assert "REPRO_PLAN_CHECK" in out
 
     def test_markdown_matches_generator(self, capsys):
         from repro.obs import configdoc

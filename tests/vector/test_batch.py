@@ -1,4 +1,4 @@
-"""ColumnBatch unit tests: selection-vector edges, byte accounting, switch."""
+"""ColumnBatch unit tests: selection-vector edges, byte accounting."""
 
 from array import array
 
@@ -12,9 +12,6 @@ from repro.vector import (
     estimate_batch_bytes,
     pack_ints,
     row_bytes_vector,
-    set_vectorize_enabled,
-    vectorize_enabled,
-    vectorized,
 )
 
 
@@ -131,19 +128,3 @@ class TestByteAccounting:
         assert batch_bytes(batch) == estimate_batch_bytes(batch.columns, [1])
         # Pricing a narrow selection must not memoize a table-length vector.
         assert "row_bytes" not in batch.bytes_cache
-
-
-class TestVectorizeSwitch:
-    def test_context_manager_restores(self):
-        before = vectorize_enabled()
-        with vectorized(not before):
-            assert vectorize_enabled() is (not before)
-        assert vectorize_enabled() is before
-
-    def test_set_returns_previous(self):
-        before = set_vectorize_enabled(False)
-        try:
-            assert vectorize_enabled() is False
-            assert set_vectorize_enabled(before) is False
-        finally:
-            set_vectorize_enabled(before)

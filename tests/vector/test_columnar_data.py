@@ -4,7 +4,7 @@ import pytest
 
 from repro.columnar import ColumnSchema, TableSchema
 from repro.engine.data import PartitionedData, estimate_row_bytes
-from repro.engine.vectorized import ColumnarData
+from repro.engine import ColumnarData
 from repro.errors import PlanError
 
 KV = TableSchema([ColumnSchema("k", "string"), ColumnSchema("v", "string")])
