@@ -1,11 +1,11 @@
 """Concurrency-safety static analysis over the serving data plane.
 
 The serving layer (:mod:`repro.serve`), the governor, and the engine's
-prepared-statement caches are hit from many threads at once —
-``prost-repro replay`` alone drives a :class:`~repro.serve.QueryServer`
-from N closed-loop client threads. This package proves, before any of
-that traffic runs, that every piece of shared mutable state is accessed
-under its declared lock:
+prepared-statement caches are hit from many threads at once — the
+``serve_mixed`` workload of ``python3 -m perfbench run`` alone drives a
+:class:`~repro.serve.QueryServer` from two closed-loop client threads.
+This package proves, before any of that traffic runs, that every piece of
+shared mutable state is accessed under its declared lock:
 
 - :mod:`~repro.analysis.concurrency.model` — extracts each class's
   locking discipline from lightweight ``# guarded-by`` /

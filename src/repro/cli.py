@@ -14,7 +14,6 @@ Installed as ``prost-repro``::
     prost-repro fuzz --seed 0 --iterations 50
     prost-repro config --markdown
     prost-repro serve --data watdiv.nt
-    prost-repro replay --scale 400
 """
 
 from __future__ import annotations
@@ -402,21 +401,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_replay(args: argparse.Namespace) -> int:
-    from .serve import render_replay, run_replay, write_replay_json
-
-    payload = run_replay(
-        scale=args.scale,
-        seed=args.seed,
-        clients=args.clients,
-        requests_per_client=args.requests,
-    )
-    write_replay_json(payload, args.out)
-    print(render_replay(payload))
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_queries(args: argparse.Namespace) -> int:
     dataset = generate_watdiv(scale=args.scale, seed=args.seed)
     for query in basic_query_set(dataset):
@@ -689,24 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_governance_flags(serve)
     serve.set_defaults(handler=_cmd_serve)
-
-    replay = commands.add_parser(
-        "replay",
-        help="closed-loop workload replay through the serving layer",
-        description="Benchmark the serving stack: N closed-loop clients "
-        "replay the WatDiv query mix against a QueryServer in three phases "
-        "(cold pipeline, warm plan cache, warm plan+result caches), "
-        "reporting p50/p95/p99 latency, throughput, and cache hit rates to "
-        "BENCH_serve.json.",
-    )
-    replay.add_argument("--scale", type=int, default=400)
-    replay.add_argument("--seed", type=int, default=7)
-    replay.add_argument("--clients", type=int, default=4, help="closed-loop clients")
-    replay.add_argument(
-        "--requests", type=int, default=25, help="requests per client per phase"
-    )
-    replay.add_argument("--out", default="BENCH_serve.json", help="output JSON path")
-    replay.set_defaults(handler=_cmd_replay)
 
     queries = commands.add_parser("queries", help="print the WatDiv basic query set")
     queries.add_argument("--scale", type=int, default=300)

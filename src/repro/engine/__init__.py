@@ -11,9 +11,6 @@ from .cluster import (
 from .data import (
     ColumnarData,
     HashPartitioner,
-    PartitionedData,
-    estimate_row_bytes,
-    partition_by_hash,
     partition_evenly,
     stable_hash,
 )
@@ -67,7 +64,6 @@ __all__ = [
     "Limit",
     "LogicalPlan",
     "MemoryPressure",
-    "PartitionedData",
     "Project",
     "QueryReport",
     "SimulatedCluster",
@@ -81,10 +77,8 @@ __all__ = [
     "and_all",
     "col",
     "estimate_cost",
-    "estimate_row_bytes",
     "lit",
     "optimize",
-    "partition_by_hash",
     "partition_evenly",
     "prune_columns",
     "push_down_filters",

@@ -1,7 +1,7 @@
 """Table catalog: registered, partitioned, storage-backed tables.
 
-A :class:`StoredTable` couples the in-memory :class:`PartitionedData` a
-loader registered (scans read its cached :class:`ColumnarData` transpose)
+A :class:`StoredTable` couples the :class:`ColumnarData` a loader
+registered — the one resident form of the table, read by scans as it is —
 with the columnar-file statistics used for IO accounting.
 Loaders register tables here; scans resolve them by name.
 """
@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from ..columnar.schema import TableSchema
 from ..columnar.table_file import FileStatistics
 from ..errors import CatalogError
-from .data import ColumnarData, PartitionedData
+from ..vector import ColumnBatch
+from .data import ColumnarData
 
 
 @dataclass
@@ -22,22 +23,25 @@ class StoredTable:
 
     Attributes:
         name: catalog-unique table name.
-        data: the partitioned rows as registered (the stored form).
+        data: the stored batches, one per partition, every one unselected
+            (``sel is None``): the executor's cross-query memos (filter
+            selections, join build indexes, explode outputs, per-row byte
+            vectors) are kept on unselected batches only, so a stored
+            selection view would silently recompute them on every query.
         file_stats: statistics of the backing columnar file, when the table
             was persisted; drives byte-accurate scan costs and Table 1 sizes.
         hdfs_path: backing file location, when persisted.
-        columnar_cache: memoized :class:`ColumnarData` forms of ``data``
-            served to scans — the full transpose under key ``None``,
-            zero-copy column subsets under the projected column tuple.
-            Catalog tables are immutable once registered, so repeated scans
-            share them.
+        column_views: zero-copy column subsets of ``data`` by projected
+            column tuple. Catalog tables are immutable once registered, so
+            repeated scans share one view — and the memos living on its
+            batches.
     """
 
     name: str
-    data: PartitionedData
+    data: ColumnarData
     file_stats: FileStatistics | None = None
     hdfs_path: str | None = None
-    columnar_cache: dict = field(default_factory=dict, repr=False)
+    column_views: dict = field(default_factory=dict, repr=False)
 
     @property
     def schema(self) -> TableSchema:
@@ -49,13 +53,24 @@ class StoredTable:
         """Rows in the stored table."""
         return self.data.num_rows
 
-    def columnar(self) -> ColumnarData:
-        """The columnar form of ``data`` (transposed once, then cached)."""
-        base = self.columnar_cache.get(None)
-        if base is None:
-            base = ColumnarData.from_partitioned(self.data)
-            self.columnar_cache[None] = base
-        return base
+    def scan(self, columns: tuple[str, ...] | None = None) -> ColumnarData:
+        """What a scan of ``columns`` reads: the stored batches themselves,
+        or the (cached) view sharing just those column vectors."""
+        if columns is None:
+            return self.data
+        view = self.column_views.get(columns)
+        if view is None:
+            indexes = [self.schema.index_of(name) for name in columns]
+            batches = [
+                ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length)
+                for batch in self.data.batches
+            ]
+            partitioner = self.data.partitioner
+            if partitioner is not None and not set(partitioner.columns) <= set(columns):
+                partitioner = None
+            view = ColumnarData(self.schema.select(list(columns)), batches, partitioner)
+            self.column_views[columns] = view
+        return view
 
     def scan_bytes(self, columns: tuple[str, ...] | None = None) -> int:
         """Bytes a scan of ``columns`` must read (column pruning applied).

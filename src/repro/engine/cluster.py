@@ -72,7 +72,7 @@ _CONFIG_FIELD_RULES: dict[str, str] = {
     "scan_bytes_per_sec": "positive",
     "rows_per_sec": "positive",
     "task_overhead_sec": "non_negative",
-    "broadcast_threshold_bytes": "positive",
+    "broadcast_threshold_bytes": "non_negative",
     "data_scale": "positive",
     "max_task_attempts": "min_attempts",
     "speculation_multiplier": "speculation",
@@ -98,7 +98,10 @@ class ClusterConfig:
         broadcast_threshold_bytes: max estimated size for a broadcast join
             (Spark's ``autoBroadcastJoinThreshold`` default is 10 MB). The
             threshold applies at *emulated* scale: it is divided by
-            ``data_scale`` before comparing against in-memory sizes.
+            ``data_scale`` before comparing against in-memory sizes. ``0``
+            switches size-based broadcast selection off: every unhinted,
+            non-colocated hash join of non-empty inputs shuffles (the
+            broadcast ablation); negative values are rejected.
         data_scale: emulation factor for running a scaled-down dataset "as
             if" it were the paper's full-size one. Every byte/row counter is
             multiplied by this factor when costing (stage overheads are not:

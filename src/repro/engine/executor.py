@@ -3,10 +3,13 @@
 The executor walks a (previously optimized) logical plan bottom-up, producing
 :class:`~repro.engine.data.ColumnarData` — one
 :class:`~repro.vector.ColumnBatch` of dictionary-ID cells per partition — at
-every node and charging work to an :class:`ExecutionMetrics`. Filters narrow
-a selection vector with one list comprehension per predicate; projections
-and semi/anti joins are zero-copy column-subset or selection-only views;
-hash joins gather output columns from index lists. Row tuples are only
+every node and charging work to an :class:`ExecutionMetrics`. Scans hand out
+the catalog's stored batches (or a cached column-subset view of them)
+untouched; filters narrow a selection vector with one list comprehension per
+predicate; projections and semi/anti joins are zero-copy column-subset or
+selection-only views; hash joins gather output columns from index lists
+through one build/probe kernel, which the over-budget grace-hash spill join
+(:mod:`repro.governor.spill`) runs bucket by bucket. Row tuples are only
 materialized at the edges (:meth:`ColumnarData.all_rows`), which is where
 term IDs finally decode — late materialization.
 
@@ -29,7 +32,6 @@ charges — not just their totals — is part of the contract.
 
 from __future__ import annotations
 
-import zlib
 from itertools import chain, repeat
 
 from ..errors import ExecutionError, PlanError
@@ -37,13 +39,7 @@ from ..governor.spill import grace_hash_join
 from ..vector import ColumnBatch
 from .catalog import Catalog
 from .cluster import ClusterConfig, ExecutionMetrics
-from .data import (
-    ColumnarData,
-    HashPartitioner,
-    _mix_int,
-    partition_evenly,
-    repartition_by_key,
-)
+from .data import ColumnarData, HashPartitioner
 from .expressions import ColumnRef, LiteralValue, _ColumnsRow
 from .logical import (
     Aggregate,
@@ -174,31 +170,13 @@ class PhysicalExecutor:
             tasks=table.data.num_partitions,
             note=f"Scan {plan.table_name} cols={list(columns) if columns else '*'}",
         )
-        base = table.columnar()
-        if columns is None:
-            return base
-        cached = table.columnar_cache.get(columns)
-        if cached is not None:
-            return cached
-        # Column pruning is a zero-copy column subset.
-        indexes = [table.schema.index_of(name) for name in columns]
-        batches = [
-            ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length, batch.sel)
-            for batch in base.batches
-        ]
-        partitioner = table.data.partitioner
-        if partitioner is not None and not set(partitioner.columns) <= set(columns):
-            partitioner = None
-        pruned = ColumnarData(table.schema.select(list(columns)), batches, partitioner)
-        table.columnar_cache[columns] = pruned
-        return pruned
+        return table.scan(columns)
 
     def _local(self, plan: InMemoryRelation, metrics: ExecutionMetrics) -> ColumnarData:
         metrics.record_stage(tasks=1, note=f"LocalRelation {plan.label}")
-        partitions = partition_evenly(list(plan.rows), self.config.default_partitions)
-        width = len(plan.relation_schema.names)
-        batches = [ColumnBatch.from_rows(width, part) for part in partitions]
-        return ColumnarData(plan.relation_schema, batches)
+        return ColumnarData.from_rows(
+            plan.relation_schema, list(plan.rows), self.config.default_partitions
+        )
 
     # -- narrow operators --------------------------------------------------------
 
@@ -346,9 +324,9 @@ class PhysicalExecutor:
         right_bytes = right.estimated_bytes()
         strategy = self._choose_strategy(plan, left, right, left_bytes, right_bytes, keys)
         # Degradation ladder: a broadcast build over the memory budget falls
-        # back to a shuffle join; a hash build over budget runs the
-        # grace-hash spill kernel, which works on rows (batches → rows →
-        # batches), trading vector speed for bounded memory.
+        # back to a shuffle join; a hash build over budget runs the same
+        # build/probe one grace-hash disk bucket at a time, trading speed
+        # for bounded memory.
         governor = metrics.governor
         spill_fanout = 0
         if governor is not None:
@@ -361,25 +339,25 @@ class PhysicalExecutor:
                 if governor.should_degrade_broadcast(metrics, build_bytes, span):
                     strategy = "shuffle"
             spill_fanout = governor.plan_join_build(metrics, right_bytes, span)
-        out_width = len(plan.schema.names)
 
-        def join_pair(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
-            if spill_fanout:
-                rows = grace_hash_join(
-                    left_batch.rows(),
-                    right_batch.rows(),
-                    left_key_idx,
-                    right_key_idx,
-                    right_keep_idx,
-                    plan.how,
-                    spill_fanout,
-                    governor.new_spill_store(metrics),
-                )
-                return ColumnBatch.from_rows(out_width, rows)
+        def build_probe(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
             build = _build_index(right_batch, right_key_idx)
             return _probe_batch(
                 left_batch, right_batch, build, left_key_idx, right_keep_idx, plan.how
             )
+
+        def join_pair(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
+            if spill_fanout:
+                return grace_hash_join(
+                    left_batch,
+                    right_batch,
+                    left_key_idx,
+                    right_key_idx,
+                    spill_fanout,
+                    governor.new_spill_store(metrics),
+                    build_probe,
+                )
+            return build_probe(left_batch, right_batch)
 
         if span is not None:
             span.set("on", list(keys))
@@ -662,20 +640,12 @@ class PhysicalExecutor:
                 len(value) if isinstance(value, set) else value for value in state
             )
             rows.append(key + counts)
-        num_partitions = min(self.config.default_partitions, max(1, len(rows)))
-        partitioner = (
-            HashPartitioner(columns=plan.keys, num_partitions=num_partitions)
-            if plan.keys
-            else None
+        # Keyed groups are hash-placed on the keys; a global aggregate is one
+        # row in one partition.
+        num_partitions = (
+            min(self.config.default_partitions, max(1, len(rows))) if plan.keys else 1
         )
-        partitions = (
-            repartition_by_key([rows], list(range(len(plan.keys))), partitioner)
-            if partitioner
-            else [rows]
-        )
-        width = len(plan.schema.names)
-        batches = [ColumnBatch.from_rows(width, part) for part in partitions]
-        return ColumnarData(plan.schema, batches, partitioner)
+        return ColumnarData.from_rows(plan.schema, rows, num_partitions, plan.keys)
 
     def _union(self, plan: Union, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         results = [self._run(child, metrics, tracer) for child in plan.inputs]
@@ -687,38 +657,6 @@ class PhysicalExecutor:
 
 
 # -- batch plumbing -----------------------------------------------------------
-
-
-def _partition_sel(
-    batch: ColumnBatch, key_indexes: list[int], partitioner: HashPartitioner
-) -> list[list[int]]:
-    """Selection vectors placing each live row into its shuffle partition.
-
-    Same splitmix64/crc32 per-cell hashing as
-    ``engine.data.repartition_by_key``, which places catalog-table rows at
-    load: a shuffled dataset and a table hash-partitioned on the same keys
-    agree on every row's partition, which is what lets them join colocated.
-    """
-    num_partitions = partitioner.num_partitions
-    out: list[list[int]] = [[] for _ in range(num_partitions)]
-    if len(key_indexes) == 1:
-        column = batch.columns[key_indexes[0]]
-        crc32 = zlib.crc32
-        for i in batch.live():
-            part = column[i]
-            if isinstance(part, int):
-                h = _mix_int(part) & 0x7FFFFFFFFFFFFFFF
-            elif isinstance(part, str):
-                h = crc32(part.encode("utf-8", "surrogatepass"))
-            else:
-                h = crc32(repr(part).encode("utf-8", "surrogatepass"))
-            out[h % num_partitions].append(i)
-        return out
-    key_columns = [batch.columns[i] for i in key_indexes]
-    for i in batch.live():
-        key = tuple(column[i] for column in key_columns)
-        out[partitioner.partition_for(key)].append(i)
-    return out
 
 
 def _repartition(
@@ -733,7 +671,9 @@ def _repartition(
     combined = data.concat()
     return [
         ColumnBatch(combined.columns, combined.length, sel, combined.bytes_cache)
-        for sel in _partition_sel(combined, key_indexes, partitioner)
+        for sel in partitioner.place(
+            [combined.columns[i] for i in key_indexes], combined.live()
+        )
     ]
 
 

@@ -16,7 +16,7 @@ from ..hdfs.filesystem import SimulatedHdfs
 from ..rdf.dictionary import storage_row
 from .catalog import Catalog, StoredTable
 from .cluster import ClusterConfig, CostBreakdown, ExecutionMetrics, SimulatedCluster
-from .data import ColumnarData, PartitionedData, partition_by_hash, partition_evenly
+from .data import ColumnarData
 from .executor import PhysicalExecutor
 from .logical import LogicalPlan
 from .optimizer import optimize
@@ -122,10 +122,9 @@ class EngineSession:
                 scan-cost accounting and storage-size measurements.
             allowed_encodings: restrict the columnar encoder (ablations).
         """
-        if partition_columns:
-            data = partition_by_hash(rows, schema, partition_columns, self.config.default_partitions)
-        else:
-            data = PartitionedData(schema, partition_evenly(rows, self.config.default_partitions))
+        data = ColumnarData.from_rows(
+            schema, rows, self.config.default_partitions, partition_columns
+        )
         file_stats: FileStatistics | None = None
         if persist_path is not None:
             kwargs = {"compress_pages": compress_pages}

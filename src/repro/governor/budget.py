@@ -9,9 +9,8 @@ sort, aggregate — against a :class:`MemoryBudget`, and a charge that
 exceeds the *effective* budget triggers the degradation ladder instead of
 an error (see :mod:`repro.governor.context`).
 
-Sizing reuses the engine's shuffle accounting (``batch_bytes``, held equal
-to ``estimate_row_bytes`` by unit test), so a degradation decision reads
-the same bytes the cost model prices.
+Sizing reuses the engine's shuffle accounting (``batch_bytes``), so a
+degradation decision reads the same bytes the cost model prices.
 """
 
 from __future__ import annotations

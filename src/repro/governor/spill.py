@@ -1,35 +1,36 @@
 """Deterministic grace-hash spill join — the over-budget hash-join path.
 
 When a hash-join build side outgrows the memory budget, the executor
-swaps the in-memory build/probe kernel for the classic grace hash join:
-partition both inputs by an independent hash of the join key into a
-deterministic fanout of disk buckets, then join each bucket pair
-in-memory. Three properties matter:
+runs its build/probe kernel through the classic grace hash join instead
+of over the whole partition pair: both inputs are split by an independent
+hash of the join key into a deterministic fanout of disk buckets, and the
+kernel joins one bucket pair at a time. Three properties matter:
 
-- **Output equivalence**: every emitted row is tagged with its original
-  probe-side index and the merged output is stably re-sorted by it, so
-  the spilled join returns rows in *exactly* the order of the in-memory
-  columnar build/probe kernel — spilling is invisible to everything
+- **Output equivalence**: the probe side carries each row's original
+  ordinal through the kernel as one extra column, and the merged output
+  is stably re-sorted by it, so the spilled join returns rows in *exactly*
+  the order of the in-memory join — spilling is invisible to everything
   downstream.
 - **Deterministic buckets**: bucket placement re-mixes ``stable_hash``
   through splitmix64, decorrelating it from the shuffle partitioner (a
   shuffled partition holds keys congruent mod the partition count, so
   reusing the same hash would collapse every row into one bucket). The
   same inputs always produce byte-identical bucket files.
-- **Row-level kernel**: the executor converts the affected batches to
-  row tuples (cells stay term-ID-encoded), since rows are what pickles
-  into bucket files; the degraded path deliberately trades vector speed
-  for bounded memory.
+- **One kernel**: this module only buckets, spills and re-orders column
+  batches; matching (NULL keys, inner/left/semi/anti emission) is the
+  executor's build/probe, handed in as ``join_bucket``, so the degraded
+  path cannot drift from the in-memory one.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-from operator import itemgetter
+from collections.abc import Callable
+from itertools import chain
 
-from ..engine.data import _mix_int, estimate_row_bytes, stable_hash
-from ..errors import ExecutionError
+from ..engine.data import _mix_int, stable_hash
+from ..vector import ColumnBatch, batch_bytes
 
 #: XOR'd into ``stable_hash`` before re-mixing so bucket placement is
 #: independent of the shuffle partitioner built on the same hash.
@@ -39,11 +40,11 @@ _BUCKET_SALT = 0x517CC1B727220A95
 class SpillStore:
     """Bucket files for one grace-hash join, under the query's spill dir.
 
-    Writes pickled row lists to ``directory`` and accounts the spilled
-    volume into ``metrics.spill_bytes`` using the engine's
-    ``estimate_row_bytes`` sizing — the estimate the cost model uses
-    everywhere else, so the counter is deterministic (actual pickle sizes
-    are not: they depend on object-sharing patterns).
+    Writes pickled column tuples to ``directory`` and accounts the spilled
+    volume into ``metrics.spill_bytes`` using the engine's ``batch_bytes``
+    sizing — the estimate the cost model uses everywhere else, so the
+    counter is deterministic (actual pickle sizes are not: they depend on
+    object-sharing patterns).
 
     Attributes:
         directory: pre-created directory the bucket files land in.
@@ -58,22 +59,23 @@ class SpillStore:
         self.metrics = metrics
         self.paths: list[str] = []
 
-    def write(self, name: str, rows: list) -> str:
-        """Persist one bucket; returns the file path."""
+    def write(self, name: str, columns: tuple) -> str:
+        """Persist one bucket's columns; returns the file path."""
         path = os.path.join(self.directory, f"{name}.pkl")
         with open(path, "wb") as handle:
-            pickle.dump(rows, handle, protocol=4)
+            pickle.dump(columns, handle, protocol=4)
         self.paths.append(path)
         return path
 
-    def read(self, path: str) -> list:
-        """Load one bucket back."""
+    def read(self, path: str) -> ColumnBatch:
+        """Load one bucket back as an unselected batch."""
         with open(path, "rb") as handle:
-            return pickle.load(handle)
+            columns = pickle.load(handle)
+        return ColumnBatch(columns, len(columns[0]))
 
-    def account_rows(self, rows: list[tuple]) -> None:
-        """Charge spilled rows into ``metrics.spill_bytes``."""
-        self.metrics.spill_bytes += sum(estimate_row_bytes(row) for row in rows)
+    def account(self, batch: ColumnBatch) -> None:
+        """Charge a spilled batch's live rows into ``metrics.spill_bytes``."""
+        self.metrics.spill_bytes += batch_bytes(batch)
 
 
 def bucket_of(key: tuple, fanout: int) -> int:
@@ -85,156 +87,70 @@ def bucket_of(key: tuple, fanout: int) -> int:
     return _mix_int(stable_hash(key) ^ _BUCKET_SALT) % fanout
 
 
+def _spill_buckets(
+    store: SpillStore, side: str, columns: tuple, key_idx: list[int], fanout: int
+) -> list[str]:
+    """Write ``columns`` out as one file per bucket of the join key."""
+    key_columns = [columns[i] for i in key_idx]
+    sels: list[list[int]] = [[] for _ in range(fanout)]
+    for i in range(len(columns[0])):
+        key = tuple(column[i] for column in key_columns)
+        sels[bucket_of(key, fanout)].append(i)
+    # One bucket is gathered, written and dropped at a time.
+    return [
+        store.write(
+            f"bucket-{bucket:04d}-{side}",
+            tuple([column[i] for i in sel] for column in columns),
+        )
+        for bucket, sel in enumerate(sels)
+    ]
+
+
 def grace_hash_join(
-    left_rows: list[tuple],
-    right_rows: list[tuple],
+    left: ColumnBatch,
+    right: ColumnBatch,
     left_key_idx: list[int],
     right_key_idx: list[int],
-    right_keep_idx: list[int],
-    how: str,
     fanout: int,
     store: SpillStore,
-) -> list[tuple]:
+    join_bucket: Callable[[ColumnBatch, ColumnBatch], ColumnBatch],
+) -> ColumnBatch:
     """Grace-hash join of one partition pair through disk buckets.
 
-    Drop-in replacement for the executor's in-memory build/probe over the
-    same pair: identical rows in identical order, with the build held one
-    bucket at a time instead of whole. Both sides spill (probe rows tagged
-    with their original index), then bucket pairs join in-memory and the
-    merged output is stably sorted back into probe order.
+    Returns what ``join_bucket(left, right)`` — the executor's in-memory
+    build/probe, which keeps every left column in place at the front of
+    its output — would return: identical rows in identical order, with the
+    build held one bucket at a time instead of whole. Both sides spill,
+    the probe side with its row ordinals appended as one more column; the
+    bucket pairs join through ``join_bucket`` and the merged output is
+    stably sorted back into probe order.
     """
-    left_buckets: list[list[tuple]] = [[] for _ in range(fanout)]
-    for index, row in enumerate(left_rows):
-        key = tuple(row[i] for i in left_key_idx)
-        left_buckets[bucket_of(key, fanout)].append((index, row))
-    right_buckets: list[list[tuple]] = [[] for _ in range(fanout)]
-    for row in right_rows:
-        key = tuple(row[i] for i in right_key_idx)
-        right_buckets[bucket_of(key, fanout)].append(row)
+    store.account(left)
+    store.account(right)
+    left = left.compact()
+    ordinal = len(left.columns)
+    left_paths = _spill_buckets(
+        store, "left", left.columns + (range(left.length),), left_key_idx, fanout
+    )
+    right_paths = _spill_buckets(
+        store, "right", right.compact().columns, right_key_idx, fanout
+    )
 
-    store.account_rows(left_rows)
-    store.account_rows(right_rows)
-    bucket_paths = []
-    for bucket in range(fanout):
-        bucket_paths.append(
-            (
-                store.write(f"bucket-{bucket:04d}-left", left_buckets[bucket]),
-                store.write(f"bucket-{bucket:04d}-right", right_buckets[bucket]),
-            )
-        )
-    # The in-memory buckets are dropped before probing: only one bucket
-    # pair is resident at a time — the point of the grace hash.
-    del left_buckets, right_buckets
-
-    tagged: list[tuple[int, tuple]] = []
-    for left_path, right_path in bucket_paths:
-        tagged.extend(
-            _probe_bucket(
-                store.read(left_path),
-                store.read(right_path),
-                left_key_idx,
-                right_key_idx,
-                right_keep_idx,
-                how,
-            )
-        )
-    # Stable sort by original probe index: within one probe row the match
+    # Only one bucket pair is resident at a time — the point of the grace
+    # hash. The outputs carry the ordinal column where the probe side put it.
+    outputs = [
+        join_bucket(store.read(left_path), store.read(right_path)).compact()
+        for left_path, right_path in zip(left_paths, right_paths)
+    ]
+    merged = [
+        list(chain.from_iterable(parts))
+        for parts in zip(*(output.columns for output in outputs))
+    ]
+    # Stable sort by original probe ordinal: within one probe row the match
     # order is already the build-side insertion order (all equal keys share
     # a bucket), so this reproduces the in-memory kernel's output exactly.
-    tagged.sort(key=itemgetter(0))
-    return [row for _, row in tagged]
-
-
-def _row_getter(indexes: list[int]):
-    """A row → tuple-of-cells projection (C-level for two or more columns;
-    ``itemgetter`` with one index returns a bare cell, so wrap that case)."""
-    if not indexes:
-        return lambda row: ()
-    if len(indexes) == 1:
-        index = indexes[0]
-        return lambda row: (row[index],)
-    return itemgetter(*indexes)
-
-
-def _probe_bucket(
-    left_pairs: list[tuple[int, tuple]],
-    right_rows: list[tuple],
-    left_key_idx: list[int],
-    right_key_idx: list[int],
-    right_keep_idx: list[int],
-    how: str,
-) -> list[tuple[int, tuple]]:
-    """Join one bucket pair in memory, tagging outputs with probe indexes.
-
-    Classic build/probe hash join (single-key fast path on the bare cell,
-    NULL keys never match, left/semi/anti emission rules) over
-    ``(original_index, row)`` probe pairs.
-    """
-    build: dict = {}
-    output: list[tuple[int, tuple]] = []
-    if len(left_key_idx) == 1:
-        li, ri = left_key_idx[0], right_key_idx[0]
-        build_get = build.get
-        for row in right_rows:
-            key = row[ri]
-            if key is not None:
-                bucket = build_get(key)
-                if bucket is None:
-                    build[key] = [row]
-                else:
-                    bucket.append(row)
-        keep = _row_getter(right_keep_idx)
-        if how == "inner":
-            for index, row in left_pairs:
-                matches = build_get(row[li])
-                if matches:
-                    for match in matches:
-                        output.append((index, row + keep(match)))
-            return output
-        if how == "left":
-            nulls = (None,) * len(right_keep_idx)
-            for index, row in left_pairs:
-                matches = build_get(row[li])
-                if matches:
-                    for match in matches:
-                        output.append((index, row + keep(match)))
-                else:
-                    output.append((index, row + nulls))
-            return output
-        if how == "semi":
-            return [(index, row) for index, row in left_pairs if build_get(row[li])]
-        if how == "anti":
-            return [
-                (index, row) for index, row in left_pairs if not build_get(row[li])
-            ]
-        raise ExecutionError(f"unsupported join type {how!r}")
-    for row in right_rows:
-        key = tuple(row[i] for i in right_key_idx)
-        if any(part is None for part in key):
-            continue  # SQL semantics: NULL keys never match
-        build.setdefault(key, []).append(row)
-    for index, row in left_pairs:
-        key = tuple(row[i] for i in left_key_idx)
-        if any(part is None for part in key):
-            matches = None
-        else:
-            matches = build.get(key)
-        if how == "inner":
-            if matches:
-                for match in matches:
-                    output.append((index, row + tuple(match[i] for i in right_keep_idx)))
-        elif how == "left":
-            if matches:
-                for match in matches:
-                    output.append((index, row + tuple(match[i] for i in right_keep_idx)))
-            else:
-                output.append((index, row + tuple(None for _ in right_keep_idx)))
-        elif how == "semi":
-            if matches:
-                output.append((index, row))
-        elif how == "anti":
-            if not matches:
-                output.append((index, row))
-        else:
-            raise ExecutionError(f"unsupported join type {how!r}")
-    return output
+    tags = merged.pop(ordinal)
+    order = sorted(range(len(tags)), key=tags.__getitem__)
+    return ColumnBatch(
+        tuple([column[i] for i in order] for column in merged), len(order)
+    )

@@ -50,7 +50,7 @@ _FIELD_DOCS: dict[str, str] = {
     "scan_bytes_per_sec": "Per-node storage scan bandwidth.",
     "rows_per_sec": "Per-core row-processing rate for narrow operators.",
     "task_overhead_sec": "Scheduling overhead charged per launched task wave.",
-    "broadcast_threshold_bytes": "Max estimated build-side size for a broadcast join (divided by `data_scale` before comparing).",
+    "broadcast_threshold_bytes": "Max estimated build-side size for a broadcast join (divided by `data_scale` before comparing); `0` = never broadcast a hash join of non-empty inputs.",
     "data_scale": "Emulation factor: every byte/row counter is multiplied by this when costing, so a small dataset runs \"as if\" full-size.",
     "max_task_attempts": "A task failing this many times aborts the query (Spark `spark.task.maxFailures`).",
     "speculation_multiplier": "A task this many times slower than its siblings gets a speculative duplicate.",

@@ -188,7 +188,7 @@ def _build_default_registry() -> MetricsRegistry:
         ("result_cache_misses", "count", "Result-cache lookups that missed and fell through to execution."),
         ("admission_rejections", "count", "Queries shed at the governor's admission gate (queue full or slot wait timed out)."),
         ("batched_queries", "count", "Queries in a batch answered by sharing another member's identical execution."),
-        ("shared_scans", "count", "Table-scan transpositions shared across a batch instead of rebuilt per query."),
+        ("shared_scans", "count", "Table-scan references in a batch beyond the first per table (each reads the one resident copy another member also reads)."),
     ]
     for name, unit, description in serve:
         registry.register(f"serve.{name}", "serve", unit, description)

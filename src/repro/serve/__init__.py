@@ -9,8 +9,8 @@ translate → optimize → plan-verify on a hit, guarded by the ``PV401``
 lineage check), a **result cache** invalidated by dataset reloads, and a
 batch executor that deduplicates identical queries and shares PT/VP table
 scans across a burst. ``prost-repro serve`` drives an interactive session;
-``prost-repro replay`` measures the whole stack with a closed-loop
-workload replay (→ ``BENCH_serve.json``).
+``python3 -m perfbench run --workload serve_mixed`` measures the whole
+stack.
 
 Environment knobs: ``REPRO_SERVE_PLAN_CACHE`` / ``REPRO_SERVE_RESULT_CACHE``
 set default cache capacities (0 disables a cache); ``REPRO_SERVE_MODE=1``
@@ -22,7 +22,6 @@ execution.
 from .batching import execute_batch, tables_scanned
 from .cache import LruCache
 from .normalize import canonicalize, plan_shape
-from .replay import render_replay, run_replay, write_replay_json
 from .server import (
     DEFAULT_PLAN_CACHE_SIZE,
     DEFAULT_RESULT_CACHE_SIZE,
@@ -52,9 +51,6 @@ __all__ = [
     "execute_batch",
     "plan_cache_size_from_env",
     "plan_shape",
-    "render_replay",
     "result_cache_size_from_env",
-    "run_replay",
     "tables_scanned",
-    "write_replay_json",
 ]

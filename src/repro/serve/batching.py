@@ -8,17 +8,18 @@ redundant in two distinct ways:
   canonical query once and fans the rows out to every requester
   (``serve.batched_queries`` counts the queries that rode along);
 - **shared tables**: distinct queries still scan overlapping PT/VP
-  tables. A table's columnar transposition is the dominant scan setup
-  cost; :func:`execute_batch` walks every planned frame for its table
-  scans, warms each *distinct* table once before any query runs, and
-  counts every further reference as a shared scan
+  tables. The catalog keeps one resident copy of each table (and one view
+  per projected column subset), so every scan of the batch reads the same
+  column vectors and the operator memos kept on them;
+  :func:`execute_batch` walks every planned frame for its table scans and
+  counts every reference to a table beyond the first as a shared scan
   (``serve.shared_scans``).
 
 Correctness is by construction: batching changes neither plans nor
-per-query execution semantics — only who pays for the transposition and
-how many times an identical computation runs — so batched results are
-multiset-equal to cold one-at-a-time execution (the serve-mode
-differential suite holds it to that).
+per-query execution semantics — only how many times an identical
+computation runs — so batched results are multiset-equal to cold
+one-at-a-time execution (the serve-mode differential suite holds it to
+that).
 """
 
 from __future__ import annotations
@@ -73,10 +74,9 @@ def execute_batch(
     for index, canonical in enumerate(canonicals):
         groups.setdefault(canonical, []).append(index)
 
-    # Plan every distinct group up front (plan-cache path), then warm each
-    # distinct table exactly once so no query pays the transposition twice.
+    # Plan every distinct group up front (plan-cache path).
     entries = {canonical: server._plan_for(canonical, epoch) for canonical in groups}
-    _share_scans(server, entries.values())
+    _count_shared_scans(server, entries.values())
 
     results: list[ResultSet | None] = [None] * len(parsed_queries)
     with server._lock:
@@ -95,18 +95,12 @@ def execute_batch(
     return [result for result in results if result is not None]
 
 
-def _share_scans(server: QueryServer, entries) -> None:
-    """Warm each distinct scanned table once; count the shared references."""
+def _count_shared_scans(server: QueryServer, entries) -> None:
+    """Count the batch's table-scan references beyond one per table."""
     references: list[str] = []
     for entry in entries:
         references.extend(tables_scanned(entry.frame.plan))
-    distinct = dict.fromkeys(references)  # insertion-ordered, deterministic
-    shared = len(references) - len(distinct)
-    # Build each distinct table's transposition up front, so the queries
-    # of the batch share it instead of racing to build it.
-    catalog = server.engine.session.catalog
-    for name in distinct:
-        catalog.get(name).columnar()
+    shared = len(references) - len(set(references))
     if shared:
         with server._lock:
             server.stats.shared_scans += shared

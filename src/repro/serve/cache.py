@@ -32,8 +32,8 @@ class LruCache(Generic[V]):
 
     Thread-safe: the serve layer calls into it from concurrent client
     threads. A ``capacity`` of ``0`` disables the cache entirely — every
-    :meth:`get` misses and :meth:`put` is a no-op — which is how the
-    replay benchmark measures its cold phase.
+    :meth:`get` misses and :meth:`put` is a no-op — which is how a
+    measurement takes the uncached pipeline on its own.
     """
 
     def __init__(self, capacity: int):
@@ -107,9 +107,9 @@ class LruCache(Generic[V]):
             self._entries.clear()
 
     def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction counters (entries are kept) — the
-        replay benchmark separates its warm-up pass from the measured
-        window with this."""
+        """Zero the hit/miss/eviction counters (entries are kept), so a
+        measurement can separate its warm-up pass from the measured
+        window."""
         with self._lock:
             self.hits = 0
             self.misses = 0

@@ -332,12 +332,12 @@ class QueryServer:
 
     @property
     def plan_cache_len(self) -> int:
-        """Live plan-cache entries (tests and the replay report)."""
+        """Live plan-cache entries."""
         return len(self._plan_cache)
 
     @property
     def result_cache_len(self) -> int:
-        """Live result-cache entries (tests and the replay report)."""
+        """Live result-cache entries."""
         return len(self._result_cache)
 
     def tenant_snapshot(self) -> dict[str, dict[str, int]]:

@@ -10,9 +10,10 @@ need contiguous data (hash-join gathers, DISTINCT, the emission boundary)
 materialize the selection.
 
 Rows exist only at the edges: :meth:`ColumnBatch.from_rows` transposes
-tuple rows in (via C-speed ``zip``), and :meth:`ColumnBatch.rows`
-transposes back out — the *late materialization* boundary where dictionary
-term IDs finally decode to terms (see ``core/encoding.py``).
+tuple rows in (via C-speed ``zip``) when a table is registered, and
+:meth:`ColumnBatch.rows` transposes back out — the *late materialization*
+boundary where dictionary term IDs finally decode to terms (see
+``core/encoding.py``).
 
 Null handling is positional: a NULL cell is ``None`` in its vector (exactly
 as in row tuples), and :meth:`ColumnBatch.null_mask` derives the per-column
@@ -58,7 +59,11 @@ class ColumnBatch:
             vector (:func:`row_bytes_vector`) so size estimation prices a
             filtered view by summing cached per-row costs instead of
             re-walking every cell. Views over a different column subset
-            must NOT share it — per-row costs depend on the columns.
+            must NOT share it — per-row costs depend on the columns. The
+            executor keeps its cross-query operator memos here too (filter
+            selections, join build indexes, explode outputs), and only for
+            batches with ``sel is None`` — which is why the catalog stores
+            unselected batches and hands the same objects to every scan.
     """
 
     __slots__ = ("columns", "length", "sel", "bytes_cache")
@@ -134,12 +139,15 @@ def pack_ints(values: list) -> "array | list":
 
 
 def estimate_batch_bytes(columns: tuple[Sequence, ...], live: Sequence[int]) -> int:
-    """``engine.data.estimate_row_bytes`` summed over a batch's live rows.
+    """Approximate serialized size of a batch's live rows (shuffle
+    accounting): 8 bytes of framing per row plus each cell.
 
-    Charges the exact same per-cell arithmetic (term IDs at their *decoded*
-    serialization length, 8 bytes of framing per row), so a table prices the
-    same in its stored row form and in its columnar form — a unit test holds
-    the two accountings equal.
+    Dictionary term IDs are charged at their *decoded* serialization length
+    — what the emulated cluster would actually move — so the cost model's
+    shuffle totals and broadcast-vs-shuffle decisions are those of the
+    lexical strings (the paper figures must not change because cells got
+    smaller in this process). :func:`row_bytes_vector` is the cacheable
+    per-row form of the same arithmetic; a unit test holds the two equal.
     """
     lengths = default_dictionary().decoded_lengths
     base = TERM_ID_BASE

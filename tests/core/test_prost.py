@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core import ProstEngine
+from repro.engine import ColumnarData
 from repro.errors import LoaderError
+from repro.vector import ColumnBatch
 from repro.rdf import Graph, IRI, Literal
 from repro.sparql import parse_sparql
 
@@ -20,6 +22,57 @@ class TestAgainstReference:
     def test_vp_matches_reference(self, prost_vp, social_reference, query):
         parsed = parse_sparql(query)
         assert prost_vp.sparql(parsed).rows == social_reference.evaluate(parsed)
+
+
+class TestStoredForm:
+    """The catalog keeps the column batches the executor reads."""
+
+    #: Two Property Table nodes, each filtered directly over its scan (a
+    #: bound object, NOT NULL columns) — the filter selections are what the
+    #: executor memoizes on the scanned batches.
+    QUERY = (
+        "SELECT ?n ?t WHERE { ?x <http://ex/city> <http://ex/berlin> . "
+        "?x <http://ex/tag> ?t . ?x <http://ex/knows> ?y . "
+        "?y <http://ex/name> ?n . ?y <http://ex/age> ?a }"
+    )
+
+    @staticmethod
+    def _memo_entries(catalog):
+        """Every ``bytes_cache`` entry reachable from the catalog: the stored
+        batches, their cached column-subset views, and any batch memoized
+        inside one of those caches (explode outputs)."""
+        entries = set()
+        pending = [
+            batch
+            for name in catalog.names()
+            for data in (catalog.get(name).data, *catalog.get(name).column_views.values())
+            for batch in data.batches
+        ]
+        while pending:
+            batch = pending.pop()
+            for key, value in batch.bytes_cache.items():
+                entries.add((id(batch), key))
+                if isinstance(value, ColumnBatch):
+                    pending.append(value)
+        return entries
+
+    def test_stored_batches_are_unselected_and_memos_hit(self, social_graph):
+        engine = ProstEngine(strategy="mixed")
+        engine.load(social_graph)
+        catalog = engine.session.catalog
+        for name in catalog.names():
+            data = catalog.get(name).data
+            assert isinstance(data, ColumnarData), name
+            assert all(batch.sel is None for batch in data.batches), name
+        first = engine.sparql(self.QUERY).rows
+        assert first
+        warm = self._memo_entries(catalog)
+        assert "filter" in {key[0] for _, key in warm if isinstance(key, tuple)}
+        # Every memo is gated on ``sel is None`` and lives on the batch
+        # object scanned: a stored selection view would never memoize, and a
+        # fresh view per scan would memoize somewhere no later scan looks.
+        assert engine.sparql(self.QUERY).rows == first
+        assert self._memo_entries(catalog) == warm
 
 
 class TestModifiers:

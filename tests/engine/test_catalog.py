@@ -5,14 +5,14 @@ import pytest
 from repro.columnar import ColumnSchema, TableSchema
 from repro.engine import ClusterConfig, EngineSession, SimulatedCluster
 from repro.engine.catalog import Catalog, StoredTable
-from repro.engine.data import PartitionedData
+from repro.engine.data import ColumnarData
 from repro.errors import CatalogError
 
 KV = TableSchema([ColumnSchema("s", "string"), ColumnSchema("o", "string")])
 
 
 def stored(name: str = "t") -> StoredTable:
-    return StoredTable(name=name, data=PartitionedData(KV, [[("a", "b")]]))
+    return StoredTable(name=name, data=ColumnarData.from_rows(KV, [("a", "b")], 1))
 
 
 class TestCatalog:

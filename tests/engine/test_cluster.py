@@ -2,7 +2,16 @@
 
 import pytest
 
-from repro.engine import ClusterConfig, ExecutionMetrics, SimulatedCluster, estimate_cost
+from repro.columnar import ColumnSchema, TableSchema
+from repro.engine import (
+    ClusterConfig,
+    EngineSession,
+    ExecutionMetrics,
+    SimulatedCluster,
+    estimate_cost,
+)
+
+KV = TableSchema([ColumnSchema("k", "string"), ColumnSchema("v", "string")])
 
 
 class TestClusterConfig:
@@ -24,7 +33,6 @@ class TestClusterConfig:
             "scan_bytes_per_sec",
             "rows_per_sec",
             "data_scale",
-            "broadcast_threshold_bytes",
         ],
     )
     def test_non_positive_rates_rejected(self, name):
@@ -32,6 +40,21 @@ class TestClusterConfig:
             ClusterConfig(**{name: 0})
         with pytest.raises(ValueError, match=name):
             ClusterConfig(**{name: -1})
+
+    def test_zero_broadcast_threshold_means_never_broadcast(self):
+        """0 is the legal spelling of "broadcast off" (the paper ablation):
+        an unhinted join of non-empty, non-colocated tables must shuffle."""
+        with pytest.raises(ValueError, match="broadcast_threshold_bytes"):
+            ClusterConfig(broadcast_threshold_bytes=-1)
+        config = ClusterConfig(num_workers=3, broadcast_threshold_bytes=0)
+        session = EngineSession(SimulatedCluster(config))
+        session.register_rows("l", KV, [("a", "1"), ("b", "2")])
+        session.register_rows("r", KV.select(["k"]), [("a",), ("c",)])
+        frame = session.table("l").join(session.table("r"), on=["k"])
+        rows, report = frame.collect_with_report()
+        assert rows == [("a", "1")]
+        assert report.metrics.broadcast_count == 0
+        assert report.metrics.shuffle_rows == 4
 
     def test_negative_overhead_rejected(self):
         with pytest.raises(ValueError, match="task_overhead_sec"):

@@ -4,17 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.data as data_module
+import repro.vector.batch as batch_module
 from repro.columnar import ColumnSchema, TableSchema
-from repro.engine import EngineSession, partition_by_hash, partition_evenly, stable_hash
-from repro.engine.data import (
-    HashPartitioner,
-    PartitionedData,
-    estimate_row_bytes,
-    repartition_by_key,
-)
+from repro.engine import ColumnarData, EngineSession, partition_evenly, stable_hash
+from repro.engine.data import HashPartitioner
 from repro.errors import PlanError
 from repro.rdf.dictionary import TERM_ID_BASE, default_dictionary
+from repro.vector import ColumnBatch, estimate_batch_bytes
 
 KV = TableSchema([ColumnSchema("k", "string"), ColumnSchema("v", "string")])
 
@@ -38,29 +34,26 @@ class TestStableHash:
         assert stable_hash((1, "x")) == 1169686467671577058
         assert stable_hash((None,)) == 3751981041
 
-    def test_single_key_fast_path_matches_partition_for(self):
-        """The scalar-key shuffle in ``repartition_by_key`` must place every
-        row exactly where ``partition_for`` would — co-partitioned joins
-        depend on both sides agreeing."""
+    def test_single_key_fast_path_matches_stable_hash(self):
+        """The scalar-key fast path of ``HashPartitioner.place`` must put
+        every row exactly where ``stable_hash`` of the one-element key tuple
+        says — the multi-key path hashes tuples, and co-partitioned joins
+        depend on both agreeing."""
         partitioner = HashPartitioner(("k",), 5)
-        rows = [
-            ("abc", "1"),
-            (TERM_ID_BASE + 7, "2"),
-            (123, "3"),
-            (None, "4"),
-            (("odd", "key"), "5"),
+        keys = ["abc", TERM_ID_BASE + 7, 123, None, ("odd", "key")]
+        assert partitioner.place([keys], range(5)) == [
+            [i for i in range(5) if stable_hash((keys[i],)) % 5 == index]
+            for index in range(5)
         ]
-        placed = repartition_by_key([rows], [0], partitioner)
-        for index, part in enumerate(placed):
-            for row in part:
-                assert partitioner.partition_for((row[0],)) == index
 
     def test_dense_ints_scatter(self):
         """Consecutive dictionary IDs must not land in consecutive
         partitions (splitmix64 mixing, not identity hashing)."""
-        partitioner = HashPartitioner(("k",), 8)
+        ids = [TERM_ID_BASE + i for i in range(64)]
+        placed = HashPartitioner(("k",), 8).place([ids], range(64))
         placements = [
-            partitioner.partition_for((TERM_ID_BASE + i,)) for i in range(64)
+            next(index for index, sel in enumerate(placed) if i in sel)
+            for i in range(64)
         ]
         assert len(set(placements)) == 8
         assert placements != sorted(placements)
@@ -77,57 +70,59 @@ class TestPartitioning:
 
     def test_partition_by_hash_groups_keys(self):
         rows = [("a", "1"), ("b", "2"), ("a", "3")]
-        data = partition_by_hash(rows, KV, ("k",), 4)
+        data = ColumnarData.from_rows(KV, rows, 4, ("k",))
         assert data.partitioner == HashPartitioner(("k",), 4)
-        # Same key always lands in the same partition.
-        locations = {}
-        for index, part in enumerate(data.partitions):
-            for row in part:
-                locations.setdefault(row[0], set()).add(index)
-        assert all(len(where) == 1 for where in locations.values())
+        assert data.is_partitioned_on(("k",))
+        assert not data.is_partitioned_on(("v",))
+        # Same key always lands in the same partition, in input order, and
+        # the batches are compacted (memos only live on unselected batches).
+        assert all(batch.sel is None for batch in data.batches)
+        home = stable_hash(("a",)) % 4
+        assert [row for row in data.batches[home].rows() if row[0] == "a"] == [
+            ("a", "1"),
+            ("a", "3"),
+        ]
+        assert ("b", "2") in data.batches[stable_hash(("b",)) % 4].rows()
+        assert data.num_rows == 3
 
     def test_repartition_matches_partitioner(self):
         partitioner = HashPartitioner(("k",), 3)
-        parts = repartition_by_key([[("a", "1"), ("b", "2")]], [0], partitioner)
-        assert sum(len(p) for p in parts) == 2
+        placed = partitioner.place([["a", "b", "c"]], [2, 0])
+        # Only the live rows are placed.
+        assert len(placed) == 3
+        assert sorted(i for sel in placed for i in sel) == [0, 2]
 
     def test_partitioner_count_mismatch_rejected(self):
+        empty = ColumnBatch.from_rows(2, [])
         with pytest.raises(PlanError):
-            PartitionedData(KV, [[], []], HashPartitioner(("k",), 3))
+            ColumnarData(KV, [empty, empty], HashPartitioner(("k",), 3))
+
+    def test_unkeyed_rows_spread_round_robin(self):
+        data = ColumnarData.from_rows(KV, [(str(i), "v") for i in range(7)], 3)
+        assert data.partitioner is None
+        assert [batch.num_rows for batch in data.batches] == [3, 2, 2]
+        assert all(batch.sel is None for batch in data.batches)
 
 
-class TestPartitionedData:
-    def test_row_accounting(self):
-        data = PartitionedData(KV, [[("a", "1")], [("b", "2")]])
-        assert data.num_rows == 2
-        assert data.num_partitions == 2
-        assert sorted(data.all_rows()) == [("a", "1"), ("b", "2")]
-
-    def test_empty_partition_list_normalized(self):
-        data = PartitionedData(KV, [])
-        assert data.num_partitions == 1
-        assert data.num_rows == 0
-
-    def test_is_partitioned_on(self):
-        data = partition_by_hash([("a", "1")], KV, ("k",), 2)
-        assert data.is_partitioned_on(("k",))
-        assert not data.is_partitioned_on(("v",))
+def _one_row_bytes(*cells):
+    """What the cost model charges for a single row with these cells."""
+    return estimate_batch_bytes(tuple([cell] for cell in cells), range(1))
 
 
 class TestRowBytes:
     def test_null_cheaper_than_string(self):
-        assert estimate_row_bytes((None,)) < estimate_row_bytes(("hello world",))
+        assert _one_row_bytes(None) < _one_row_bytes("hello world")
 
     def test_longer_strings_cost_more(self):
-        assert estimate_row_bytes(("x" * 100,)) > estimate_row_bytes(("x",))
+        assert _one_row_bytes("x" * 100) > _one_row_bytes("x")
 
     def test_lists_counted_per_element(self):
-        short = estimate_row_bytes((["a"],))
-        long = estimate_row_bytes((["a"] * 10,))
+        short = _one_row_bytes(["a"])
+        long = _one_row_bytes(["a"] * 10)
         assert long > short
 
     def test_numbers_fixed_cost(self):
-        assert estimate_row_bytes((123456789,)) == estimate_row_bytes((1,))
+        assert _one_row_bytes(123456789) == _one_row_bytes(1)
 
     def test_term_ids_charge_decoded_size(self):
         """The cost model must keep charging the *emulated decoded* bytes:
@@ -135,38 +130,38 @@ class TestRowBytes:
         cells shrank to dictionary IDs."""
         text = "<http://ex/a-rather-long-iri-for-sizing>"
         term_id = default_dictionary().intern_text(text)
-        assert estimate_row_bytes((term_id,)) == estimate_row_bytes((text,))
+        assert _one_row_bytes(term_id) == _one_row_bytes(text) == 8 + len(text) + 4
 
     def test_term_ids_in_lists_charge_decoded_size(self):
         texts = ["<http://ex/one>", "<http://ex/two-longer>"]
         ids = [default_dictionary().intern_text(t) for t in texts]
-        assert estimate_row_bytes((ids,)) == estimate_row_bytes((texts,))
+        assert _one_row_bytes(ids) == _one_row_bytes(texts)
 
 
 class TestSizingMemoization:
     def _counting(self, monkeypatch):
-        real = data_module.estimate_row_bytes
-        state = {"calls": 0, "per_row": {}, "kept": []}
+        real = batch_module.row_bytes_vector
+        state = {"calls": 0, "per_columns": {}, "kept": []}
 
-        def wrapper(row):
+        def wrapper(columns, length):
             state["calls"] += 1
-            state["per_row"][id(row)] = state["per_row"].get(id(row), 0) + 1
-            state["kept"].append(row)  # pin row objects so ids stay unique
-            return real(row)
+            state["per_columns"][id(columns)] = state["per_columns"].get(id(columns), 0) + 1
+            state["kept"].append(columns)  # pin the tuples so ids stay unique
+            return real(columns, length)
 
-        monkeypatch.setattr(data_module, "estimate_row_bytes", wrapper)
+        monkeypatch.setattr(batch_module, "row_bytes_vector", wrapper)
         return state
 
     def test_estimated_bytes_walks_cells_once(self, monkeypatch):
         state = self._counting(monkeypatch)
-        data = PartitionedData(KV, [[("a", "1"), ("b", "2")], [("c", "3")]])
+        data = ColumnarData.from_rows(KV, [("a", "1"), ("b", "2"), ("c", "3")], 2)
         first = data.estimated_bytes()
         assert data.estimated_bytes() == first
         assert data.estimated_bytes() == first
-        assert state["calls"] == data.num_rows
+        assert state["calls"] == data.num_partitions
 
     def test_num_rows_memoized(self):
-        data = PartitionedData(KV, [[("a", "1")], [("b", "2")]])
+        data = ColumnarData.from_rows(KV, [("a", "1"), ("b", "2")], 2)
         assert data.num_rows == 2
         assert data._num_rows == 2  # populated by the first access
 
@@ -195,7 +190,7 @@ class TestSizingMemoization:
         rows = frame.collect()
         assert len(rows) == n
         assert state["calls"] > 0
-        assert max(state["per_row"].values()) == 1
+        assert max(state["per_columns"].values()) == 1
 
 
 @given(
@@ -205,6 +200,9 @@ class TestSizingMemoization:
 @settings(max_examples=50, deadline=None)
 def test_property_hash_partitioning_preserves_rows(rows, num_partitions):
     """Hash partitioning is a permutation: no row lost or duplicated."""
-    data = partition_by_hash(rows, KV, ("k",), num_partitions)
+    data = ColumnarData.from_rows(KV, rows, num_partitions, ("k",))
     assert sorted(data.all_rows()) == sorted(rows)
     assert data.num_partitions == num_partitions
+    for index, batch in enumerate(data.batches):
+        assert batch.sel is None
+        assert all(stable_hash((key,)) % num_partitions == index for key in batch.columns[0])

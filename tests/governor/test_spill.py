@@ -1,11 +1,11 @@
-"""The grace-hash spill kernel: exact equivalence with the in-memory join.
+"""The grace-hash spill join: exact equivalence with the in-memory join.
 
 The spilled join must be *invisible*: identical rows in identical order to
-the kernel it replaces — ``ColumnBatch.from_rows`` → the executor's
-columnar build/probe → ``.rows()`` — for every join type, every fanout,
-and adversarial inputs (NULL keys, duplicate keys, empty sides). Bucket
-files must also be deterministic — byte-identical across reruns of the
-same inputs — which is what makes governed chaos runs replayable.
+the executor's build/probe run over the whole partition pair, for every
+join type, every fanout, and adversarial inputs (NULL keys, duplicate keys,
+empty sides). Bucket files must also be deterministic — byte-identical
+across reruns of the same inputs — which is what makes governed chaos runs
+replayable.
 """
 
 import os
@@ -17,7 +17,7 @@ from repro.engine import ExecutionMetrics
 from repro.engine.executor import _build_index, _probe_batch
 from repro.governor import SpillStore, grace_hash_join
 from repro.governor.spill import bucket_of
-from repro.vector import ColumnBatch
+from repro.vector import ColumnBatch, estimate_batch_bytes
 
 
 def _store(tmp_path, metrics=None):
@@ -41,13 +41,35 @@ def _random_rows(rng, count, width, key_cardinality, null_rate=0.15):
 HOWS = ("inner", "left", "semi", "anti")
 
 
+def _kernel(left_keys, right_keys, right_keep, how):
+    """The executor's build/probe over one batch pair."""
+
+    def build_probe(left_batch, right_batch):
+        build = _build_index(right_batch, right_keys)
+        return _probe_batch(left_batch, right_batch, build, left_keys, right_keep, how)
+
+    return build_probe
+
+
 def _in_memory_join(left, right, widths, left_keys, right_keys, right_keep, how):
-    """The executor's columnar kernel over one partition pair, as rows."""
-    left_batch = ColumnBatch.from_rows(widths[0], left)
-    right_batch = ColumnBatch.from_rows(widths[1], right)
-    build = _build_index(right_batch, right_keys)
-    return _probe_batch(
-        left_batch, right_batch, build, left_keys, right_keep, how
+    """The kernel over one whole partition pair, as rows."""
+    return _kernel(left_keys, right_keys, right_keep, how)(
+        ColumnBatch.from_rows(widths[0], left), ColumnBatch.from_rows(widths[1], right)
+    ).rows()
+
+
+def _spilled_join(
+    left, right, widths, left_keys, right_keys, right_keep, how, fanout, store
+):
+    """The same kernel run through the grace-hash join, as rows."""
+    return grace_hash_join(
+        ColumnBatch.from_rows(widths[0], left),
+        ColumnBatch.from_rows(widths[1], right),
+        left_keys,
+        right_keys,
+        fanout,
+        store,
+        _kernel(left_keys, right_keys, right_keep, how),
     ).rows()
 
 
@@ -60,8 +82,8 @@ class TestEquivalence:
         right = _random_rows(rng, rng.randrange(0, 40), 2, 5)
         expected = _in_memory_join(left, right, (3, 2), [1], [0], [1], how)
         for fanout in (2, 4, 16):
-            actual = grace_hash_join(
-                left, right, [1], [0], [1], how, fanout,
+            actual = _spilled_join(
+                left, right, (3, 2), [1], [0], [1], how, fanout,
                 _store(tmp_path / f"{how}-{seed}-{fanout}"),
             )
             assert actual == expected, f"fanout={fanout}"
@@ -73,27 +95,39 @@ class TestEquivalence:
         left = _random_rows(rng, rng.randrange(0, 30), 4, 3)
         right = _random_rows(rng, rng.randrange(0, 30), 3, 3)
         expected = _in_memory_join(left, right, (4, 3), [0, 2], [0, 1], [2], how)
-        actual = grace_hash_join(
-            left, right, [0, 2], [0, 1], [2], how, 4,
+        actual = _spilled_join(
+            left, right, (4, 3), [0, 2], [0, 1], [2], how, 4,
             _store(tmp_path / f"{how}-{seed}"),
         )
         assert actual == expected
 
     def test_empty_sides(self, tmp_path):
         rows = [("a", "b"), ("c", "d")]
-        assert grace_hash_join(
-            [], rows, [0], [0], [1], "inner", 2, _store(tmp_path / "l")
+        assert _spilled_join(
+            [], rows, (2, 2), [0], [0], [1], "inner", 2, _store(tmp_path / "l")
         ) == []
-        assert grace_hash_join(
-            rows, [], [0], [0], [1], "left", 2, _store(tmp_path / "r")
+        assert _spilled_join(
+            rows, [], (2, 2), [0], [0], [1], "left", 2, _store(tmp_path / "r")
         ) == [("a", "b", None), ("c", "d", None)]
+
+    def test_selected_and_reordered_probe_side(self, tmp_path):
+        """A probe batch read through a non-monotonic selection (a sorted
+        view) spills in live order, not physical order."""
+        left = ColumnBatch.from_rows(2, [("a", "0"), ("b", "1"), ("a", "2"), ("c", "3")])
+        left = ColumnBatch(left.columns, left.length, sel=[3, 2, 0])
+        right = ColumnBatch.from_rows(2, [("a", "x"), ("c", "y"), ("a", "z")])
+        kernel = _kernel([0], [0], [1], "left")
+        expected = kernel(left, right).rows()
+        actual = grace_hash_join(left, right, [0], [0], 4, _store(tmp_path), kernel)
+        assert actual.rows() == expected
+        assert actual.sel is None
 
     def test_unsupported_join_type_rejected(self, tmp_path):
         from repro.errors import ExecutionError
 
         with pytest.raises(ExecutionError, match="unsupported join type"):
-            grace_hash_join(
-                [("a",)], [("a",)], [0], [0], [], "full", 2, _store(tmp_path)
+            _spilled_join(
+                [("a",)], [("a",)], (1, 1), [0], [0], [], "full", 2, _store(tmp_path)
             )
 
 
@@ -122,7 +156,7 @@ class TestBuckets:
         contents = []
         for run in ("first", "second"):
             store = _store(tmp_path / run)
-            grace_hash_join(left, right, [0], [0], [1], "inner", 4, store)
+            _spilled_join(left, right, (3, 2), [0], [0], [1], "inner", 4, store)
             contents.append(
                 [
                     (path.rsplit("/", 1)[-1], open(path, "rb").read())
@@ -133,21 +167,31 @@ class TestBuckets:
 
     def test_writes_one_left_and_one_right_file_per_bucket(self, tmp_path):
         store = _store(tmp_path)
-        grace_hash_join(
-            [("a", 1)], [("a", 2)], [0], [0], [1], "inner", 4, store
+        _spilled_join(
+            [("a", 1)], [("a", 2)], (2, 2), [0], [0], [1], "inner", 4, store
         )
         assert len(store.paths) == 8  # 4 buckets × 2 sides
+        names = sorted(os.path.basename(path) for path in store.paths)
+        assert names == sorted(
+            f"bucket-{bucket:04d}-{side}.pkl"
+            for bucket in range(4)
+            for side in ("left", "right")
+        )
 
 
 class TestAccounting:
     def test_spill_bytes_use_the_engine_row_estimate(self, tmp_path):
-        from repro.engine import estimate_row_bytes
-
         metrics = ExecutionMetrics()
-        left = [("abc", "defg")]
+        left = [("abc", "defg"), ("skipped", "row")]
         right = [("abc", "x")]
+        # Only live rows spill, so only they are charged.
+        left_batch = ColumnBatch(ColumnBatch.from_rows(2, left).columns, 2, sel=[0])
+        right_batch = ColumnBatch.from_rows(2, right)
         grace_hash_join(
-            left, right, [0], [0], [1], "inner", 2, _store(tmp_path, metrics)
+            left_batch, right_batch, [0], [0], 2, _store(tmp_path, metrics),
+            _kernel([0], [0], [1], "inner"),
         )
-        expected = sum(estimate_row_bytes(r) for r in left + right)
-        assert metrics.spill_bytes == expected
+        expected = estimate_batch_bytes(
+            left_batch.columns, [0]
+        ) + estimate_batch_bytes(right_batch.columns, range(1))
+        assert metrics.spill_bytes == expected == (8 + 7 + 8) + (8 + 7 + 5)

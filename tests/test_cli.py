@@ -306,23 +306,6 @@ class TestServe:
         assert "?s" in captured.out  # the session survived the bad query
 
 
-class TestReplay:
-    def test_writes_bench_json(self, tmp_path, capsys):
-        import json
-
-        out_path = tmp_path / "BENCH_serve.json"
-        code = main(
-            ["replay", "--scale", "60", "--clients", "2", "--requests", "2",
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "serve-replay"
-        assert set(payload["phases"]) == {"cold", "warm_plan", "warm_full"}
-        assert payload["plan_cache_hit_rate"] == 1.0
-        assert "serve replay" in capsys.readouterr().out
-
-
 class TestQueryTraceOut:
     def test_query_trace_out_writes_span_tree(self, watdiv_file, tmp_path):
         import json

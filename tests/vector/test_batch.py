@@ -4,7 +4,6 @@ from array import array
 
 import pytest
 
-from repro.engine.data import estimate_row_bytes
 from repro.rdf.dictionary import TERM_ID_BASE, default_dictionary
 from repro.vector import (
     ColumnBatch,
@@ -93,7 +92,12 @@ class TestPackInts:
 
 
 class TestByteAccounting:
-    """batch_bytes == estimate_batch_bytes == summed estimate_row_bytes."""
+    """batch_bytes == estimate_batch_bytes == summed per-row prices."""
+
+    #: Hand-priced rows of ``make_batch``: 8 framing + decoded text + 4 per
+    #: term ID or string, 1 per NULL, 8 per plain int, 4 + elements per list
+    #: ("<http://ex/a>" is 13 characters, '"x"' 3, '"yy"' 4).
+    ROW_PRICES = [8 + 17 + 1, 8 + 7 + 7, 8 + 8 + (4 + 17 + 5), 8 + 17 + 8]
 
     def make_batch(self, interned_ids, sel=None):
         a, b, c = interned_ids
@@ -106,14 +110,14 @@ class TestByteAccounting:
     @pytest.mark.parametrize("sel", [None, [], [0], [1, 3], list(range(4))])
     def test_three_way_equality(self, interned_ids, sel):
         batch = self.make_batch(interned_ids, sel=sel)
-        expected_rows = sum(estimate_row_bytes(row) for row in batch.rows())
+        expected_rows = sum(self.ROW_PRICES[i] for i in batch.live())
         assert estimate_batch_bytes(batch.columns, batch.live()) == expected_rows
         assert batch_bytes(batch) == expected_rows
 
     def test_row_bytes_vector_prices_each_row(self, interned_ids):
         batch = self.make_batch(interned_ids)
         vector = row_bytes_vector(batch.columns, batch.length)
-        assert vector == [estimate_row_bytes(row) for row in batch.rows()]
+        assert vector == self.ROW_PRICES
 
     def test_cached_vector_prices_selection_views(self, interned_ids):
         base = self.make_batch(interned_ids)
