@@ -32,10 +32,8 @@ from ..engine.logical import (
     Filter,
     InMemoryRelation,
     Join,
-    Limit,
     LogicalPlan,
     Project,
-    Sort,
     TableScan,
     Union,
 )
@@ -452,12 +450,6 @@ def _derive(
         if partitioning is not None and plan.column in partitioning:
             partitioning = None
         return _Derived(partitioning, child.num_partitions, child.est_rows)
-    if isinstance(plan, (Sort, Limit)):
-        child = _derive(plan.child, f"{path}.child", catalog, config, out)
-        rows = child.est_rows
-        if isinstance(plan, Limit) and plan.count is not None and rows is not None:
-            rows = min(rows, plan.count)
-        return _Derived(None, 1, rows)
     if isinstance(plan, Aggregate):
         child = _derive(plan.child, f"{path}.child", catalog, config, out)
         return _Derived(plan.keys or None, None, child.est_rows)

@@ -8,7 +8,7 @@ Each baseline exposes the same minimal interface as
     system.last_query_report() -> QueryExecutionReport | None
 """
 
-from .plans import empty_pattern_frame, pattern_cardinality, shape_vp_frame
+from .plans import pattern_cardinality
 from .rya import INDEXES, Rya, RyaCostModel
 from .s2rdf import POSITION_PAIRS, ExtVpEntry, S2Rdf
 from .sparqlgx import SparqlGx, SparqlGxDirect
@@ -22,7 +22,5 @@ __all__ = [
     "S2Rdf",
     "SparqlGx",
     "SparqlGxDirect",
-    "empty_pattern_frame",
     "pattern_cardinality",
-    "shape_vp_frame",
 ]

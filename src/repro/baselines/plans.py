@@ -1,25 +1,12 @@
-"""Shared plan-building helpers for the baseline systems.
-
-Both SPARQLGX and S2RDF materialize each triple pattern from an ``(s, o)``
-shaped table and join the results on shared variable names; these helpers
-build those per-pattern frames and estimate pattern cardinalities from the
-load-time statistics.
+"""Pattern cardinality estimates shared by the baseline systems' join
+ordering (the per-pattern frames themselves come from
+:func:`repro.core.executor.shape_vp_frame`, shared with PRoST's VP nodes).
 """
 
 from __future__ import annotations
 
-import itertools
-
-from ..columnar.schema import ColumnSchema, TableSchema
-from ..core.encoding import encode_term
-from ..engine.dataframe import DataFrame
-from ..engine.expressions import col, lit
-from ..engine.session import EngineSession
 from ..rdf.stats import GraphStatistics
-from ..rdf.terms import IRI
 from ..sparql.algebra import TriplePattern, Variable
-
-_COUNTER = itertools.count(1)
 
 
 def pattern_cardinality(statistics: GraphStatistics, pattern: TriplePattern) -> float:
@@ -33,86 +20,3 @@ def pattern_cardinality(statistics: GraphStatistics, pattern: TriplePattern) -> 
     if not isinstance(pattern.subject, Variable):
         estimated /= max(1, stats.distinct_subjects)
     return estimated
-
-
-def empty_pattern_frame(session: EngineSession, pattern: TriplePattern) -> DataFrame:
-    """A correctly-shaped empty relation (predicate missing from the data)."""
-    names: list[str] = []
-    for slot in (pattern.subject, pattern.predicate, pattern.object):
-        if isinstance(slot, Variable) and slot.name not in names:
-            names.append(slot.name)
-    if not names:
-        names = [f"__exists{next(_COUNTER)}"]
-    schema = TableSchema([ColumnSchema(name, "string") for name in names])
-    return session.create_dataframe(schema, [], label="empty-vp")
-
-
-def unbound_predicate_frame(
-    session: EngineSession, tables: dict[str, str], pattern: TriplePattern
-) -> DataFrame:
-    """A frame for a variable-predicate pattern: the union of all VP tables,
-    each tagged with its predicate as an extra column bound to the variable.
-    """
-    predicate_variable = pattern.predicate
-    assert isinstance(predicate_variable, Variable)
-    frames: list[DataFrame] = []
-    for predicate_iri in sorted(tables):
-        tagged = session.table(tables[predicate_iri]).select(
-            "s", "o", ("__p", lit(encode_term(IRI(predicate_iri))))
-        )
-        frames.append(tagged)
-    if not frames:
-        return empty_pattern_frame(session, pattern)
-    union = frames[0]
-    for frame in frames[1:]:
-        union = union.union(frame)
-    shaped = shape_vp_frame(session, union, pattern, keep=["__p"])
-    outputs: list = [name for name in shaped.columns if name != "__p"]
-    if predicate_variable.name in outputs:
-        # The predicate variable also binds the subject or object of the same
-        # pattern (e.g. ``?s ?p ?p``): constrain against the tag column
-        # instead of emitting a duplicate output column.
-        shaped = shaped.filter(col(predicate_variable.name) == col("__p"))
-        return shaped.select(*outputs)
-    return shaped.select(*outputs, (predicate_variable.name, col("__p")))
-
-
-def shape_vp_frame(
-    session: EngineSession,
-    frame: DataFrame | None,
-    pattern: TriplePattern,
-    keep: list[str] | None = None,
-) -> DataFrame:
-    """Apply a pattern's constants and variable names to an ``(s, o)`` frame.
-
-    Constants become selections; variables become renamed output columns; a
-    repeated variable becomes an equality selection. ``frame=None`` yields an
-    empty, correctly-shaped relation. Columns in ``keep`` pass through.
-    """
-    if frame is None:
-        return empty_pattern_frame(session, pattern)
-    conditions = []
-    outputs = []
-    if isinstance(pattern.subject, Variable):
-        outputs.append((pattern.subject.name, col("s")))
-    else:
-        conditions.append(col("s") == lit(encode_term(pattern.subject)))
-    if isinstance(pattern.object, Variable):
-        same_as_subject = (
-            isinstance(pattern.subject, Variable)
-            and pattern.object.name == pattern.subject.name
-        )
-        if same_as_subject:
-            conditions.append(col("s") == col("o"))
-        else:
-            outputs.append((pattern.object.name, col("o")))
-    else:
-        conditions.append(col("o") == lit(encode_term(pattern.object)))
-    for condition in conditions:
-        frame = frame.filter(condition)
-    for name in keep or []:
-        outputs.append((name, col(name)))
-    if not outputs:
-        marker = f"__exists{next(_COUNTER)}"
-        return frame.select((marker, lit("x"))).distinct()
-    return frame.select(*outputs)

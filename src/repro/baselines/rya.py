@@ -307,13 +307,6 @@ class Rya:
         return extended
 
 
-def _bound_positions(pattern: TriplePattern) -> int:
-    return sum(
-        0 if isinstance(slot, Variable) else 1
-        for slot in (pattern.subject, pattern.predicate, pattern.object)
-    )
-
-
 def _best_index(slots: list[str | None]) -> tuple[str, list[str]]:
     """The index whose sort order gives the longest bound prefix.
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from ..columnar.schema import ColumnSchema, TableSchema
 from ..core.encoding import encode_term
+from ..core.executor import shape_vp_frame, unbound_predicate_frame
 from ..core.filters import SparqlCondition
 from ..core.loader import LoadReport
 from ..core.naming import assign_names
@@ -38,7 +39,7 @@ from ..rdf.graph import Graph
 from ..rdf.stats import GraphStatistics, collect_statistics
 from ..sparql.algebra import SelectQuery, TriplePattern, Variable
 from ..sparql.parser import parse_sparql
-from .plans import pattern_cardinality, shape_vp_frame, unbound_predicate_frame
+from .plans import pattern_cardinality
 
 _VP_SCHEMA = TableSchema([ColumnSchema("s", "string"), ColumnSchema("o", "string")])
 

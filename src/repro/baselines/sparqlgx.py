@@ -18,6 +18,7 @@ import zlib
 
 from ..columnar.schema import ColumnSchema, TableSchema
 from ..core.encoding import cell_for_text, encode_term, encode_term_text
+from ..core.executor import shape_vp_frame, unbound_predicate_frame
 from ..core.filters import SparqlCondition
 from ..core.loader import LoadReport, estimate_load_seconds
 from ..core.naming import assign_names
@@ -30,7 +31,7 @@ from ..rdf.graph import Graph
 from ..rdf.stats import GraphStatistics, collect_statistics
 from ..sparql.algebra import SelectQuery, TriplePattern, Variable
 from ..sparql.parser import parse_sparql
-from .plans import pattern_cardinality, shape_vp_frame, unbound_predicate_frame
+from .plans import pattern_cardinality
 
 _VP_SCHEMA = TableSchema([ColumnSchema("s", "string"), ColumnSchema("o", "string")])
 

@@ -18,7 +18,6 @@ from .table_file import (
     ChunkInfo,
     FileStatistics,
     file_statistics,
-    iter_rows_as_dicts,
     read_schema,
     read_table,
     write_table,
@@ -42,7 +41,6 @@ __all__ = [
     "encode_plain",
     "encode_rle",
     "file_statistics",
-    "iter_rows_as_dicts",
     "read_schema",
     "read_table",
     "validate_value",

@@ -21,7 +21,7 @@ page-level Snappy/GZIP compression.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from ..errors import EncodingError, SchemaError, ValidationError
@@ -243,10 +243,3 @@ def file_statistics(hdfs: SimulatedHdfs, path: str) -> FileStatistics:
         total_bytes=len(data),
         chunks=tuple(chunks),
     )
-
-
-def iter_rows_as_dicts(schema: TableSchema, rows: Iterable[tuple]):
-    """Convenience: yield rows as ``{column: value}`` dictionaries."""
-    names = schema.names
-    for row in rows:
-        yield dict(zip(names, row))

@@ -12,8 +12,12 @@ SPARQL join condition.
 
 from __future__ import annotations
 
+import itertools
+
+from ..columnar.schema import ColumnSchema, TableSchema
 from ..engine.dataframe import DataFrame
 from ..engine.expressions import Expression, col, lit
+from ..engine.session import EngineSession
 from ..errors import TranslationError
 from ..rdf.terms import IRI
 from ..sparql.algebra import TriplePattern, Variable
@@ -60,100 +64,22 @@ class JoinTreeExecutor:
             return self._pt_plan(node)
         raise TranslationError(f"unknown node type {type(node).__name__}")
 
-    def _fresh_name(self, prefix: str) -> str:
+    def _fresh_column(self) -> str:
         self._counter += 1
-        return f"__{prefix}{self._counter}"
+        return f"__c{self._counter}"
 
     # -- VP nodes -------------------------------------------------------------------------
 
     def _vp_plan(self, pattern: TriplePattern) -> DataFrame:
         session = self.store.session
         if isinstance(pattern.predicate, Variable):
-            return self._unbound_predicate_plan(pattern)
+            tables = {
+                iri: info.table_name for iri, info in self.store.vp_tables.items()
+            }
+            return unbound_predicate_frame(session, tables, pattern)
         table = self.store.vp_table_name(pattern.predicate.value)
-        if table is None:
-            return self._empty_plan(pattern)
-        frame = session.table(table)
-        return self._shape_so(frame, pattern, SUBJECT_COLUMN, OBJECT_COLUMN)
-
-    def _unbound_predicate_plan(self, pattern: TriplePattern) -> DataFrame:
-        """A variable predicate scans the union of all VP tables, each tagged
-        with its predicate as an extra column."""
-        session = self.store.session
-        predicate_variable = pattern.predicate
-        assert isinstance(predicate_variable, Variable)
-        frames: list[DataFrame] = []
-        for predicate_iri in sorted(self.store.vp_tables):
-            info = self.store.vp_tables[predicate_iri]
-            tagged = session.table(info.table_name).select(
-                SUBJECT_COLUMN,
-                OBJECT_COLUMN,
-                ("__p", lit(encode_term(IRI(predicate_iri)))),
-            )
-            frames.append(tagged)
-        if not frames:
-            return self._empty_plan(pattern)
-        union = frames[0]
-        for frame in frames[1:]:
-            union = union.union(frame)
-        shaped = self._shape_so(union, pattern, SUBJECT_COLUMN, OBJECT_COLUMN, keep=["__p"])
-        outputs = [name for name in shaped.columns if name != "__p"]
-        if predicate_variable.name in outputs:
-            # The predicate variable also binds the subject or object of the
-            # same pattern (e.g. ``?s ?p ?p``): the shared variable is an
-            # equality constraint against the tag column, not a second output.
-            shaped = shaped.filter(col(predicate_variable.name) == col("__p"))
-            return shaped.select(*outputs)
-        return shaped.select(*outputs, (predicate_variable.name, col("__p")))
-
-    def _empty_plan(self, pattern: TriplePattern) -> DataFrame:
-        """A correctly-shaped empty relation for a predicate absent from the
-        data (the empty VP table)."""
-        from ..columnar.schema import ColumnSchema, TableSchema
-
-        names: list[str] = []
-        for slot in (pattern.subject, pattern.predicate, pattern.object):
-            if isinstance(slot, Variable) and slot.name not in names:
-                names.append(slot.name)
-        if not names:
-            names = [self._fresh_name("exists")]
-        schema = TableSchema([ColumnSchema(name, "string") for name in names])
-        return self.store.session.create_dataframe(schema, [], label="empty-vp")
-
-    def _shape_so(
-        self,
-        frame: DataFrame,
-        pattern: TriplePattern,
-        subject_column: str,
-        object_column: str,
-        keep: list[str] | None = None,
-    ) -> DataFrame:
-        """Apply a pattern's constants/variables to an (s, o) shaped frame."""
-        conditions: list[Expression] = []
-        outputs: list[tuple[str, Expression]] = []
-        if isinstance(pattern.subject, Variable):
-            outputs.append((pattern.subject.name, col(subject_column)))
-        else:
-            conditions.append(col(subject_column) == lit(encode_term(pattern.subject)))
-        if isinstance(pattern.object, Variable):
-            if (
-                isinstance(pattern.subject, Variable)
-                and pattern.object.name == pattern.subject.name
-            ):
-                conditions.append(col(subject_column) == col(object_column))
-            else:
-                outputs.append((pattern.object.name, col(object_column)))
-        else:
-            conditions.append(col(object_column) == lit(encode_term(pattern.object)))
-        for condition in conditions:
-            frame = frame.filter(condition)
-        for name in keep or []:
-            outputs.append((name, col(name)))
-        if not outputs:
-            # Fully bound pattern: an existence check contributing 0/1 rows.
-            marker = self._fresh_name("exists")
-            return frame.select((marker, lit("x"))).distinct()
-        return frame.select(*outputs)
+        source = session.table(table) if table is not None else None
+        return shape_vp_frame(session, source, pattern)
 
     # -- PT nodes --------------------------------------------------------------------------
 
@@ -222,7 +148,7 @@ class JoinTreeExecutor:
                 missing_predicate = True
                 temp_names.append(None)
                 continue
-            temp = self._fresh_name("c")
+            temp = self._fresh_column()
             selections.append((temp, col(source)))
             temp_names.append(temp)
         if missing_predicate:
@@ -261,17 +187,117 @@ class JoinTreeExecutor:
             (variable, col(source)) for variable, source in sorted(bound_variables.items())
         ]
         if not outputs:
-            marker = self._fresh_name("exists")
-            return frame.select((marker, lit("x"))).distinct()
+            return frame.select((fresh_exists_marker(), lit("x"))).distinct()
         return frame.select(*outputs)
 
     def _empty_group_plan(self, node: JoinTreeNode) -> DataFrame:
         """Empty relation shaped like the node's variables (a predicate in
         the group does not exist in the data, so the group matches nothing)."""
-        from ..columnar.schema import ColumnSchema, TableSchema
-
         names = sorted({variable.name for variable in node.variables})
-        if not names:
-            names = [self._fresh_name("exists")]
-        schema = TableSchema([ColumnSchema(name, "string") for name in names])
-        return self.store.session.create_dataframe(schema, [], label="empty-pt")
+        return _empty_frame(self.store.session, names, "empty-pt")
+
+
+# -- per-pattern frames over (s, o) tables ------------------------------------
+#
+# Shared by the Join Tree's VP nodes and the engine-backed baselines
+# (SPARQLGX, its SDE variant, S2RDF): all of them materialize a triple
+# pattern from an ``(s, o)`` shaped table.
+
+_MARKERS = itertools.count(1)
+
+
+def fresh_exists_marker() -> str:
+    """A process-unique column name for a fully bound pattern's 0/1-row
+    existence check (two of them may meet in one cross join)."""
+    return f"__exists{next(_MARKERS)}"
+
+
+def _empty_frame(session: EngineSession, names: list[str], label: str) -> DataFrame:
+    """An empty relation over ``names`` (one marker column when a fully
+    bound pattern or group binds nothing)."""
+    schema = TableSchema(
+        [ColumnSchema(name, "string") for name in names or [fresh_exists_marker()]]
+    )
+    return session.create_dataframe(schema, [], label=label)
+
+
+def empty_pattern_frame(session: EngineSession, pattern: TriplePattern) -> DataFrame:
+    """A correctly-shaped empty relation for a predicate absent from the
+    data (the empty VP table)."""
+    names: list[str] = []
+    for slot in (pattern.subject, pattern.predicate, pattern.object):
+        if isinstance(slot, Variable) and slot.name not in names:
+            names.append(slot.name)
+    return _empty_frame(session, names, "empty-vp")
+
+
+def unbound_predicate_frame(
+    session: EngineSession, tables: dict[str, str], pattern: TriplePattern
+) -> DataFrame:
+    """A variable predicate scans the union of all VP tables (``tables``:
+    predicate IRI → table name), each tagged with its predicate as an extra
+    column bound to the variable."""
+    predicate_variable = pattern.predicate
+    assert isinstance(predicate_variable, Variable)
+    frames: list[DataFrame] = []
+    for predicate_iri in sorted(tables):
+        tagged = session.table(tables[predicate_iri]).select(
+            SUBJECT_COLUMN,
+            OBJECT_COLUMN,
+            ("__p", lit(encode_term(IRI(predicate_iri)))),
+        )
+        frames.append(tagged)
+    if not frames:
+        return empty_pattern_frame(session, pattern)
+    union = frames[0]
+    for frame in frames[1:]:
+        union = union.union(frame)
+    shaped = shape_vp_frame(session, union, pattern, keep=["__p"])
+    outputs = [name for name in shaped.columns if name != "__p"]
+    if predicate_variable.name in outputs:
+        # The predicate variable also binds the subject or object of the
+        # same pattern (e.g. ``?s ?p ?p``): the shared variable is an
+        # equality constraint against the tag column, not a second output.
+        shaped = shaped.filter(col(predicate_variable.name) == col("__p"))
+        return shaped.select(*outputs)
+    return shaped.select(*outputs, (predicate_variable.name, col("__p")))
+
+
+def shape_vp_frame(
+    session: EngineSession,
+    frame: DataFrame | None,
+    pattern: TriplePattern,
+    keep: list[str] | None = None,
+) -> DataFrame:
+    """Apply a pattern's constants and variable names to an ``(s, o)`` frame.
+
+    Constants become selections; variables become renamed output columns; a
+    repeated variable becomes an equality selection. ``frame=None`` yields an
+    empty, correctly-shaped relation. Columns in ``keep`` pass through.
+    """
+    if frame is None:
+        return empty_pattern_frame(session, pattern)
+    conditions: list[Expression] = []
+    outputs: list[tuple[str, Expression]] = []
+    if isinstance(pattern.subject, Variable):
+        outputs.append((pattern.subject.name, col(SUBJECT_COLUMN)))
+    else:
+        conditions.append(col(SUBJECT_COLUMN) == lit(encode_term(pattern.subject)))
+    if isinstance(pattern.object, Variable):
+        if (
+            isinstance(pattern.subject, Variable)
+            and pattern.object.name == pattern.subject.name
+        ):
+            conditions.append(col(SUBJECT_COLUMN) == col(OBJECT_COLUMN))
+        else:
+            outputs.append((pattern.object.name, col(OBJECT_COLUMN)))
+    else:
+        conditions.append(col(OBJECT_COLUMN) == lit(encode_term(pattern.object)))
+    for condition in conditions:
+        frame = frame.filter(condition)
+    for name in keep or []:
+        outputs.append((name, col(name)))
+    if not outputs:
+        # Fully bound pattern: an existence check contributing 0/1 rows.
+        return frame.select((fresh_exists_marker(), lit("x"))).distinct()
+    return frame.select(*outputs)

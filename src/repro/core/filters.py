@@ -1,15 +1,17 @@
 """Bridging SPARQL FILTER expressions into engine expressions.
 
-Most of a filter can be evaluated directly on the encoded (N-Triples string)
-cells; comparisons with SPARQL value semantics (numeric coercion) decode the
-cells first. :class:`SparqlCondition` wraps one algebra filter expression as
-an engine :class:`~repro.engine.expressions.Expression`, so the engine's
-filter operator and the optimizer's pushdown machinery treat it uniformly.
+SPARQL value semantics (numeric coercion, regex on literals) need terms,
+not term-ID cells, so :class:`SparqlCondition` decodes the cells a filter
+reads and evaluates the algebra expression with the reference evaluator. It
+wraps one algebra filter expression as an engine predicate
+(:class:`~repro.engine.expressions.Expression` with a ``bind_vector``
+kernel), so the engine's filter operator and the optimizer's pushdown
+machinery treat it like any other condition.
 """
 
 from __future__ import annotations
 
-from ..engine.expressions import BoundExpression, Expression, VectorPredicate
+from ..engine.expressions import Expression, VectorPredicate
 from ..rdf.reference import evaluate_filter
 from ..sparql.algebra import FilterExpression, Variable
 from .encoding import decode_term
@@ -28,22 +30,6 @@ class SparqlCondition(Expression):
 
     def references(self) -> set[str]:
         return {variable.name for variable in self.expression.variables}
-
-    def bind(self, schema) -> BoundExpression:
-        variables = sorted(self.references())
-        indexes = {name: schema.index_of(name) for name in variables}
-        expression = self.expression
-
-        def evaluate(row: tuple) -> bool:
-            binding = {}
-            for name, index in indexes.items():
-                cell = row[index]
-                if cell is None:
-                    continue
-                binding[name] = decode_term(cell)
-            return evaluate_filter(expression, binding)
-
-        return evaluate
 
     def bind_vector(self, schema) -> VectorPredicate:
         variables = sorted(self.references())

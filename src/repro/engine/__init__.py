@@ -32,10 +32,8 @@ from .logical import (
     Filter,
     InMemoryRelation,
     Join,
-    Limit,
     LogicalPlan,
     Project,
-    Sort,
     TableScan,
     Union,
 )
@@ -61,13 +59,11 @@ __all__ = [
     "HashPartitioner",
     "InMemoryRelation",
     "Join",
-    "Limit",
     "LogicalPlan",
     "MemoryPressure",
     "Project",
     "QueryReport",
     "SimulatedCluster",
-    "Sort",
     "StoredTable",
     "StragglerSpec",
     "TableScan",

@@ -20,10 +20,8 @@ from .logical import (
     Explode,
     Filter,
     Join,
-    Limit,
     LogicalPlan,
     Project,
-    Sort,
     Union,
 )
 from .session import EngineSession, QueryReport
@@ -123,17 +121,6 @@ class DataFrame:
             for op, column, name in aggregates
         )
         return DataFrame(self.session, Aggregate(self.plan, tuple(keys), specs))
-
-    def sort(self, *keys: str | tuple[str, bool]) -> "DataFrame":
-        """Sort by columns; pass ``(name, True)`` for descending."""
-        normalized = tuple(
-            (key, False) if isinstance(key, str) else key for key in keys
-        )
-        return DataFrame(self.session, Sort(self.plan, normalized))
-
-    def limit(self, count: int | None, offset: int = 0) -> "DataFrame":
-        """Keep ``count`` rows after skipping ``offset`` (None = no cap)."""
-        return DataFrame(self.session, Limit(self.plan, count, offset))
 
     def union(self, other: "DataFrame") -> "DataFrame":
         """Concatenate with another frame of the same schema."""

@@ -40,7 +40,7 @@ from ..vector import ColumnBatch
 from .catalog import Catalog
 from .cluster import ClusterConfig, ExecutionMetrics
 from .data import ColumnarData, HashPartitioner
-from .expressions import ColumnRef, LiteralValue, _ColumnsRow
+from .expressions import ColumnRef
 from .logical import (
     Aggregate,
     Distinct,
@@ -48,10 +48,8 @@ from .logical import (
     Filter,
     InMemoryRelation,
     Join,
-    Limit,
     LogicalPlan,
     Project,
-    Sort,
     TableScan,
     Union,
 )
@@ -67,8 +65,6 @@ _SPAN_OPS = {
     "Join": "join",
     "Explode": "explode",
     "Distinct": "distinct",
-    "Sort": "sort",
-    "Limit": "limit",
     "Union": "union",
     "Aggregate": "aggregate",
 }
@@ -146,10 +142,6 @@ class PhysicalExecutor:
             result = self._explode(plan, metrics, tracer)
         elif isinstance(plan, Distinct):
             result = self._distinct(plan, metrics, tracer)
-        elif isinstance(plan, Sort):
-            result = self._sort(plan, metrics, tracer)
-        elif isinstance(plan, Limit):
-            result = self._limit(plan, metrics, tracer)
         elif isinstance(plan, Union):
             result = self._union(plan, metrics, tracer)
         elif isinstance(plan, Aggregate):
@@ -194,14 +186,10 @@ class PhysicalExecutor:
         # hash — holding it in the key pins the object, so the key can never
         # collide with a later condition the way a bare id() could). Selection
         # vectors are never mutated downstream, making the share safe.
-        try:
-            memo_key = ("filter", plan.condition)
-            hash(memo_key)
-        except TypeError:
-            memo_key = None
+        memo_key = ("filter", plan.condition)
         batches = []
         for batch in child.batches:
-            if batch.sel is None and memo_key is not None:
+            if batch.sel is None:
                 sel = batch.bytes_cache.get(memo_key)
                 if sel is None:
                     sel = predicate(batch.columns, batch.live())
@@ -215,7 +203,7 @@ class PhysicalExecutor:
         child = self._run(plan.child, metrics, tracer)
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
-        if all(isinstance(expr, ColumnRef) for _, expr in plan.outputs):
+        if plan.is_rename_only:
             # Pure column shuffles share the underlying vectors and the
             # selection — no cells are touched at all.
             indexes = [child.schema.index_of(expr.name) for _, expr in plan.outputs]
@@ -224,30 +212,19 @@ class PhysicalExecutor:
                 for batch in child.batches
             ]
         else:
-            # Computed outputs need value columns aligned with the live rows,
-            # so compact first; plain column/literal outputs stay whole-column
-            # and only genuinely computed expressions evaluate per row.
+            # Constant outputs need value columns aligned with the live rows,
+            # so compact first; the column outputs stay whole-column.
             batches = []
             for source in child.batches:
                 compacted = source.compact()
                 length = compacted.length
-                out_columns = []
-                for _, expression in plan.outputs:
-                    if isinstance(expression, ColumnRef):
-                        out_columns.append(
-                            compacted.columns[child.schema.index_of(expression.name)]
-                        )
-                    elif isinstance(expression, LiteralValue):
-                        out_columns.append([expression.value] * length)
-                    else:
-                        fn = expression.bind(child.schema)
-                        cursor = _ColumnsRow(compacted.columns)
-                        values = []
-                        for i in range(length):
-                            cursor.index = i
-                            values.append(fn(cursor))
-                        out_columns.append(values)
-                batches.append(ColumnBatch(tuple(out_columns), length))
+                out_columns = tuple(
+                    compacted.columns[child.schema.index_of(expression.name)]
+                    if isinstance(expression, ColumnRef)
+                    else [expression.value] * length
+                    for _, expression in plan.outputs
+                )
+                batches.append(ColumnBatch(out_columns, length))
         partitioner = _project_partitioner(plan, child.partitioner)
         return ColumnarData(plan.schema, batches, partitioner)
 
@@ -521,48 +498,6 @@ class PhysicalExecutor:
             deduped.append(ColumnBatch(columns, batch.length, keep, batch.bytes_cache))
         return ColumnarData(child.schema, deduped, partitioner)
 
-    def _sort(self, plan: Sort, metrics: ExecutionMetrics, tracer) -> ColumnarData:
-        child = self._run(plan.child, metrics, tracer)
-        if metrics.governor is not None:
-            metrics.governor.charge_site(metrics, child.estimated_bytes())
-        combined = child.concat()
-        metrics.rows_processed += combined.length
-        metrics.shuffle_bytes += child.estimated_bytes()  # gather to driver
-        metrics.record_stage(tasks=1, note=plan._describe_line())
-        # Sort an index permutation instead of moving rows: precompute the key
-        # vector per sort column, then one stable sort per key, last key first.
-        order = list(range(combined.length))
-        for name, descending in reversed(plan.keys):
-            column = combined.columns[child.schema.index_of(name)]
-            key_vector = [_sort_key(value) for value in column]
-            order.sort(key=key_vector.__getitem__, reverse=descending)
-        return ColumnarData(
-            child.schema,
-            [ColumnBatch(combined.columns, combined.length, order, combined.bytes_cache)],
-        )
-
-    def _limit(self, plan: Limit, metrics: ExecutionMetrics, tracer) -> ColumnarData:
-        child = self._run(plan.child, metrics, tracer)
-        metrics.record_stage(tasks=1, note=plan._describe_line())
-        stop = None if plan.count is None else plan.offset + plan.count
-        if len(child.batches) == 1:
-            # The common shape (LIMIT over a sorted single batch) slices the
-            # selection without touching any cells.
-            batch = child.batches[0]
-            live = batch.live()
-            sliced = live[plan.offset : stop] if stop is not None else live[plan.offset :]
-            return ColumnarData(
-                child.schema,
-                [ColumnBatch(batch.columns, batch.length, list(sliced), batch.bytes_cache)],
-            )
-        refs = [(batch, i) for batch in child.batches for i in batch.live()]
-        refs = refs[plan.offset : stop] if stop is not None else refs[plan.offset :]
-        width = len(child.schema.names)
-        columns = tuple(
-            [batch.columns[j][i] for batch, i in refs] for j in range(width)
-        )
-        return ColumnarData(child.schema, [ColumnBatch(columns, len(refs))])
-
     def _aggregate(self, plan: Aggregate, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         """Hash aggregation with map-side partial aggregation.
 
@@ -821,19 +756,6 @@ def _freeze_value(value):
 def _group_sort_key(key: tuple):
     """Deterministic ordering of group keys (NULLs first)."""
     return tuple((value is None, "" if value is None else repr(value)) for value in key)
-
-
-def _sort_key(value):
-    """NULLs first, then by type bucket, then value."""
-    if value is None:
-        return (0, "", 0)
-    if isinstance(value, bool):
-        return (1, "", int(value))
-    if isinstance(value, (int, float)):
-        return (2, "", float(value))
-    if isinstance(value, str):
-        return (3, value, 0)
-    return (4, repr(value), 0)
 
 
 __all__ = ["PhysicalExecutor"]

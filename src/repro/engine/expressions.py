@@ -1,58 +1,38 @@
 """Column expressions for filters and projections.
 
-A small Catalyst-style expression tree. Expressions are built with
-:func:`col` and :func:`lit` plus operators::
+The expression set is exactly what the five systems' planners emit (paper
+§3.2 compiles a Join Tree to ``=``, ``IS NOT NULL`` and ``array_contains``
+selections): two value nodes — :func:`col` and :func:`lit`, which are also
+the only projection outputs — and four predicates built from them::
 
-    (col("age") > lit(18)) & col("email").is_not_null()
+    (col("s") == lit(7)) & col("email").is_not_null()
 
-Before execution an expression is *bound* to a schema, producing a plain
-Python closure over one row — the moral equivalent of Spark's whole-stage
-codegen, and the reason per-row evaluation stays cheap.
+    col = lit | col = col | col IS NOT NULL | array_contains(col, lit) | AND
 
-Filters over column batches (:mod:`repro.vector`) compile the same tree
-via :meth:`Expression.bind_vector` into a **selection-vector kernel**:
-``fn(columns, sel) -> new_sel``, taking the batch's column vectors and the
-ordered live row indices and returning the surviving indices in order. Hot
-nodes (equality against a constant, column-to-column equality, IS NOT
-NULL, AND chains) override it with single list comprehensions over one
-column; everything else falls back to the row closure evaluated through a
-:class:`_ColumnsRow` cursor, so a kernel and its closure cannot disagree.
+(:class:`~repro.core.filters.SparqlCondition` adds SPARQL FILTER semantics
+on top.) Any other operand shape is rejected with
+:class:`~repro.errors.PlanError` when the node is constructed.
+
+A predicate is compiled once per filter by :meth:`Expression.bind_vector`
+into a **selection-vector kernel**: ``fn(columns, sel) -> new_sel``, taking
+a batch's column vectors and the ordered live row indices and returning the
+surviving indices in order — one list comprehension over one or two column
+vectors. There is no per-row evaluation mode. Ordering and slicing are not
+expressions or operators of the engine at all: ORDER BY / LIMIT / OFFSET
+run in :func:`repro.core.results.finalize_solutions`, on decoded terms.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ..columnar.schema import TableSchema
 from ..errors import PlanError
 
-#: A bound expression: evaluates one row tuple to a value.
-BoundExpression = Callable[[tuple], object]
-
 #: A vector-bound predicate: ``(columns, sel) -> new_sel``, filtering the
 #: ordered live indices ``sel`` against the batch's column vectors.
 VectorPredicate = Callable[[tuple, Sequence[int]], list]
-
-
-class _ColumnsRow:
-    """A movable row cursor over column vectors.
-
-    Quacks like a row tuple for :meth:`Expression.bind` closures —
-    ``row[j]`` reads column ``j`` at the cursor's current row — so any
-    expression without a dedicated vector kernel evaluates its existing
-    row closure against batches without materializing tuples.
-    """
-
-    __slots__ = ("columns", "index")
-
-    def __init__(self, columns: tuple):
-        self.columns = columns
-        self.index = 0
-
-    def __getitem__(self, position: int):
-        return self.columns[position][self.index]
 
 
 class Expression:
@@ -62,29 +42,10 @@ class Expression:
         """Column names this expression reads."""
         raise NotImplementedError
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        """Compile to a closure over row tuples laid out as ``schema``."""
-        raise NotImplementedError
-
     def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        """Compile to a selection-vector kernel over column batches.
-
-        The default adapts the row closure through a :class:`_ColumnsRow`
-        cursor; subclasses with columnar fast paths override it.
-        """
-        predicate = self.bind(schema)
-
-        def evaluate(columns: tuple, sel: Sequence[int]) -> list:
-            row = _ColumnsRow(columns)
-            out = []
-            append = out.append
-            for i in sel:
-                row.index = i
-                if predicate(row):
-                    append(i)
-            return out
-
-        return evaluate
+        """Compile a predicate to a selection-vector kernel over batches
+        laid out as ``schema`` (value nodes have none)."""
+        raise NotImplementedError
 
     def describe(self) -> str:
         """Human-readable form for plan explanations."""
@@ -95,29 +56,8 @@ class Expression:
     def __eq__(self, other):  # type: ignore[override]
         return BinaryComparison("=", self, _as_expression(other))
 
-    def __ne__(self, other):  # type: ignore[override]
-        return BinaryComparison("!=", self, _as_expression(other))
-
-    def __lt__(self, other):
-        return BinaryComparison("<", self, _as_expression(other))
-
-    def __le__(self, other):
-        return BinaryComparison("<=", self, _as_expression(other))
-
-    def __gt__(self, other):
-        return BinaryComparison(">", self, _as_expression(other))
-
-    def __ge__(self, other):
-        return BinaryComparison(">=", self, _as_expression(other))
-
     def __and__(self, other):
         return BooleanOp("and", (self, _as_expression(other)))
-
-    def __or__(self, other):
-        return BooleanOp("or", (self, _as_expression(other)))
-
-    def __invert__(self):
-        return Not(self)
 
     def __hash__(self):
         return id(self)
@@ -126,17 +66,9 @@ class Expression:
         """SQL ``IS NOT NULL``."""
         return NotNull(self)
 
-    def is_null(self) -> "Expression":
-        """SQL ``IS NULL``."""
-        return Not(NotNull(self))
-
     def contains_element(self, value) -> "Expression":
         """``array_contains`` analogue for list-typed columns."""
         return ArrayContains(self, _as_expression(value))
-
-    def rlike(self, pattern: str) -> "Expression":
-        """Regex match (Spark's ``rlike``)."""
-        return RegexMatch(self, pattern)
 
 
 def _as_expression(value) -> Expression:
@@ -154,19 +86,6 @@ class ColumnRef(Expression):
     def references(self) -> set[str]:
         return {self.name}
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        index = schema.index_of(self.name)
-        return lambda row: row[index]
-
-    def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        index = schema.index_of(self.name)
-
-        def evaluate(columns: tuple, sel: Sequence[int]) -> list:
-            column = columns[index]
-            return [i for i in sel if column[i]]
-
-        return evaluate
-
     def describe(self) -> str:
         return self.name
 
@@ -180,100 +99,63 @@ class LiteralValue(Expression):
     def references(self) -> set[str]:
         return set()
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        value = self.value
-        return lambda row: value
-
-    def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        if self.value:
-            return lambda columns, sel: list(sel)
-        return lambda columns, sel: []
-
     def describe(self) -> str:
         return repr(self.value)
 
 
-_COMPARATORS: dict[str, Callable[[object, object], bool]] = {
-    "=": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-}
+def require_predicate(expression, where: str) -> None:
+    """Reject anything but a predicate node as a filter condition / AND
+    operand: a bare column or constant has no truth value here."""
+    if not isinstance(expression, Expression) or isinstance(
+        expression, (ColumnRef, LiteralValue)
+    ):
+        raise PlanError(f"{where} must be a predicate, got {expression!r}")
 
 
 @dataclass(eq=False)
 class BinaryComparison(Expression):
-    """A comparison; NULL operands make the result false (SQL-like)."""
+    """``column = constant`` or ``column = column``; NULL never matches."""
 
     op: str
     left: Expression
     right: Expression
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARATORS:
+        if self.op != "=":
             raise PlanError(f"unknown comparison operator {self.op!r}")
+        comparable = isinstance(self.right, ColumnRef) or (
+            isinstance(self.right, LiteralValue) and self.right.value is not None
+        )  # NULL equals nothing: `= NULL` is never what a planner means
+        if not isinstance(self.left, ColumnRef) or not comparable:
+            raise PlanError(
+                f"no kernel for {self.describe()}: '=' compares a column "
+                "with a non-NULL constant or another column"
+            )
 
     def references(self) -> set[str]:
         return self.left.references() | self.right.references()
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        # Equality is the hot filter (every pattern constant compiles to
-        # one); `==` between cells never raises, and a non-NULL constant
-        # can never equal a NULL cell, so the guards fold away.
-        if self.op == "=":
-            if isinstance(self.left, ColumnRef) and isinstance(self.right, LiteralValue):
-                if self.right.value is not None:
-                    index = schema.index_of(self.left.name)
-                    value = self.right.value
-                    return lambda row: row[index] == value
-            elif isinstance(self.left, ColumnRef) and isinstance(self.right, ColumnRef):
-                i = schema.index_of(self.left.name)
-                j = schema.index_of(self.right.name)
-                return lambda row: row[i] == row[j] and row[i] is not None
-
-        compare = _COMPARATORS[self.op]
-        left = self.left.bind(schema)
-        right = self.right.bind(schema)
-
-        def evaluate(row: tuple):
-            a = left(row)
-            b = right(row)
-            if a is None or b is None:
-                return False
-            try:
-                return compare(a, b)
-            except TypeError:
-                return False
-
-        return evaluate
-
     def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        # The same two hot shapes as `bind`, as single comprehensions over
-        # one or two column vectors — the engine's tightest loop.
-        if self.op == "=":
-            if isinstance(self.left, ColumnRef) and isinstance(self.right, LiteralValue):
-                if self.right.value is not None:
-                    index = schema.index_of(self.left.name)
-                    value = self.right.value
+        # Equality is the hot filter (every pattern constant compiles to
+        # one) and the engine's tightest loop; `==` between cells never
+        # raises, and a non-NULL constant can never equal a NULL cell.
+        left_index = schema.index_of(self.left.name)
+        if isinstance(self.right, LiteralValue):
+            value = self.right.value
 
-                    def equals_literal(columns: tuple, sel: Sequence[int]) -> list:
-                        column = columns[index]
-                        return [i for i in sel if column[i] == value]
+            def equals_literal(columns: tuple, sel: Sequence[int]) -> list:
+                column = columns[left_index]
+                return [i for i in sel if column[i] == value]
 
-                    return equals_literal
-            elif isinstance(self.left, ColumnRef) and isinstance(self.right, ColumnRef):
-                left_index = schema.index_of(self.left.name)
-                right_index = schema.index_of(self.right.name)
+            return equals_literal
+        right_index = schema.index_of(self.right.name)
 
-                def equals_column(columns: tuple, sel: Sequence[int]) -> list:
-                    a = columns[left_index]
-                    b = columns[right_index]
-                    return [i for i in sel if a[i] == b[i] and a[i] is not None]
+        def equals_column(columns: tuple, sel: Sequence[int]) -> list:
+            a = columns[left_index]
+            b = columns[right_index]
+            return [i for i in sel if a[i] == b[i] and a[i] is not None]
 
-                return equals_column
-        return super().bind_vector(schema)
+        return equals_column
 
     def describe(self) -> str:
         return f"({self.left.describe()} {self.op} {self.right.describe()})"
@@ -281,16 +163,18 @@ class BinaryComparison(Expression):
 
 @dataclass(eq=False)
 class BooleanOp(Expression):
-    """N-ary AND / OR."""
+    """N-ary AND of predicates."""
 
     op: str
     operands: tuple[Expression, ...]
 
     def __post_init__(self) -> None:
-        if self.op not in ("and", "or"):
+        if self.op != "and":
             raise PlanError(f"unknown boolean operator {self.op!r}")
         if not self.operands:
             raise PlanError("boolean operator needs at least one operand")
+        for operand in self.operands:
+            require_predicate(operand, "AND operand")
 
     def references(self) -> set[str]:
         refs: set[str] = set()
@@ -298,131 +182,53 @@ class BooleanOp(Expression):
             refs |= operand.references()
         return refs
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        bound = [operand.bind(schema) for operand in self.operands]
-        # Conjunctions of two or three predicates are the common compiled
-        # filter shape; `and`/`or` short-circuit without the generator
-        # machinery that `all()`/`any()` would spin up per row.
-        if len(bound) == 1:
-            return bound[0]
-        if self.op == "and":
-            if len(bound) == 2:
-                first, second = bound
-                return lambda row: first(row) and second(row)
-            if len(bound) == 3:
-                first, second, third = bound
-                return lambda row: first(row) and second(row) and third(row)
-
-            def conjunction(row):
-                for fn in bound:
-                    if not fn(row):
-                        return False
-                return True
-
-            return conjunction
-        if len(bound) == 2:
-            first, second = bound
-            return lambda row: first(row) or second(row)
-        if len(bound) == 3:
-            first, second, third = bound
-            return lambda row: first(row) or second(row) or third(row)
-
-        def disjunction(row):
-            for fn in bound:
-                if fn(row):
-                    return True
-            return False
-
-        return disjunction
-
     def bind_vector(self, schema: TableSchema) -> VectorPredicate:
         bound = [operand.bind_vector(schema) for operand in self.operands]
         if len(bound) == 1:
             return bound[0]
-        if self.op == "and":
-            # Conjunction narrows the selection operand by operand — each
-            # later predicate only touches rows the earlier ones kept.
-            def conjunction(columns: tuple, sel: Sequence[int]) -> list:
-                out = sel
-                for fn in bound:
-                    out = fn(columns, out)
-                    if not out:
-                        return out if isinstance(out, list) else []
-                return out if isinstance(out, list) else list(out)
 
-            return conjunction
-
-        def disjunction(columns: tuple, sel: Sequence[int]) -> list:
-            # Union of the operands' selections, re-emitted in `sel` order
-            # (set membership only — never set iteration — so row order
-            # stays deterministic).
-            matched: set = set()
+        # Conjunction narrows the selection operand by operand — each
+        # later predicate only touches rows the earlier ones kept.
+        def conjunction(columns: tuple, sel: Sequence[int]) -> list:
+            out = sel
             for fn in bound:
-                matched.update(fn(columns, sel))
-            return [i for i in sel if i in matched]
+                out = fn(columns, out)
+                if not out:
+                    break
+            return out
 
-        return disjunction
-
-    def describe(self) -> str:
-        joiner = f" {self.op.upper()} "
-        return "(" + joiner.join(op.describe() for op in self.operands) + ")"
-
-
-@dataclass(eq=False)
-class Not(Expression):
-    """Logical negation."""
-
-    operand: Expression
-
-    def references(self) -> set[str]:
-        return self.operand.references()
-
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        inner = self.operand.bind(schema)
-        return lambda row: not inner(row)
-
-    def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        inner = self.operand.bind_vector(schema)
-
-        def complement(columns: tuple, sel: Sequence[int]) -> list:
-            matched = set(inner(columns, sel))
-            return [i for i in sel if i not in matched]
-
-        return complement
+        return conjunction
 
     def describe(self) -> str:
-        return f"NOT {self.operand.describe()}"
+        return "(" + " AND ".join(op.describe() for op in self.operands) + ")"
 
 
 @dataclass(eq=False)
 class NotNull(Expression):
-    """``operand IS NOT NULL``."""
+    """``column IS NOT NULL``."""
 
     operand: Expression
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.operand, ColumnRef):
+            raise PlanError(
+                f"no kernel for {self.describe()}: IS NOT NULL tests a column"
+            )
 
     def references(self) -> set[str]:
         return self.operand.references()
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        if isinstance(self.operand, ColumnRef):
-            index = schema.index_of(self.operand.name)
-            return lambda row: row[index] is not None
-        inner = self.operand.bind(schema)
-        return lambda row: inner(row) is not None
-
     def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        if isinstance(self.operand, ColumnRef):
-            index = schema.index_of(self.operand.name)
+        index = schema.index_of(self.operand.name)
 
-            def not_null(columns: tuple, sel: Sequence[int]) -> list:
-                column = columns[index]
-                if type(sel) is range and len(sel) == len(column):
-                    # Unselected batch: enumerate beats per-index lookups.
-                    return [i for i, value in enumerate(column) if value is not None]
-                return [i for i in sel if column[i] is not None]
+        def not_null(columns: tuple, sel: Sequence[int]) -> list:
+            column = columns[index]
+            if type(sel) is range and len(sel) == len(column):
+                # Unselected batch: enumerate beats per-index lookups.
+                return [i for i, value in enumerate(column) if value is not None]
+            return [i for i in sel if column[i] is not None]
 
-            return not_null
-        return super().bind_vector(schema)
+        return not_null
 
     def describe(self) -> str:
         return f"{self.operand.describe()} IS NOT NULL"
@@ -430,84 +236,35 @@ class NotNull(Expression):
 
 @dataclass(eq=False)
 class ArrayContains(Expression):
-    """True when a list-valued operand contains the element."""
+    """True when a list-valued column contains the constant element."""
 
     operand: Expression
     element: Expression
 
-    def references(self) -> set[str]:
-        return self.operand.references() | self.element.references()
-
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        inner = self.operand.bind(schema)
-        element = self.element.bind(schema)
-
-        def evaluate(row: tuple) -> bool:
-            values = inner(row)
-            if values is None:
-                return False
-            return element(row) in values
-
-        return evaluate
-
-    def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        if isinstance(self.operand, ColumnRef) and isinstance(self.element, LiteralValue):
-            index = schema.index_of(self.operand.name)
-            element = self.element.value
-
-            def contains(columns: tuple, sel: Sequence[int]) -> list:
-                column = columns[index]
-                return [
-                    i for i in sel if column[i] is not None and element in column[i]
-                ]
-
-            return contains
-        return super().bind_vector(schema)
-
-    def describe(self) -> str:
-        return f"array_contains({self.operand.describe()}, {self.element.describe()})"
-
-
-@dataclass(eq=False)
-class RegexMatch(Expression):
-    """Regular-expression search on a string operand (NULL-safe)."""
-
-    operand: Expression
-    pattern: str
+    def __post_init__(self) -> None:
+        if not isinstance(self.operand, ColumnRef) or not isinstance(
+            self.element, LiteralValue
+        ):
+            raise PlanError(
+                f"no kernel for {self.describe()}: array_contains tests a "
+                "list column for a constant"
+            )
 
     def references(self) -> set[str]:
         return self.operand.references()
 
-    def bind(self, schema: TableSchema) -> BoundExpression:
-        inner = self.operand.bind(schema)
-        compiled = re.compile(self.pattern)
-
-        def evaluate(row: tuple) -> bool:
-            value = inner(row)
-            if not isinstance(value, str):
-                return False
-            return compiled.search(value) is not None
-
-        return evaluate
-
     def bind_vector(self, schema: TableSchema) -> VectorPredicate:
-        if isinstance(self.operand, ColumnRef):
-            index = schema.index_of(self.operand.name)
-            search = re.compile(self.pattern).search
+        index = schema.index_of(self.operand.name)
+        element = self.element.value
 
-            def matches(columns: tuple, sel: Sequence[int]) -> list:
-                column = columns[index]
-                return [
-                    i
-                    for i in sel
-                    if isinstance(column[i], str) and search(column[i]) is not None
-                ]
+        def contains(columns: tuple, sel: Sequence[int]) -> list:
+            column = columns[index]
+            return [i for i in sel if column[i] is not None and element in column[i]]
 
-            return matches
-        return super().bind_vector(schema)
+        return contains
 
     def describe(self) -> str:
-        return f"{self.operand.describe()} RLIKE {self.pattern!r}"
+        return f"array_contains({self.operand.describe()}, {self.element.describe()})"
 
 
 def col(name: str) -> ColumnRef:

@@ -511,11 +511,6 @@ class FaultInjector:
                 return record
         return None
 
-    @property
-    def lost_workers(self) -> frozenset[int]:
-        """Workers lost so far in this query."""
-        return frozenset(self._lost_workers)
-
 
 __all__ = [
     "FaultInjector",

@@ -12,7 +12,7 @@ from functools import cached_property
 
 from ..columnar.schema import ColumnSchema, TableSchema
 from ..errors import PlanError
-from .expressions import ColumnRef, Expression, LiteralValue
+from .expressions import ColumnRef, Expression, LiteralValue, require_predicate
 
 #: Join types supported by the engine.
 JOIN_TYPES = ("inner", "semi", "anti", "left", "cross")
@@ -132,6 +132,7 @@ class Filter(LogicalPlan):
     condition: Expression
 
     def __post_init__(self) -> None:
+        require_predicate(self.condition, "filter condition")
         missing = self.condition.references() - set(self.child.schema.names)
         if missing:
             raise PlanError(f"filter references unknown columns: {sorted(missing)}")
@@ -154,7 +155,8 @@ class Filter(LogicalPlan):
 
 @dataclass(frozen=True)
 class Project(LogicalPlan):
-    """Compute named output columns from expressions over the child."""
+    """Select, rename and reorder child columns; an output may also be a
+    constant (a tag column, a NULL pad, an existence marker)."""
 
     child: LogicalPlan
     outputs: tuple[tuple[str, Expression], ...]
@@ -165,6 +167,11 @@ class Project(LogicalPlan):
             raise PlanError(f"duplicate output columns in project: {names}")
         available = set(self.child.schema.names)
         for name, expression in self.outputs:
+            if not isinstance(expression, (ColumnRef, LiteralValue)):
+                raise PlanError(
+                    f"project output {name!r} must be a column or a constant, "
+                    f"got {expression!r}"
+                )
             missing = expression.references() - available
             if missing:
                 raise PlanError(
@@ -346,65 +353,6 @@ class Distinct(LogicalPlan):
         return "Distinct"
 
 
-@dataclass(frozen=True)
-class Sort(LogicalPlan):
-    """Total order by the given (column, descending) keys."""
-
-    child: LogicalPlan
-    keys: tuple[tuple[str, bool], ...]
-
-    def __post_init__(self) -> None:
-        for name, _ in self.keys:
-            if not self.child.schema.has_column(name):
-                raise PlanError(f"sort key {name!r} is not an output column")
-
-    @cached_property
-    def schema(self) -> TableSchema:
-        return self.child.schema
-
-    @property
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        return None  # gathered to a single driver-side partition
-
-    def _describe_line(self) -> str:
-        rendered = ", ".join(f"{n} {'DESC' if d else 'ASC'}" for n, d in self.keys)
-        return f"Sort({rendered})"
-
-
-@dataclass(frozen=True)
-class Limit(LogicalPlan):
-    """Offset/limit slice of the child's rows."""
-
-    child: LogicalPlan
-    count: int | None = None
-    offset: int = 0
-
-    def __post_init__(self) -> None:
-        if self.count is not None and self.count < 0:
-            raise PlanError("limit must be non-negative")
-        if self.offset < 0:
-            raise PlanError("offset must be non-negative")
-
-    @cached_property
-    def schema(self) -> TableSchema:
-        return self.child.schema
-
-    @property
-    def children(self) -> tuple[LogicalPlan, ...]:
-        return (self.child,)
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        return None  # gathered to a single driver-side partition
-
-    def _describe_line(self) -> str:
-        return f"Limit(count={self.count}, offset={self.offset})"
-
-
 #: Aggregate functions supported by the engine.
 AGGREGATE_OPS = ("count", "count_distinct")
 
@@ -509,13 +457,11 @@ def _infer_type(expression: Expression, schema: TableSchema) -> str:
     """Output type of a projection expression."""
     if isinstance(expression, ColumnRef):
         return schema.column(expression.name).type
-    if isinstance(expression, LiteralValue):
-        value = expression.value
-        if isinstance(value, bool):
-            return "bool"
-        if isinstance(value, int):
-            return "int"
-        if isinstance(value, float):
-            return "double"
-        return "string"
-    return "bool"  # comparisons and predicates
+    value = expression.value  # a LiteralValue (checked in Project)
+    if isinstance(value, bool):
+        return "bool"
+    if isinstance(value, int):
+        return "int"
+    if isinstance(value, float):
+        return "double"
+    return "string"

@@ -24,9 +24,7 @@ from .expressions import (
     ColumnRef,
     Expression,
     LiteralValue,
-    Not,
     NotNull,
-    RegexMatch,
     and_all,
 )
 from .logical import (
@@ -36,10 +34,8 @@ from .logical import (
     Filter,
     InMemoryRelation,
     Join,
-    Limit,
     LogicalPlan,
     Project,
-    Sort,
     TableScan,
     Union,
 )
@@ -96,9 +92,6 @@ def rewrite_columns(expression: Expression, mapping: dict[str, str]) -> Expressi
         if any(op is None for op in operands):
             return None
         return BooleanOp(expression.op, tuple(operands))  # type: ignore[arg-type]
-    if isinstance(expression, Not):
-        inner = rewrite_columns(expression.operand, mapping)
-        return Not(inner) if inner is not None else None
     if isinstance(expression, NotNull):
         inner = rewrite_columns(expression.operand, mapping)
         return NotNull(inner) if inner is not None else None
@@ -108,9 +101,6 @@ def rewrite_columns(expression: Expression, mapping: dict[str, str]) -> Expressi
         if operand is None or element is None:
             return None
         return ArrayContains(operand, element)
-    if isinstance(expression, RegexMatch):
-        inner = rewrite_columns(expression.operand, mapping)
-        return RegexMatch(inner, expression.pattern) if inner is not None else None
     return None
 
 
@@ -206,15 +196,6 @@ def _push(plan: LogicalPlan, pending: list[Expression]) -> LogicalPlan:
         inputs = tuple(_push(child, list(pending)) for child in plan.inputs)
         return Union(inputs)
 
-    if isinstance(plan, Sort):
-        return Sort(_push(plan.child, pending), plan.keys)
-
-    if isinstance(plan, Limit):
-        # Filters must NOT sink below a limit (it would change which rows
-        # survive the slice); apply them here and stop.
-        child = _push(plan.child, [])
-        return _apply_pending(Limit(child, plan.count, plan.offset), pending)
-
     # Leaves: TableScan / InMemoryRelation.
     return _apply_pending(plan, pending)
 
@@ -293,13 +274,6 @@ def prune_columns(plan: LogicalPlan, required: set[str]) -> LogicalPlan:
             plan.child, child_required or {plan.child.schema.names[0]}
         )
         return Aggregate(child, plan.keys, plan.aggregates)
-
-    if isinstance(plan, Sort):
-        child = prune_columns(plan.child, required | {name for name, _ in plan.keys})
-        return Sort(child, plan.keys)
-
-    if isinstance(plan, Limit):
-        return Limit(prune_columns(plan.child, required), plan.count, plan.offset)
 
     if isinstance(plan, Union):
         inputs = tuple(prune_columns(child, set(required)) for child in plan.inputs)

@@ -5,7 +5,7 @@ paper's cluster ran 21 GB executors, and a join whose hash build outgrows
 that ceiling either spills (Spark's ``ShuffledHashJoin`` falling back to
 sort-merge with external sort) or dies with an OOM. Here the executor
 charges every memory-hungry site — hash-join build, explode, distinct,
-sort, aggregate — against a :class:`MemoryBudget`, and a charge that
+aggregate — against a :class:`MemoryBudget`, and a charge that
 exceeds the *effective* budget triggers the degradation ladder instead of
 an error (see :mod:`repro.governor.context`).
 

@@ -12,7 +12,7 @@ The context is the single decision point for the degradation ladder:
    (``governor.degraded_joins``);
 2. a hash-join build over budget runs the grace-hash spill kernel
    (``governor.spills`` / ``spill_bytes`` / ``spill_partitions``);
-3. non-spillable wide sites (explode, distinct, sort, aggregate) record
+3. non-spillable wide sites (explode, distinct, aggregate) record
    the trip (``governor.budget_trips``) and proceed — observability
    without wrong answers.
 
@@ -104,7 +104,7 @@ class GovernorContext:
     # -- memory charging -------------------------------------------------------
 
     def charge_site(self, metrics, nbytes: int) -> None:
-        """Charge a non-spillable wide site (explode/distinct/sort/aggregate).
+        """Charge a non-spillable wide site (explode/distinct/aggregate).
 
         A trip is recorded in ``governor.budget_trips`` and execution
         proceeds: these operators have no cheaper shape to degrade to, so

@@ -57,10 +57,6 @@ class SortedRun:
             yield key, self._values[index]
             index += 1
 
-    def seek_position(self, start: str | None) -> int:
-        """Binary-search position for a scan start (exposed for cost metrics)."""
-        return 0 if start is None else bisect_left(self._keys, start)
-
 
 def merge_runs(runs: list[SortedRun]) -> SortedRun:
     """Merge runs into one; later runs win on duplicate keys (compaction)."""

@@ -228,15 +228,6 @@ class SortedKeyValueStore:
             start = stop
         return tablets
 
-    def tablet_for_key(self, table: str, key: str) -> Tablet:
-        """The tablet owning ``key`` under the current split."""
-        for tablet in self.tablets(table):
-            if (tablet.start is None or key >= tablet.start) and (
-                tablet.stop is None or key < tablet.stop
-            ):
-                return tablet
-        raise AssertionError("tablets must cover the whole keyspace")
-
     def server_for_key(self, table: str, key: str) -> int:
         """Which tablet server owns ``key`` under the current split."""
         for tablet in self.tablets(table):

@@ -38,7 +38,7 @@ ESTIMATED_CELL_BYTES = 24
 
 #: Span ``op`` values that wrap exactly one operator child and may sit
 #: between two joins of the fold (pushed filters, pruning projections, ...).
-_UNARY_OPS = ("filter", "project", "explode", "distinct", "sort", "limit", "aggregate")
+_UNARY_OPS = ("filter", "project", "explode", "distinct", "aggregate")
 
 
 # -- estimation ---------------------------------------------------------------

@@ -138,7 +138,7 @@ def _build_default_registry() -> MetricsRegistry:
     engine = [
         ("bytes_scanned", "bytes", "Columnar bytes read from storage by table scans."),
         ("rows_scanned", "rows", "Rows produced by table scans before any filtering."),
-        ("rows_processed", "rows", "Rows consumed by wide operators (joins, distinct, sort, aggregate)."),
+        ("rows_processed", "rows", "Rows consumed by wide operators (joins, distinct, aggregate)."),
         ("narrow_rows_processed", "rows", "Rows consumed by narrow operators (filter/project/explode); charged at the whole-stage-codegen fused rate."),
         ("shuffle_bytes", "bytes", "Bytes hash-repartitioned across the network (each byte crosses twice)."),
         ("shuffle_rows", "rows", "Rows moved by shuffles."),

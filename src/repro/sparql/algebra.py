@@ -237,8 +237,3 @@ class SelectQuery:
                 if isinstance(slot, Variable) and slot not in seen:
                     seen.append(slot)
         return tuple(seen)
-
-
-def join_variables(left: set[Variable], right: set[Variable]) -> set[Variable]:
-    """Variables shared between two pattern groups (the join keys)."""
-    return left & right

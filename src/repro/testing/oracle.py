@@ -76,10 +76,6 @@ class BruteForceOracle:
             rows = rows[: query.limit]
         return rows
 
-    def solution_count(self, query: SelectQuery) -> int:
-        """Number of solutions (after DISTINCT and slicing)."""
-        return len(self.evaluate(query))
-
     # -- matching -------------------------------------------------------------
 
     def _match(self, patterns: list[TriplePattern]) -> list[Binding]:

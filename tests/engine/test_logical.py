@@ -10,9 +10,7 @@ from repro.engine.logical import (
     Filter,
     InMemoryRelation,
     Join,
-    Limit,
     Project,
-    Sort,
     TableScan,
     Union,
 )
@@ -121,20 +119,8 @@ class TestOtherOperators:
         with pytest.raises(PlanError):
             Explode(scan(), "s")
 
-    def test_distinct_and_limit_keep_schema(self):
+    def test_distinct_keeps_schema(self):
         assert Distinct(scan()).schema == SCHEMA
-        assert Limit(scan(), 5).schema == SCHEMA
-
-    def test_limit_validation(self):
-        with pytest.raises(PlanError):
-            Limit(scan(), -1)
-        with pytest.raises(PlanError):
-            Limit(scan(), 1, offset=-2)
-
-    def test_sort_key_validation(self):
-        Sort(scan(), (("s", False),))
-        with pytest.raises(PlanError):
-            Sort(scan(), (("zzz", False),))
 
     def test_union_schema_checks(self):
         with pytest.raises(PlanError):

@@ -100,3 +100,42 @@ class TestExplainAnalyze:
         tree = rendered.split("== Engine Plan ==")[0]
         assert "PT[" not in tree
         assert "VP" in tree
+
+    def test_analyze_under_faults_annotates_recovery(self, prost_watdiv, monkeypatch):
+        """A seeded fault plan shows up where it struck — tree node, join
+        edge, engine-plan spans — with the injected counts, rows unchanged."""
+        from repro.engine import FaultPlan, TaskFault, WorkerLoss
+
+        query, _ = QUERIES["mixed"]
+        clean_rows = prost_watdiv.sparql(query).rows
+        # Stages: 0 scan(vp_reviewer), 1 project, 2 scan(property_table),
+        # 3 filter, 4 project, 5 explode, 6 project, 7 the join.
+        plan = FaultPlan(
+            task_faults=(
+                TaskFault(stage=0, task=0, failures=2),
+                TaskFault(stage=2, task=1, failures=1, kind="fetch"),
+                TaskFault(stage=7, task=0, failures=1),
+            ),
+            worker_losses=(WorkerLoss(stage=1, worker=2),),
+        )
+        monkeypatch.setattr(prost_watdiv.session.cluster, "fault_plan", plan)
+        rendered = prost_watdiv.explain(query, analyze=True)
+        tree, engine_plan = rendered.split("== Engine Plan ==")
+
+        pt_node = next(line for line in tree.splitlines() if "PT[2 patterns]" in line)
+        assert "[recovery: fetch_retries=1 retry_waves=1" in pt_node
+        join_edge = next(line for line in tree.splitlines() if "join on ['r']" in line)
+        assert "[recovery: task_retries=1 retry_waves=1" in join_edge
+        vp_scan = next(
+            line for line in engine_plan.splitlines() if "TableScan(vp_reviewer" in line
+        )
+        assert "recovery: task_retries=2 retry_waves=2 retry_backoff_sec=" in vp_scan
+        assert "(recovery: worker_losses=1)" in engine_plan
+
+        # Recovery changes a query's cost, never its rows.
+        faulted = prost_watdiv.sparql(query)
+        assert faulted.rows == clean_rows
+        metrics = faulted.report.engine_report.metrics
+        assert (metrics.task_retries, metrics.fetch_retries, metrics.worker_losses) == (
+            3, 1, 1
+        )

@@ -344,6 +344,65 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
 
+class TestCheck:
+    """`prost-repro check`: the static plan verifier at the CLI surface."""
+
+    STAR = "SELECT ?s WHERE { ?s wsdbm:likes ?o . ?s wsdbm:follows ?f }"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--strategy", "vp"], ["--system", "s2rdf"]],
+        ids=["prost-mixed", "prost-vp", "s2rdf"],
+    )
+    def test_watdiv_sweep_verifies_clean(self, flags, capsys):
+        assert main(["check", "--watdiv-sweep", "--scale", "40", *flags]) == 0
+        captured = capsys.readouterr()
+        assert "# 20 queries verified clean" in captured.err
+        assert captured.out.count(": ok ==") == 20
+        assert "REJECTED" not in captured.out
+
+    def test_single_query_on_a_data_file(self, watdiv_file, capsys):
+        code = main(
+            ["check", "--data", str(watdiv_file), "--query", self.STAR, "--verbose"]
+        )
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "== query: ok ==" in captured.out
+        assert "# 1 query verified clean" in captured.err
+
+    def test_usage_errors(self, watdiv_file, capsys):
+        assert main(["check", "--data", str(watdiv_file)]) == 2
+        assert "--query" in capsys.readouterr().err
+        assert main(["check", "--query", self.STAR]) == 2
+        assert "--data" in capsys.readouterr().err
+
+    def test_rejected_plan_exits_one_with_diagnostics(
+        self, watdiv_file, capsys, monkeypatch
+    ):
+        from repro.core.translator import JoinTreeTranslator
+
+        translate = JoinTreeTranslator.translate_bgp
+
+        def tampered(self, patterns):
+            tree = translate(self, patterns)
+            tree.nodes[-1].priority += 12345.0  # stale/tampered priority
+            return tree
+
+        monkeypatch.setattr(JoinTreeTranslator, "translate_bgp", tampered)
+        code = main(
+            [
+                "check", "--data", str(watdiv_file), "--strategy", "vp",
+                "--query", self.STAR,
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "== query: REJECTED ==" in captured.out
+        assert "PV105" in captured.out
+        assert "!!" in captured.out  # the offending node is marked in the tree
+        assert "# 1/1 query rejected" in captured.err
+
+
 class TestLint:
     def test_shipped_tree_is_clean_text(self, capsys):
         assert main(["lint"]) == 0
