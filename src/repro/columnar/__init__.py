@@ -12,7 +12,7 @@ from .encoding import (
     encode_plain,
     encode_rle,
 )
-from .schema import ColumnSchema, TableSchema, validate_value
+from .schema import ColumnSchema, TableSchema, validate_column, validate_value
 from .table_file import (
     DEFAULT_ROW_GROUP_SIZE,
     ChunkInfo,
@@ -43,6 +43,7 @@ __all__ = [
     "file_statistics",
     "read_schema",
     "read_table",
+    "validate_column",
     "validate_value",
     "write_table",
 ]

@@ -12,6 +12,34 @@ import struct
 from ..errors import EncodingError
 
 
+#: The one-byte varints, which is nearly all of them: run lengths,
+#: dictionary codes and string lengths are mostly below 128.
+SMALL_UVARINTS = tuple(bytes([value]) for value in range(0x80))
+
+
+def uvarint_bytes(value: int) -> bytes:
+    """An unsigned LEB128 varint.
+
+    Raises:
+        EncodingError: for a negative value.
+    """
+    if 0 <= value < 0x80:
+        return SMALL_UVARINTS[value]
+    if value < 0:
+        raise EncodingError(f"uvarint cannot encode negative value {value}")
+    out = bytearray()
+    while value >= 0x80:
+        out.append(value & 0x7F | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def varint_bytes(value: int) -> bytes:
+    """A signed varint (zigzag coding)."""
+    return uvarint_bytes((value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
+
+
 class ByteWriter:
     """Append-only binary buffer."""
 
@@ -31,22 +59,11 @@ class ByteWriter:
 
     def write_uvarint(self, value: int) -> None:
         """Write an unsigned LEB128 varint."""
-        if value < 0:
-            raise EncodingError(f"uvarint cannot encode negative value {value}")
-        out = bytearray()
-        while True:
-            byte = value & 0x7F
-            value >>= 7
-            if value:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-        self.write_bytes(bytes(out))
+        self.write_bytes(uvarint_bytes(value))
 
     def write_varint(self, value: int) -> None:
         """Write a signed varint using zigzag coding."""
-        self.write_uvarint((value << 1) ^ (value >> 63) if value >= 0 else ((-value) << 1) - 1)
+        self.write_bytes(varint_bytes(value))
 
     def write_string(self, text: str) -> None:
         """Write a length-prefixed UTF-8 string."""

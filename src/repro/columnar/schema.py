@@ -10,7 +10,9 @@ Supported column types:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from ..errors import SchemaError
 
@@ -119,6 +121,43 @@ def validate_value(column: ColumnSchema, value) -> None:
             _validate_scalar(column.element_type, element, column.name)
         return
     _validate_scalar(column.type, value, column.name)
+
+
+#: Per scalar type, the exact Python types :func:`_validate_scalar` accepts
+#: (it also accepts their subclasses, bar ``bool`` for ``int``).
+_EXACT_TYPES = {
+    "string": {str},
+    "int": {int},
+    "double": {int, float, bool},
+    "bool": {bool},
+}
+
+
+def validate_column(column: ColumnSchema, values: Sequence) -> None:
+    """:func:`validate_value` for every cell of one column chunk.
+
+    The chunk passes at once when the exact types of its cells (for a list
+    column: of its list cells' elements) are all ones the column takes;
+    only a chunk holding anything else is walked cell by cell, which raises
+    for the first bad cell in row order.
+
+    Raises:
+        SchemaError: when a cell does not fit the column type.
+    """
+    if not _exactly_typed(column, values):
+        for value in values:
+            validate_value(column, value)
+
+
+def _exactly_typed(column: ColumnSchema, values: Sequence) -> bool:
+    expected = _EXACT_TYPES[column.element_type]
+    kinds = set(map(type, values)) - {type(None)}
+    if not column.is_list:
+        return kinds <= expected
+    if not kinds <= {list, tuple}:
+        return False
+    # filter(None, ...) also drops the empty lists, which hold nothing.
+    return set(map(type, chain.from_iterable(filter(None, values)))) <= expected
 
 
 def _validate_scalar(type_name: str, value, column_name: str) -> None:

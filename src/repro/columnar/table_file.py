@@ -21,14 +21,14 @@ page-level Snappy/GZIP compression.
 from __future__ import annotations
 
 import zlib
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from ..errors import EncodingError, SchemaError, ValidationError
 from ..hdfs.filesystem import SimulatedHdfs
 from .binio import ByteReader, ByteWriter
 from .encoding import ENCODINGS, decode, encode_best
-from .schema import ColumnSchema, TableSchema, validate_value
+from .schema import ColumnSchema, TableSchema, validate_column
 
 _MAGIC = b"RCF1"
 _ENCODING_IDS = {name: i for i, name in enumerate(ENCODINGS)}
@@ -75,8 +75,12 @@ def write_table(
     compress_pages: bool = True,
     preferred_node: int | None = None,
     overwrite: bool = False,
+    stored_cells: Callable[[Sequence], Sequence] | None = None,
 ) -> FileStatistics:
     """Write rows (tuples matching the schema order) as a columnar file.
+
+    A row group is transposed once; from there on the work is per column
+    chunk: conversion, validation and encoding each see the whole chunk.
 
     Args:
         allowed_encodings: restrict the encoder (the encoding ablation uses
@@ -84,6 +88,9 @@ def write_table(
         compress_pages: zlib-deflate chunk payloads (Parquet's page
             compression); disable to measure raw encoding sizes.
         preferred_node: pin block placement, as a node-local writer would.
+        stored_cells: maps one chunk's cells, as the caller holds them, to
+            the cells to persist (the engine turns dictionary term IDs back
+            into text here); validation sees its result.
 
     Raises:
         SchemaError: when a row has the wrong arity or a bad cell value.
@@ -100,12 +107,19 @@ def write_table(
         groups = [[]]
     writer.write_uvarint(len(groups))
     chunk_infos: list[ChunkInfo] = []
+    width = len(schema)
     for group in groups:
         writer.write_uvarint(len(group))
-        for index, column in enumerate(schema.columns):
-            values = [_cell(row, index, schema) for row in group]
-            for value in values:
-                validate_value(column, value)
+        for row in group:
+            if len(row) != width:
+                raise SchemaError(
+                    f"row has {len(row)} cells but the schema has {width} columns"
+                )
+        chunks = zip(*group) if group else [()] * width
+        for column, values in zip(schema.columns, chunks):
+            if stored_cells is not None:
+                values = stored_cells(values)
+            validate_column(column, values)
             encoding, data = encode_best(column, values, allowed_encodings)
             writer.write_uvarint(_ENCODING_IDS[encoding])
             compressed = zlib.compress(data, level=6) if compress_pages else data
@@ -122,7 +136,7 @@ def write_table(
                     encoding=encoding,
                     encoded_bytes=len(payload),
                     num_values=len(values),
-                    null_count=sum(1 for v in values if v is None),
+                    null_count=values.count(None),
                 )
             )
     payload = writer.getvalue()
@@ -133,14 +147,6 @@ def write_table(
         total_bytes=len(payload),
         chunks=tuple(chunk_infos),
     )
-
-
-def _cell(row: tuple, index: int, schema: TableSchema):
-    if len(row) != len(schema):
-        raise SchemaError(
-            f"row has {len(row)} cells but the schema has {len(schema)} columns"
-        )
-    return row[index]
 
 
 def _write_schema(writer: ByteWriter, schema: TableSchema) -> None:

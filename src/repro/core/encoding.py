@@ -9,7 +9,7 @@ dictionary lookup.
 
 Persisted artifacts store the lexical N-Triples serialization (``<iri>``,
 ``"literal"^^<dt>``, ``_:b0``) instead; see
-:func:`repro.rdf.dictionary.storage_row`. Cells carrying that text (Rya's
+:func:`repro.rdf.dictionary.storage_cells`. Cells carrying that text (Rya's
 index keys, generic engine tables) still decode, through the dictionary's
 memoized text → term cache.
 """

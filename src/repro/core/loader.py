@@ -22,7 +22,8 @@ from ..errors import LoaderError
 from ..rdf.graph import Graph
 from ..rdf.stats import GraphStatistics, collect_statistics
 from ..rdf.stats_io import save_statistics
-from .encoding import encode_term
+from ..rdf.terms import Literal, Term
+from .encoding import TermId, cell_for_text
 from .naming import assign_names
 
 #: Reserved column name for the subject in both layouts.
@@ -102,6 +103,27 @@ class ProstStore:
         return info.table_name if info else None
 
 
+class TermCells(dict):
+    """``Term`` → runtime cell for one load of one graph, filled on first use.
+
+    The loaders meet every term once per table it appears in; its
+    serialization is built and interned on the first meeting only. IDs are
+    handed out by the dictionary in first-interned order, so sharing one
+    instance between the loaders changes no ID.
+    """
+
+    def __init__(self, graph: Graph):
+        super().__init__()
+        self._sort_key = graph.sort_key
+
+    def __missing__(self, term: Term) -> TermId:
+        # A literal's sort key carries its n3() text (see term_sort_key), and
+        # the graph built it to order the triples being loaded.
+        text = self._sort_key(term)[1] if isinstance(term, Literal) else term.n3()
+        cell = self[term] = cell_for_text(text)
+        return cell
+
+
 def load_vertical_partitioning(
     session: EngineSession,
     graph: Graph,
@@ -109,8 +131,13 @@ def load_vertical_partitioning(
     table_prefix: str = "vp_",
     allowed_encodings: tuple[str, ...] | None = None,
     compress_pages: bool = True,
+    cells: TermCells | None = None,
 ) -> dict[str, VpTableInfo]:
-    """Create one subject/object table per predicate; returns per-table info."""
+    """Create one subject/object table per predicate; returns per-table info.
+
+    ``cells`` shares term interning with the other loaders of the same load.
+    """
+    cells = TermCells(graph) if cells is None else cells
     vp_schema = TableSchema(
         [ColumnSchema(SUBJECT_COLUMN, "string"), ColumnSchema(OBJECT_COLUMN, "string")]
     )
@@ -119,7 +146,7 @@ def load_vertical_partitioning(
     tables: dict[str, VpTableInfo] = {}
     for predicate in graph.predicates:
         rows = [
-            (encode_term(triple.subject), encode_term(triple.object))
+            (cells[triple.subject], cells[triple.object])
             for triple in graph.triples_with_predicate(predicate)
         ]
         table_name = table_prefix + names[predicate.value]
@@ -146,13 +173,16 @@ def load_property_table(
     table_name: str = "property_table",
     allowed_encodings: tuple[str, ...] | None = None,
     compress_pages: bool = True,
+    cells: TermCells | None = None,
 ) -> PropertyTableInfo:
     """Create the single wide table with one row per distinct subject.
 
     Single-valued predicates become nullable string columns; predicates that
     are multi-valued for *any* subject become ``list<string>`` columns
     (paper §3.1: values "stored using lists that need to be flattened").
+    ``cells`` shares term interning with the other loaders of the same load.
     """
+    cells = TermCells(graph) if cells is None else cells
     predicate_iris = sorted(statistics.predicates)
     if not predicate_iris:
         raise LoaderError("cannot build a property table for an empty graph")
@@ -168,22 +198,22 @@ def load_property_table(
 
     rows: list[tuple] = []
     for subject in graph.subjects:
-        cells: list = [encode_term(subject)]
+        row: list = [cells[subject]]
         triples = graph.triples_with_subject(subject)
-        by_predicate: dict[str, list[str]] = {}
+        by_predicate: dict[str, list[TermId]] = {}
         for triple in triples:
             by_predicate.setdefault(triple.predicate.value, []).append(
-                encode_term(triple.object)
+                cells[triple.object]
             )
         for iri in predicate_iris:
             values = by_predicate.get(iri)
             if values is None:
-                cells.append(None)
+                row.append(None)
             elif iri in multivalued:
-                cells.append(values)
+                row.append(values)
             else:
-                cells.append(values[0])
-        rows.append(tuple(cells))
+                row.append(values[0])
+        rows.append(tuple(row))
 
     session.register_rows(
         table_name,
@@ -209,10 +239,13 @@ def load_object_property_table(
     path: str = "/prost/object_property_table",
     table_name: str = "object_property_table",
     allowed_encodings: tuple[str, ...] | None = None,
+    cells: TermCells | None = None,
 ) -> PropertyTableInfo:
     """Future-work variant (paper §5): rows keyed by *object*, one column per
     predicate holding the subjects. Every column is list-typed because many
-    subjects can share an object."""
+    subjects can share an object. ``cells`` shares term interning with the
+    other loaders of the same load."""
+    cells = TermCells(graph) if cells is None else cells
     predicate_iris = sorted(statistics.predicates)
     if not predicate_iris:
         raise LoaderError("cannot build an object property table for an empty graph")
@@ -221,20 +254,20 @@ def load_object_property_table(
     columns.extend(ColumnSchema(names[iri], "list<string>") for iri in predicate_iris)
     schema = TableSchema(columns)
 
-    by_object: dict[str, dict[str, list[str]]] = {}
+    by_object: dict[TermId, dict[str, list[TermId]]] = {}
     for triple in graph:
-        cell = encode_term(triple.object)
+        cell = cells[triple.object]
         by_object.setdefault(cell, {}).setdefault(triple.predicate.value, []).append(
-            encode_term(triple.subject)
+            cells[triple.subject]
         )
     rows = []
     for object_cell in sorted(by_object):
         groups = by_object[object_cell]
-        cells: list = [object_cell]
+        row: list = [object_cell]
         for iri in predicate_iris:
             values = groups.get(iri)
-            cells.append(sorted(values) if values else None)
-        rows.append(tuple(cells))
+            row.append(sorted(values) if values else None)
+        rows.append(tuple(row))
 
     session.register_rows(
         table_name,
@@ -337,10 +370,11 @@ def load_prost_store(
             # the graph.
             save_statistics(session.hdfs, "/prost/statistics.json", statistics)
         store = ProstStore(session=session, statistics=statistics)
+        cells = TermCells(graph)  # one interning memo for every table of this load
         with _maybe_span(tracer, "load_vertical_partitioning") as vp_span:
             store.vp_tables = load_vertical_partitioning(
                 session, graph, allowed_encodings=allowed_encodings,
-                compress_pages=compress_pages,
+                compress_pages=compress_pages, cells=cells,
             )
             if vp_span is not None:
                 vp_span.set("tables", len(store.vp_tables))
@@ -350,7 +384,7 @@ def load_prost_store(
             with _maybe_span(tracer, "load_property_table") as pt_span:
                 store.property_table = load_property_table(
                     session, graph, statistics, allowed_encodings=allowed_encodings,
-                    compress_pages=compress_pages,
+                    compress_pages=compress_pages, cells=cells,
                 )
                 if pt_span is not None:
                     pt_span.set("rows", store.property_table.row_count)
@@ -360,7 +394,8 @@ def load_prost_store(
         if include_object_property_table:
             with _maybe_span(tracer, "load_object_property_table"):
                 object_pt = load_object_property_table(
-                    session, graph, statistics, allowed_encodings=allowed_encodings
+                    session, graph, statistics, allowed_encodings=allowed_encodings,
+                    cells=cells,
                 )
             tables_written += 1
             shuffles += 1  # group by object

@@ -31,7 +31,7 @@ after ``spark.task.maxFailures``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import FaultToleranceExhaustedError, TaskFailedError, ValidationError

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..columnar.schema import TableSchema
 from ..columnar.table_file import FileStatistics, write_table
 from ..hdfs.filesystem import SimulatedHdfs
-from ..rdf.dictionary import storage_row
+from ..rdf.dictionary import storage_cells
 from .catalog import Catalog, StoredTable
 from .cluster import ClusterConfig, CostBreakdown, ExecutionMetrics, SimulatedCluster
 from .data import ColumnarData
@@ -137,8 +137,9 @@ class EngineSession:
                 self.hdfs,
                 persist_path,
                 schema,
-                [storage_row(row) for row in rows],
+                rows,
                 overwrite=replace,
+                stored_cells=storage_cells,
                 **kwargs,
             )
         table = StoredTable(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.join_tree import JoinTree, JoinTreeNode, PtNode, VpNode
+from ..core.join_tree import JoinTree, JoinTreeNode, VpNode
 from ..sparql.algebra import Variable
 from .metrics import (
     ENGINE_BROADCAST_BYTES,

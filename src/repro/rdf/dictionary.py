@@ -24,14 +24,16 @@ Design points:
   lookup, not an N-Triples reparse.
 - **Storage stays lexical.** Simulated on-disk artifacts (columnar files,
   SPARQLGX text files, Rya index keys) keep the N-Triples strings —
-  :func:`storage_row` converts an ID row back at the persistence boundary —
-  so storage footprints (Table 1) and scan-cost accounting are those of
+  :func:`storage_cells` converts a column of IDs back at the persistence
+  boundary — so storage footprints (Table 1) and scan-cost accounting are those of
   the lexical form.
 """
 
 from __future__ import annotations
 
 import threading
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from .ntriples import parse_term
 from .terms import Term, term_sort_key
@@ -43,7 +45,7 @@ __all__ = [
     "default_dictionary",
     "is_term_id",
     "storage_cell",
-    "storage_row",
+    "storage_cells",
 ]
 
 #: Dense term IDs start here. Any integer cell at or above the base is a
@@ -190,6 +192,34 @@ def storage_cell(cell):
     return cell
 
 
-def storage_row(row: tuple) -> tuple:
-    """A row converted for persistence (see :func:`storage_cell`)."""
-    return tuple(storage_cell(cell) for cell in row)
+def _id_texts(cells: Iterable) -> dict[int, str]:
+    text_of = _DEFAULT.text_of
+    return {
+        cell: text_of(cell)
+        for cell in dict.fromkeys(cells)
+        if type(cell) is int and cell >= TERM_ID_BASE
+    }
+
+
+def storage_cells(cells: Sequence) -> Sequence:
+    """A column of cells converted for persistence: :func:`storage_cell` of
+    each, with every distinct ID looked up once.
+
+    The shortcut is taken only for a column that holds nothing but what
+    tables of terms hold — plain ints, strings and NULLs, or lists of the
+    first two — since it finds a cell's text by equality, and ``1.0`` or
+    ``True`` equal an int without being one. Any other column is converted
+    cell by cell.
+    """
+    kinds = set(map(type, cells)) - {type(None)}
+    if kinds <= {int, str}:
+        texts = _id_texts(cells)
+        return list(map(texts.get, cells, cells)) if texts else cells
+    if kinds == {list}:
+        elements = list(chain.from_iterable(filter(None, cells)))
+        if set(map(type, elements)) <= {int, str}:
+            texts = _id_texts(elements)
+            if not texts:
+                return cells
+            return [cell and list(map(texts.get, cell, cell)) for cell in cells]
+    return [storage_cell(cell) for cell in cells]

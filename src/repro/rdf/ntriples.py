@@ -22,6 +22,24 @@ _LITERAL_RE = re.compile(
     r"(?:\^\^<([^<>\s]*)>|@([A-Za-z]+(?:-[A-Za-z0-9]+)*))?"  # datatype or lang
 )
 
+# One whole statement, the three term tokens captured as written. It accepts a
+# subset of what the cursor parser accepts and splits it the same way: the
+# blank-node label is max-munch (the lookahead stops backtracking from handing
+# a trailing '.' back as the statement's dot, so ``_:a <p> _:b.`` stays an
+# error), and a literal subject or non-IRI predicate simply does not match.
+# Any line this does not fully match goes to the cursor parser, which owns
+# every error message.
+_IRI_TOKEN = r"<[^<>\"{}|^`\\\x00-\x20]*>"
+_BNODE_TOKEN = r"_:[A-Za-z0-9][A-Za-z0-9_.-]*(?![A-Za-z0-9_.-])"
+_LITERAL_TOKEN = (
+    r'"[^"\\]*(?:\\.[^"\\]*)*"'
+    r"(?:\^\^<[^<>\s]*>|@[A-Za-z]+(?:-[A-Za-z0-9]+)*)?"
+)
+_STATEMENT_RE = re.compile(
+    rf"({_IRI_TOKEN}|{_BNODE_TOKEN})[ \t]*({_IRI_TOKEN})[ \t]*"
+    rf"({_IRI_TOKEN}|{_BNODE_TOKEN}|{_LITERAL_TOKEN})[ \t]*\.[ \t]*(?s:#.*)?"
+)
+
 
 class _LineParser:
     """Cursor-based parser for one N-Triples line."""
@@ -115,11 +133,37 @@ def parse_line(line: str, line_number: int | None = None) -> Triple | None:
 
 
 def parse_ntriples(lines: Iterable[str]) -> Iterator[Triple]:
-    """Parse an iterable of N-Triples lines, yielding :class:`Triple` objects."""
+    """Parse an iterable of N-Triples lines, yielding :class:`Triple` objects.
+
+    Each distinct term token is turned into a :class:`Term` once per call:
+    equal tokens share one object for the length of the parse.
+
+    Raises:
+        RdfSyntaxError: exactly as :func:`parse_line` would for that line.
+    """
+    terms: dict[str, Term] = {}
+
+    def new_term(token: str) -> Term:
+        term = terms[token] = _LineParser(token, None).parse_term()
+        return term
+
+    statement = _STATEMENT_RE.fullmatch
     for number, line in enumerate(lines, start=1):
-        triple = parse_line(line, line_number=number)
-        if triple is not None:
-            yield triple
+        stripped = line.strip()
+        if not stripped or stripped[0] == "#":
+            continue
+        match = statement(stripped)
+        triple = None
+        if match is not None:
+            try:
+                triple = Triple(
+                    *[terms.get(token) or new_term(token) for token in match.groups()]
+                )
+            except RdfSyntaxError:
+                pass  # a bad escape in a literal: the cursor parser reports its column
+        if triple is None:
+            triple = parse_line(line, line_number=number)
+        yield triple
 
 
 def parse_ntriples_string(text: str) -> list[Triple]:

@@ -2,7 +2,8 @@
 
 The paper (§3.3) relies on two statistics collected during loading, "simple
 but effective in practice": the total number of triples per predicate and the
-number of distinct subjects per predicate. Both are computed here in one pass.
+number of distinct subjects per predicate. Both are read off the graph's
+predicate index.
 
 As the extended statistics from the paper's future-work section (§5), this
 module also implements *characteristic sets* (Neumann & Moerkotte): the count
@@ -12,7 +13,7 @@ estimates for star-shaped sub-queries.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .graph import Graph
@@ -95,7 +96,7 @@ _EMPTY_PREDICATE_STATS = PredicateStatistics(
 
 
 def collect_statistics(graph: Graph, level: str = "simple") -> GraphStatistics:
-    """Collect graph statistics in a single pass over the graph.
+    """Collect graph statistics from the graph's predicate and subject indexes.
 
     Args:
         graph: the input RDF graph.
@@ -103,51 +104,37 @@ def collect_statistics(graph: Graph, level: str = "simple") -> GraphStatistics:
             additionally collect characteristic sets (paper §5 future work).
 
     Raises:
-        ValueError: for an unknown ``level``.
+        ValidationError: for an unknown ``level``.
     """
     if level not in ("simple", "extended"):
         raise ValidationError(f"unknown statistics level: {level!r}")
 
-    subjects_by_predicate: dict[str, set] = defaultdict(set)
-    objects_by_predicate: dict[str, set] = defaultdict(set)
-    pair_counts: Counter[tuple] = Counter()
-    predicates_by_subject: dict = defaultdict(set)
-
-    total = 0
-    for triple in graph:
-        total += 1
-        key = triple.predicate.value
-        subjects_by_predicate[key].add(triple.subject)
-        objects_by_predicate[key].add(triple.object)
-        pair_counts[(triple.subject, key)] += 1
-        if level == "extended":
-            predicates_by_subject[triple.subject].add(key)
-
-    multivalued = {
-        predicate
-        for (subject, predicate), count in pair_counts.items()
-        if count > 1
-    }
-
+    # The graph's indexes already group the (distinct) triples, so every
+    # number here is a length: nothing is sorted and no pair is counted.
     per_predicate: dict[str, PredicateStatistics] = {}
-    for predicate, subjects in subjects_by_predicate.items():
-        per_predicate[predicate] = PredicateStatistics(
-            triple_count=len(graph.triples_with_predicate(IRI(predicate))),
-            distinct_subjects=len(subjects),
-            distinct_objects=len(objects_by_predicate[predicate]),
-            is_multivalued=predicate in multivalued,
+    for predicate, triples in graph.by_predicate.items():
+        distinct_subjects = len({triple.subject for triple in triples})
+        per_predicate[predicate.value] = PredicateStatistics(
+            triple_count=len(triples),
+            distinct_subjects=distinct_subjects,
+            distinct_objects=len({triple.object for triple in triples}),
+            # Two distinct triples sharing subject and predicate differ in
+            # their object: some subject carries more than one value.
+            is_multivalued=len(triples) > distinct_subjects,
         )
 
     characteristic_sets = None
     if level == "extended":
-        characteristic_sets = Counter(
-            frozenset(preds) for preds in predicates_by_subject.values()
+        characteristic_sets = dict(
+            Counter(
+                frozenset(triple.predicate.value for triple in triples)
+                for triples in graph.by_subject.values()
+            )
         )
-        characteristic_sets = dict(characteristic_sets)
 
     return GraphStatistics(
-        total_triples=total,
-        total_subjects=len(graph.subjects),
+        total_triples=len(graph),
+        total_subjects=len(graph.by_subject),
         predicates=per_predicate,
         characteristic_sets=characteristic_sets,
     )

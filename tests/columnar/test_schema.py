@@ -1,8 +1,11 @@
 """Schema model tests: typing, lookup, selection, cell validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.columnar import ColumnSchema, TableSchema, validate_value
+from repro.columnar import ColumnSchema, TableSchema, validate_column, validate_value
+from repro.columnar.schema import ALL_TYPES
 from repro.errors import SchemaError
 
 
@@ -83,3 +86,52 @@ class TestValidateValue:
     def test_list_requires_sequence(self):
         with pytest.raises(SchemaError):
             validate_value(ColumnSchema("c", "list<string>"), "abc")
+
+
+class _Text(str):
+    """A ``str`` subclass: valid wherever a string is, whatever its type says."""
+
+
+_any_scalar = st.sampled_from(
+    [None, "a", "", _Text("sub"), 0, 1, -7, True, False, 0.0, -0.0, 1.5, float("nan"), b"x"]
+)
+_any_cell = _any_scalar | st.lists(_any_scalar, max_size=3) | st.lists(
+    _any_scalar, max_size=3
+).map(tuple)
+
+
+def _first_error(column, values):
+    try:
+        for value in values:
+            validate_value(column, value)
+    except SchemaError as error:
+        return str(error)
+    return None
+
+
+class TestValidateColumn:
+    @pytest.mark.parametrize("type_name", ALL_TYPES)
+    @settings(max_examples=150, deadline=None)
+    @given(values=st.lists(_any_cell, max_size=8))
+    def test_agrees_with_validate_value_cell_by_cell(self, type_name, values):
+        """The bulk type check may only skip the walk, never change its
+        verdict: same first error in row order, or none."""
+        column = ColumnSchema("c", type_name)
+        expected = _first_error(column, values)
+        try:
+            validate_column(column, tuple(values))
+        except SchemaError as error:
+            assert str(error) == expected
+        else:
+            assert expected is None
+
+    def test_bool_hiding_behind_an_equal_int(self):
+        with pytest.raises(SchemaError, match="expects int, got bool"):
+            validate_column(ColumnSchema("c", "int"), [1, 1, True, 1])
+
+    def test_null_inside_a_list_is_rejected(self):
+        with pytest.raises(SchemaError, match="expects string, got NoneType"):
+            validate_column(ColumnSchema("c", "list<string>"), [["a"], None, ["b", None]])
+
+    def test_string_subclass_passes_the_slow_way(self):
+        validate_column(ColumnSchema("c", "string"), ["a", _Text("b"), None])

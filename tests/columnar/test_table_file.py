@@ -103,6 +103,43 @@ class TestValidation:
         with pytest.raises(SchemaError):
             write_table(fs, "/t", SCHEMA, [("a", "not-an-int", None)])
 
+    def test_every_row_has_its_arity_checked(self):
+        rows = [*ROWS, ("short", 1), *ROWS]
+        with pytest.raises(SchemaError, match="row has 2 cells but the schema has 3"):
+            write_table(make_fs(), "/t", SCHEMA, rows)
+        with pytest.raises(SchemaError, match="row has 4 cells"):
+            write_table(make_fs(), "/t", SCHEMA, [*ROWS, ("long", 1, None, None)])
+
+    def test_arity_comes_before_cell_types_and_columns_in_order(self):
+        bad_everywhere = [(1, "x", "y"), ("a", 1)]
+        with pytest.raises(SchemaError, match="row has 2 cells"):
+            write_table(make_fs(), "/t", SCHEMA, bad_everywhere)
+        with pytest.raises(SchemaError, match="column 's' expects string, got int"):
+            write_table(make_fs(), "/t", SCHEMA, [("a", "x", None), (1, "x", "y")])
+        with pytest.raises(SchemaError, match="column 'n' expects int, got str"):
+            write_table(make_fs(), "/t", SCHEMA, [("a", 1, "y"), ("b", "x", None)])
+
+    def test_nothing_is_written_when_validation_fails(self):
+        fs = make_fs()
+        with pytest.raises(SchemaError):
+            write_table(fs, "/t", SCHEMA, [*ROWS, ("a", True, None)])
+        assert not fs.exists("/t")
+
+    def test_stored_cells_converts_each_chunk_before_validation(self):
+        fs = make_fs()
+        seen = []
+
+        def spell_out(cells):
+            seen.append(tuple(cells))
+            return [{1: "one", 2: "two"}.get(cell, cell) for cell in cells]
+
+        schema = TableSchema([ColumnSchema("a", "string"), ColumnSchema("b", "string")])
+        write_table(fs, "/t", schema, [(1, "x"), (2, None)], stored_cells=spell_out)
+        assert seen == [(1, 2), ("x", None)]
+        assert read_table(fs, "/t")[1] == [("one", "x"), ("two", None)]
+        with pytest.raises(SchemaError, match="column 'a' expects string, got int"):
+            write_table(fs, "/u", schema, [(1, "x"), (3, None)], stored_cells=spell_out)
+
     def test_bad_magic_rejected(self):
         fs = make_fs()
         fs.write("/t", b"NOPE....")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import decode_row, decode_term, load_prost_store
+from repro.core import decode_row, decode_term, encode_term, load_prost_store
 from repro.core.loader import (
+    TermCells,
     load_object_property_table,
     load_property_table,
     load_vertical_partitioning,
@@ -27,6 +28,25 @@ NT = """
 @pytest.fixture
 def graph():
     return Graph.from_ntriples(NT)
+
+
+class TestTermCells:
+    def test_cells_are_the_dictionary_ids(self, graph):
+        cells = TermCells(graph)
+        terms = {term for triple in graph for term in triple}
+        awkward = Literal('say "hi"\n\u2028', language="en")
+        for term in [*sorted(terms, key=graph.sort_key), awkward]:
+            assert cells[term] == encode_term(term)
+            assert decode_term(cells[term]) == term
+        assert len(cells) == len(terms) + 1
+
+    def test_one_memo_serves_every_loader_of_a_load(self, graph):
+        session = EngineSession()
+        cells = TermCells(graph)
+        load_vertical_partitioning(session, graph, cells=cells)
+        interned = dict(cells)
+        load_property_table(session, graph, collect_statistics(graph), cells=cells)
+        assert dict(cells) == interned  # the PT met no term VP had not
 
 
 class TestVerticalPartitioning:

@@ -1,7 +1,5 @@
 """Physical execution tests: every operator, join strategies, metrics."""
 
-import dataclasses
-
 import pytest
 
 from repro.columnar import ColumnSchema, TableSchema

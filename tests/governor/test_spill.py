@@ -10,6 +10,7 @@ replayable.
 
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -159,7 +160,7 @@ class TestBuckets:
             _spilled_join(left, right, (3, 2), [0], [0], [1], "inner", 4, store)
             contents.append(
                 [
-                    (path.rsplit("/", 1)[-1], open(path, "rb").read())
+                    (path.rsplit("/", 1)[-1], Path(path).read_bytes())
                     for path in store.paths
                 ]
             )

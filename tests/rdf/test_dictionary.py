@@ -10,7 +10,7 @@ from repro.rdf.dictionary import (
     default_dictionary,
     is_term_id,
     storage_cell,
-    storage_row,
+    storage_cells,
 )
 from repro.rdf.terms import IRI, BlankNode, Literal, XSD_INTEGER
 
@@ -82,7 +82,29 @@ class TestStorageBoundary:
 
     def test_non_id_cells_pass_through(self):
         row = ("<http://ex/raw>", None, 7, 1.5)
-        assert storage_row(row) == row
+        assert tuple(storage_cell(cell) for cell in row) == row
+        assert tuple(storage_cells(row)) == row
+
+    def test_a_column_decodes_like_its_cells(self):
+        d = default_dictionary()
+        a, b = d.intern_text("<http://ex/col-a>"), d.intern_text("<http://ex/col-b>")
+        columns = [
+            (a, None, b, a, a, "<http://ex/raw>", 7),
+            ([a, b], None, [], [b], [a, "raw"]),
+            (),
+            (None, None),
+            # Cells that equal an ID, or 1, without being a plain int: the
+            # per-distinct lookup must not hand them the ID's text.
+            (a, float(a), None),
+            (float(b), b, True, 1),
+            ([a, float(a)], [b]),
+            ([a], (b,), "x"),
+        ]
+        for column in columns:
+            expected = [storage_cell(cell) for cell in column]
+            got = list(storage_cells(column))
+            assert got == expected
+            assert [type(cell) for cell in got] == [type(cell) for cell in expected]
 
 
 # Term generators for the round-trip property tests: full unicode (including
