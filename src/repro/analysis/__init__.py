@@ -9,9 +9,9 @@ Two layers, both free of third-party dependencies:
   share a subject, priorities inconsistent with the loading-time statistics,
   colocated joins without co-partitioning on the join key, and broadcast
   hints whose build side exceeds the configured threshold. The
-  :class:`~repro.core.prost.ProstEngine` runs it before every query
-  (``REPRO_PLAN_CHECK=0`` opts out); ``prost-repro check`` runs it
-  standalone with EXPLAIN-style diagnostics.
+  :class:`~repro.core.prost.ProstEngine` runs it before every query it
+  plans (there is no opt-out); ``prost-repro check`` runs it standalone
+  with EXPLAIN-style diagnostics.
 - **Repo lints** (:mod:`repro.analysis.lint`) — AST passes enforcing the
   codebase's own contracts: import layering, data-plane determinism, the
   metrics registry, and the error hierarchy. Exposed as ``prost-repro
@@ -19,8 +19,6 @@ Two layers, both free of third-party dependencies:
 """
 
 from __future__ import annotations
-
-import os
 
 from .diagnostics import Diagnostic, render_diagnostics
 from .lineage import verify_cached_plan
@@ -34,32 +32,10 @@ from .verifier import (
 __all__ = [
     "Diagnostic",
     "check_query",
-    "plan_check_enabled",
     "render_diagnostics",
-    "set_plan_check_enabled",
     "verify_cached_plan",
     "verify_join_tree",
     "verify_logical_plan",
     "verify_query",
 ]
 
-
-_plan_check_enabled = os.environ.get("REPRO_PLAN_CHECK", "1").strip().lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
-
-
-def plan_check_enabled() -> bool:
-    """Whether ``ProstEngine`` verifies every plan before executing it."""
-    return _plan_check_enabled
-
-
-def set_plan_check_enabled(enabled: bool) -> bool:
-    """Flip pre-execution plan verification; returns the previous setting."""
-    global _plan_check_enabled
-    previous = _plan_check_enabled
-    _plan_check_enabled = bool(enabled)
-    return previous

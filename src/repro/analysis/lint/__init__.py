@@ -5,8 +5,9 @@ Each pass enforces one contract the codebase states in prose elsewhere:
 - :mod:`~repro.analysis.lint.layering` — the data plane (``engine``,
   ``columnar``, ``hdfs``) never imports ``baselines``/``sparql``/``obs``,
   and ``obs`` stays optional (module-level imports only inside ``obs``).
-- :mod:`~repro.analysis.lint.determinism` — the data plane draws no
-  wall-clock time or unseeded randomness and never iterates a bare set.
+- :mod:`~repro.analysis.lint.determinism` — no module draws wall-clock
+  time, unseeded randomness or the process environment, or iterates a
+  bare set.
 - :mod:`~repro.analysis.lint.metrics` — counter names appear as string
   literals only in :mod:`repro.obs.metrics`, the registry's home.
 - :mod:`~repro.analysis.lint.errors` — every ``raise`` uses the

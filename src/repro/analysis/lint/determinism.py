@@ -1,17 +1,20 @@
-"""Data-plane determinism lint.
+"""Determinism lint, over every module of the package.
 
 The simulated cluster must be bit-for-bit reproducible: the differential
 fuzz harness and the seeded fault injector both rely on a query producing
-the same result (and the same simulated cost) on every run. So the data
-plane draws no wall-clock time and no ambient randomness:
+the same result (and the same simulated cost) on every run. So no module
+draws wall-clock time, ambient randomness or ambient configuration:
 
 - ``time.time``/``time.time_ns`` are banned (``time.perf_counter`` is fine:
   it only feeds *reported* wall-clock durations, never control flow);
 - module-level ``random.*`` functions, ``os.urandom`` and ``uuid.uuid1/4``
-  are banned everywhere in the data plane; explicitly seeded
-  ``random.Random(seed)`` instances are the one sanctioned source of
-  randomness, and only ``engine/faults.py`` (the seeded chaos injector)
-  and the test-data generators under ``testing``/``watdiv`` hold one;
+  are banned; explicitly seeded ``random.Random(seed)`` instances are the
+  one sanctioned source of randomness (``engine/faults.py``, the seeded
+  chaos injector, and the test-data generators under ``testing``/``watdiv``
+  hold one);
+- reading the process environment through :mod:`os` is banned: every
+  setting is a ``ClusterConfig`` field, a constructor argument or a CLI
+  flag, never a second spelling read from the environment;
 - iterating a bare ``set(...)``/set literal in a ``for`` loop is banned —
   Python set order varies across processes (hash randomization), which
   leaks into row order; iterate ``sorted(...)`` instead.
@@ -25,19 +28,6 @@ from .base import LintViolation, SourceFile
 
 RULE = "determinism"
 
-#: Subpackages forming the deterministic data plane.
-DATA_PLANE = (
-    "engine",
-    "core",
-    "columnar",
-    "governor",
-    "hdfs",
-    "kvstore",
-    "rdf",
-    "sparql",
-    "vector",
-)
-
 #: Modules allowed to hold a seeded ``random.Random`` (relative names).
 SEEDED_RANDOM_ALLOWED = ("engine/faults.py",)
 
@@ -47,6 +37,8 @@ _BANNED_CALLS = {
     ("os", "urandom"): "OS entropy",
     ("uuid", "uuid1"): "time/host-derived UUIDs",
     ("uuid", "uuid4"): "random UUIDs",
+    ("os", "environ"): "ambient configuration",
+    ("os", "getenv"): "ambient configuration",
 }
 
 
@@ -54,8 +46,6 @@ def check_determinism(sources: list[SourceFile]) -> list[LintViolation]:
     """All determinism violations across the parsed package."""
     violations: list[LintViolation] = []
     for source in sources:
-        if source.subpackage not in DATA_PLANE:
-            continue
         violations.extend(_check_module(source))
     return violations
 
@@ -83,8 +73,8 @@ def _check_attribute(
                 RULE,
                 source.relative_name,
                 node.lineno,
-                f"{key[0]}.{key[1]} draws {_BANNED_CALLS[key]}; the data "
-                "plane must stay deterministic",
+                f"{key[0]}.{key[1]} draws {_BANNED_CALLS[key]}; the package "
+                "must stay deterministic",
             )
         ]
     if key[0] == "random" and key[1] != "Random":
@@ -115,7 +105,7 @@ def _check_from_import(
                     source.relative_name,
                     node.lineno,
                     f"importing {key[1]} from {key[0]} draws "
-                    f"{_BANNED_CALLS[key]}; the data plane must stay "
+                    f"{_BANNED_CALLS[key]}; the package must stay "
                     "deterministic",
                 )
             )

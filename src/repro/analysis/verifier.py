@@ -529,8 +529,6 @@ def _derive_join(
             else None
         )
         return _Derived(None, None, rows)
-    if plan.how in ("semi", "anti"):
-        return _Derived(left.partitioning, left.num_partitions, left.est_rows)
 
     co_partitioned = (
         left.partitioning == plan.on and right.partitioning == plan.on

@@ -31,9 +31,10 @@ from .bench import (
     render_table2,
 )
 from .core.prost import ProstEngine
-from .errors import AdmissionRejectedError, QueryCancelledError, QueryTimeoutError
+from .errors import ReproError
 from .rdf.graph import Graph
 from .rdf.ntriples import write_ntriples_file
+from .serve.server import DEFAULT_PLAN_CACHE_SIZE, DEFAULT_RESULT_CACHE_SIZE
 from .watdiv.generator import generate_watdiv
 from .watdiv.queries import basic_query_set
 
@@ -46,12 +47,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _governed_config(args: argparse.Namespace):
-    """A ClusterConfig carrying the governance flags, or None when unset.
-
-    ``None`` keeps the engine on its default configuration path (the
-    ``REPRO_MEM_BUDGET`` / ``REPRO_QUERY_TIMEOUT`` environment variables
-    still apply either way — explicit flags win over them).
-    """
+    """A ClusterConfig carrying the governance flags, or None when unset
+    (``None`` keeps the engine on its default configuration)."""
     if args.memory_budget is None and args.timeout is None:
         return None
     from .engine.cluster import ClusterConfig
@@ -115,18 +112,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from .obs.tracer import Tracer
 
         tracer = Tracer()
-    try:
-        result = engine.sparql(query, tracer=tracer)
-    except (AdmissionRejectedError, QueryCancelledError, QueryTimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        partial = getattr(exc, "metrics", None)
-        if partial is not None:
-            print(
-                f"# partial work before cut-off: stages={partial.stages} "
-                f"rows={partial.rows_processed} scan={partial.bytes_scanned}B",
-                file=sys.stderr,
-            )
-        return 1
+    result = engine.sparql(query, tracer=tracer)
     print("\t".join(f"?{name}" for name in result.variables))
     for row in result:
         print("\t".join("" if term is None else term.n3() for term in row))
@@ -381,13 +367,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 continue
             try:
                 result = server.sparql(text, tenant=tenant)
-            except (
-                AdmissionRejectedError,
-                QueryCancelledError,
-                QueryTimeoutError,
-            ) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                continue
             except Exception as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 continue
@@ -436,21 +415,13 @@ def _cmd_benchmark(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from .testing import ALL_SYSTEMS, chaos_seed_from_env, fuzz_defaults, run_fuzz
+    from .testing import ALL_SYSTEMS, run_fuzz
 
-    # Resolution order: explicit flag > environment variable > default.
-    seed, iterations = fuzz_defaults()
-    if args.seed is not None:
-        seed = args.seed
-    if args.iterations is not None:
-        iterations = args.iterations
-    # Chaos mode: --chaos-seed pins the fault-plan base seed; --chaos (or
-    # REPRO_CHAOS_SEED in the environment) turns it on with a default.
+    # Chaos mode: --chaos-seed pins the fault-plan base seed; --chaos turns
+    # it on with the fuzz base seed.
     chaos_seed = args.chaos_seed
-    if chaos_seed is None:
-        chaos_seed = chaos_seed_from_env()
     if chaos_seed is None and args.chaos:
-        chaos_seed = seed
+        chaos_seed = args.seed
     systems = tuple(args.system) if args.system else ALL_SYSTEMS
     for name in systems:
         if name not in ALL_SYSTEMS:
@@ -466,8 +437,8 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             print(f"# seed {current_seed}: {status}", file=sys.stderr)
 
     report = run_fuzz(
-        base_seed=seed,
-        iterations=iterations,
+        base_seed=args.seed,
+        iterations=args.iterations,
         queries_per_graph=args.queries_per_graph,
         systems=systems,
         shrink=not args.no_shrink,
@@ -566,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
         "without co-partitioning, oversized broadcasts) as EXPLAIN-style "
         "diagnostics pointing at the offending tree node. Exits non-zero "
         "when any plan is rejected. The same checks run before every query "
-        "unless REPRO_PLAN_CHECK=0.",
+        "the engine plans.",
     )
     check.add_argument("--data", help="N-Triples input file")
     check.add_argument("--query", help="SPARQL text")
@@ -594,9 +565,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the architectural lints over the repro source tree",
         description="AST-based checks of the codebase's own contracts: "
         "import layering (the generic engine/columnar/hdfs layers never "
-        "import baselines or sparql; obs stays optional), data-plane "
-        "determinism (no wall-clock time or ambient randomness outside the "
-        "seeded fault injector), the metrics contract (counter names only "
+        "import baselines or sparql; obs stays optional), determinism (no "
+        "wall-clock time, ambient randomness or environment reads anywhere "
+        "in the package), the metrics contract (counter names only "
         "via repro.obs.metrics constants), the error hierarchy (every "
         "raise uses repro.errors), and the concurrency discipline of the "
         "serving data plane (guarded-by/lockset checking, CC101-CC105). "
@@ -628,10 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     config = commands.add_parser(
         "config",
-        help="print the configuration contract (every knob and env var)",
+        help="print the configuration contract (every knob and its flag)",
         description="List every ClusterConfig field (default, validation "
-        "rule, env fallback, CLI flag) and every REPRO_* environment "
-        "variable, read live from the code. --markdown emits the exact "
+        "rule, CLI flag), read live from the code. --markdown emits the exact "
         "content of docs/CONFIGURATION.md (a test keeps the file in sync "
         "with this output).",
     )
@@ -648,19 +618,18 @@ def build_parser() -> argparse.ArgumentParser:
         "governor, an LRU plan cache keyed on normalized query shape, and a "
         "result cache invalidated on reload. One query per line; "
         ".stats/.tenants/.explain <query>/.tenant <name>/.quit are console "
-        "commands. REPRO_SERVE_PLAN_CACHE / REPRO_SERVE_RESULT_CACHE set "
-        "the default cache capacities.",
+        "commands.",
     )
     serve.add_argument("--data", required=True, help="N-Triples input file")
     serve.add_argument("--strategy", choices=("mixed", "vp"), default="mixed")
     serve.add_argument("--workers", type=int, default=9)
     serve.add_argument(
-        "--plan-cache", type=int, default=None, metavar="N",
-        help="plan-cache capacity (0 disables; default: env or 64)",
+        "--plan-cache", type=int, default=DEFAULT_PLAN_CACHE_SIZE, metavar="N",
+        help=f"plan-cache capacity (0 disables; default {DEFAULT_PLAN_CACHE_SIZE})",
     )
     serve.add_argument(
-        "--result-cache", type=int, default=None, metavar="N",
-        help="result-cache capacity (0 disables; default: env or 256)",
+        "--result-cache", type=int, default=DEFAULT_RESULT_CACHE_SIZE, metavar="N",
+        help=f"result-cache capacity (0 disables; default {DEFAULT_RESULT_CACHE_SIZE})",
     )
     serve.add_argument(
         "--max-per-tenant", type=int, default=None, metavar="N",
@@ -699,16 +668,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="differential-fuzz all engines against the brute-force oracle",
         description="Generate random graphs and BGP queries from a seed, run "
         "them on every engine, and compare the solutions against a "
-        "brute-force oracle. REPRO_FUZZ_SEED and REPRO_FUZZ_ITERATIONS "
-        "override the defaults (the same variables pytest honors). Exits "
-        "non-zero when any engine disagrees; the report includes a shrunken "
-        "counterexample and a replay command.",
+        "brute-force oracle. Exits non-zero when any engine disagrees; the "
+        "report includes a shrunken counterexample and a replay command.",
     )
     fuzz.add_argument(
-        "--seed", type=int, default=None, help="base seed, one graph per seed (default 0)"
+        "--seed", type=int, default=0, help="base seed, one graph per seed (default 0)"
     )
     fuzz.add_argument(
-        "--iterations", type=int, default=None, help="number of seeds to run (default 20)"
+        "--iterations", type=int, default=20, help="number of seeds to run (default 20)"
     )
     fuzz.add_argument(
         "--queries-per-graph", type=int, default=10, help="random queries per graph"
@@ -724,8 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="inject a seeded random fault plan (task/worker/shuffle-fetch "
         "failures, stragglers) into every cluster-backed engine; results "
-        "must still match the fault-free oracle. REPRO_CHAOS_SEED also "
-        "enables this and picks the chaos base seed.",
+        "must still match the fault-free oracle.",
     )
     fuzz.add_argument(
         "--chaos-seed",
@@ -752,7 +718,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        partial = getattr(exc, "metrics", None)
+        if partial is not None:  # a deadline or cancellation cut the query off
+            print(
+                f"# partial work before cut-off: stages={partial.stages} "
+                f"rows={partial.rows_processed} scan={partial.bytes_scanned}B",
+                file=sys.stderr,
+            )
+        return 1
 
 
 if __name__ == "__main__":

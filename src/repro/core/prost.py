@@ -16,6 +16,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import nullcontext
+from typing import NamedTuple
 
 from ..engine.cluster import ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
@@ -31,6 +32,16 @@ from .join_tree import JoinTree
 from .loader import LoadReport, ProstStore, load_prost_store
 from .results import QueryExecutionReport, ResultSet, finalize_solutions
 from .translator import JoinTreeTranslator
+
+
+class _Plan(NamedTuple):
+    """One planned query: the frame (before modifiers), the rendered Join
+    Tree(s), and the required and OPTIONAL Join Trees behind the frame."""
+
+    frame: DataFrame
+    description: str
+    trees: list[JoinTree]
+    optional_trees: list[JoinTree]
 
 
 class ProstEngine:
@@ -189,7 +200,31 @@ class ProstEngine:
             return cached
         parsed = parse_sparql(query) if isinstance(query, str) else query
         assert translator is not None
+        plan = self._plan(parsed, store, translator)
+        # Pre-execution static verification of every plan this engine runs.
+        # Imported lazily: analysis depends on this module's neighbors.
+        from ..analysis import check_query
 
+        check_query(
+            parsed,
+            plan.trees,
+            plan.optional_trees,
+            plan.frame.plan,
+            translator=translator,
+            catalog=self.session.catalog,
+            config=self.session.config,
+        )
+        if text is not None:
+            self._cache_plan(text, planned_version, plan.frame, plan.description)
+        return plan.frame, plan.description
+
+    def _plan(
+        self, parsed: SelectQuery, store, translator: JoinTreeTranslator
+    ) -> _Plan:
+        """Translate a parsed query against one dataset snapshot and build
+        its frame — the single planning step behind :meth:`dataframe` (which
+        gates it with ``check_query``) and :meth:`verify` (which collects
+        the same checks' diagnostics instead)."""
         trees: list[JoinTree] = []
         optional_trees: list[JoinTree] = []
         if parsed.is_union:
@@ -223,24 +258,7 @@ class ProstEngine:
         frame = frame.select(*projection)
         if parsed.distinct:
             frame = frame.distinct()
-
-        # Pre-execution static verification (REPRO_PLAN_CHECK=0 opts out).
-        # Imported lazily: analysis depends on this module's neighbors.
-        from ..analysis import check_query, plan_check_enabled
-
-        if plan_check_enabled():
-            check_query(
-                parsed,
-                trees,
-                optional_trees,
-                frame.plan,
-                translator=translator,
-                catalog=self.session.catalog,
-                config=self.session.config,
-            )
-        if text is not None:
-            self._cache_plan(text, planned_version, frame, description)
-        return frame, description
+        return _Plan(frame, description, trees, optional_trees)
 
     def _cache_plan(
         self,
@@ -422,41 +440,23 @@ class ProstEngine:
         Returns every violated invariant as a
         :class:`~repro.analysis.diagnostics.Diagnostic` (empty list = the
         plan is good). This is the engine behind ``prost-repro check``; the
-        same checks run implicitly before every query unless
-        ``REPRO_PLAN_CHECK=0``.
+        same checks gate every query :meth:`dataframe` plans. Verification
+        here collects instead of raising and touches no shared state, so
+        queries other callers run meanwhile stay gated.
         """
-        from ..analysis import (
-            set_plan_check_enabled,
-            verify_logical_plan,
-            verify_query,
-        )
+        from ..analysis import verify_logical_plan, verify_query
 
-        self._require_store()
-        assert self._translator is not None
+        store = self._require_store()
+        translator = self._translator
+        assert translator is not None
         parsed = parse_sparql(query) if isinstance(query, str) else query
-        previous = set_plan_check_enabled(False)  # collect, don't raise
-        try:
-            frame, _ = self.dataframe(parsed)
-        finally:
-            set_plan_check_enabled(previous)
-        if parsed.is_union:
-            trees = [
-                self._translator.translate_bgp(branch)
-                for branch in parsed.union_branches
-            ]
-            optional_trees = []
-        else:
-            trees = [self._translator.translate_bgp(parsed.patterns)]
-            optional_trees = [
-                self._translator.translate_bgp(group)
-                for group in parsed.optional_groups
-            ]
+        plan = self._plan(parsed, store, translator)
         diagnostics = verify_query(
-            parsed, trees, optional_trees, translator=self._translator
+            parsed, plan.trees, plan.optional_trees, translator=translator
         )
         diagnostics.extend(
             verify_logical_plan(
-                frame.plan,
+                plan.frame.plan,
                 catalog=self.session.catalog,
                 config=self.session.config,
             )

@@ -88,6 +88,10 @@ _CONFIG_FIELD_RULES: dict[str, str] = {
 class ClusterConfig:
     """Static description of the simulated cluster.
 
+    The one place cluster and governance knobs are set: the package reads
+    no environment variables, and the CLI's ``--workers`` /
+    ``--memory-budget`` / ``--timeout`` flags build one of these.
+
     Attributes:
         num_workers: Spark-style worker count (the paper uses 9).
         partitions_per_worker: default shuffle partitions per worker.
@@ -117,11 +121,10 @@ class ClusterConfig:
         memory_budget_bytes: per-query memory budget charged at every
             memory-hungry operator site; tripping it triggers graceful
             degradation (broadcast→shuffle, grace-hash spill) instead of
-            failure. ``None`` (with ``REPRO_MEM_BUDGET`` unset) disables
-            memory governance entirely.
+            failure. ``None`` disables memory governance entirely.
         query_timeout_sec: cooperative per-query deadline, polled at stage
             boundaries and in the fault injector's retry loop. ``None``
-            (with ``REPRO_QUERY_TIMEOUT`` unset) disables deadlines.
+            disables deadlines.
         max_concurrent_queries: admission-control slots; queries beyond
             this queue (bounded) or are shed.
         spill_dir: directory grace-hash spill files go under (the system
@@ -399,10 +402,9 @@ class SimulatedCluster:
         """A fresh metrics object for one query execution.
 
         Attaches the fault injector (when a fault plan is in force) and
-        the governor context (when a memory budget or deadline is in
-        force — via config fields or the ``REPRO_MEM_BUDGET`` /
-        ``REPRO_QUERY_TIMEOUT`` environment fallbacks). With neither, the
-        metrics carry no extra state and execution pays no overhead.
+        the governor context (when the config sets a memory budget or a
+        deadline). With neither, the metrics carry no extra state and
+        execution pays no overhead.
         """
         metrics = ExecutionMetrics()
         if self.fault_plan is not None and not self.fault_plan.is_empty:

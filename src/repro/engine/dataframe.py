@@ -84,7 +84,7 @@ class DataFrame:
         """Equi-join on shared column names.
 
         Args:
-            how: ``inner``, ``left``, ``semi``, or ``anti``.
+            how: ``inner`` or ``left``.
             hint: ``auto`` (size-based strategy), ``broadcast``, or
                 ``shuffle`` (disables broadcast, as SPARQLGX's compiled plans
                 effectively do).

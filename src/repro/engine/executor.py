@@ -6,8 +6,7 @@ The executor walks a (previously optimized) logical plan bottom-up, producing
 every node and charging work to an :class:`ExecutionMetrics`. Scans hand out
 the catalog's stored batches (or a cached column-subset view of them)
 untouched; filters narrow a selection vector with one list comprehension per
-predicate; projections and semi/anti joins are zero-copy column-subset or
-selection-only views; hash joins gather output columns from index lists
+predicate; projections are zero-copy column-subset views; hash joins gather output columns from index lists
 through one build/probe kernel, which the over-budget grace-hash spill join
 (:mod:`repro.governor.spill`) runs bucket by bucket. Row tuples are only
 materialized at the edges (:meth:`ColumnarData.all_rows`), which is where
@@ -359,10 +358,10 @@ class PhysicalExecutor:
             partitioner = left.partitioner
             pairs = zip(left.batches, right.batches)
         elif strategy == "broadcast":
-            # Only inner joins may broadcast the probe (left) side: for
-            # semi/anti/left joins a left row must be matched against the
-            # *whole* build side at once, so the build side must be the one
-            # replicated — i.e. the right side.
+            # Only inner joins may broadcast the probe (left) side: for a
+            # left join a left row must be matched against the *whole* build
+            # side at once, so the build side must be the one replicated —
+            # i.e. the right side.
             small_is_right = right_bytes <= left_bytes or plan.how != "inner"
             small_bytes = right_bytes if small_is_right else left_bytes
             if span is not None:
@@ -400,13 +399,9 @@ class PhysicalExecutor:
                 _repartition(right, right_key_idx, partitioner),
             )
         batches = [join_pair(left_batch, right_batch) for left_batch, right_batch in pairs]
-        if plan.how in ("semi", "anti"):
-            out_partitioner = left.partitioner
-        else:
-            out_partitioner = partitioner
-            if out_partitioner is not None and out_partitioner.num_partitions != len(batches):
-                out_partitioner = None
-        return ColumnarData(plan.schema, batches, out_partitioner)
+        if partitioner is not None and partitioner.num_partitions != len(batches):
+            partitioner = None
+        return ColumnarData(plan.schema, batches, partitioner)
 
     def _cross_join(
         self, plan: Join, left: ColumnarData, right: ColumnarData, metrics: ExecutionMetrics
@@ -663,10 +658,9 @@ def _probe_batch(
 ) -> ColumnBatch:
     """Probe one left batch against a build index over ``right``.
 
-    Emits left-major output in build insertion order. Semi/anti joins are
-    selection-only views over the left batch (zero copies); inner/left
-    joins gather per column from index lists, with ``-1`` marking a
-    left-join miss to fill NULLs on the right side.
+    Emits left-major output in build insertion order, gathering per column
+    from index lists, with ``-1`` marking a left-join miss to fill NULLs on
+    the right side.
     """
     single = len(left_key_idx) == 1
     if single:
@@ -682,13 +676,6 @@ def _probe_batch(
             return key
 
     build_get = build.get
-    if how == "semi":
-        sel = [i for i in left.live() if build_get(probe_key(i))]
-        return ColumnBatch(left.columns, left.length, sel, left.bytes_cache)
-    if how == "anti":
-        sel = [i for i in left.live() if not build_get(probe_key(i))]
-        return ColumnBatch(left.columns, left.length, sel, left.bytes_cache)
-
     out_left: list[int] = []
     out_right: list[int] = []
     if how == "inner":

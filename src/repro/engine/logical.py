@@ -15,7 +15,7 @@ from ..errors import PlanError
 from .expressions import ColumnRef, Expression, LiteralValue, require_predicate
 
 #: Join types supported by the engine.
-JOIN_TYPES = ("inner", "semi", "anti", "left", "cross")
+JOIN_TYPES = ("inner", "left", "cross")
 
 #: Join strategy hints (set by optimizer or caller).
 JOIN_HINTS = ("auto", "broadcast", "shuffle")
@@ -254,8 +254,6 @@ class Join(LogicalPlan):
 
     @cached_property
     def schema(self) -> TableSchema:
-        if self.how in ("semi", "anti"):
-            return self.left.schema
         keys = set(self.on)
         columns = list(self.left.schema.columns)
         columns.extend(c for c in self.right.schema.columns if c.name not in keys)
@@ -267,14 +265,11 @@ class Join(LogicalPlan):
 
     @property
     def partitioning(self) -> tuple[str, ...] | None:
-        # Semi/anti joins only ever filter the left side in place, so its
-        # placement survives every strategy. Other joins are declared
-        # partitioned on the keys when both inputs already are — the
-        # colocated and shuffle outcomes; the executor's broadcast fallback
-        # for mismatched partition counts is the one case this optimistic
-        # declaration papers over (the verifier grounds it via the catalog).
-        if self.how in ("semi", "anti"):
-            return self.left.partitioning
+        # A keyed join is declared partitioned on the keys when both inputs
+        # already are — the colocated and shuffle outcomes; the executor's
+        # broadcast fallback for mismatched partition counts is the one case
+        # this optimistic declaration papers over (the verifier grounds it
+        # via the catalog).
         if self.how == "cross":
             return None
         if self.left.partitioning == self.on and self.right.partitioning == self.on:

@@ -18,94 +18,41 @@ governance story. Four pieces:
   concurrent-query slots, aggregate-memory reservations, bounded queueing
   and load-shedding.
 
-Configuration comes from the validated ``ClusterConfig`` fields
+Configuration comes only from the validated ``ClusterConfig`` fields
 (``memory_budget_bytes``, ``query_timeout_sec``, ``max_concurrent_queries``,
-``spill_dir``), with the ``REPRO_MEM_BUDGET`` / ``REPRO_QUERY_TIMEOUT``
-environment variables as fallbacks — the hook CI uses to re-run the whole
-fuzz corpus with every query forced through the spill path.
+``spill_dir``); the CLI's ``--memory-budget`` / ``--timeout`` flags set the
+first two.
 """
 
 from __future__ import annotations
 
-import os
-
-from ..errors import ValidationError
 from .admission import Governor
 from .budget import MAX_SPILL_FANOUT, MIN_SPILL_FANOUT, MemoryBudget
 from .context import GovernorContext
 from .deadline import Deadline
 from .spill import SpillStore, grace_hash_join
 
-#: Environment fallback for ``ClusterConfig.memory_budget_bytes``.
-MEM_BUDGET_ENV = "REPRO_MEM_BUDGET"
-
-#: Environment fallback for ``ClusterConfig.query_timeout_sec``.
-QUERY_TIMEOUT_ENV = "REPRO_QUERY_TIMEOUT"
-
 __all__ = [
     "Deadline",
     "Governor",
     "GovernorContext",
     "MAX_SPILL_FANOUT",
-    "MEM_BUDGET_ENV",
     "MIN_SPILL_FANOUT",
     "MemoryBudget",
-    "QUERY_TIMEOUT_ENV",
     "SpillStore",
     "grace_hash_join",
     "governor_context_for",
-    "memory_budget_from_env",
-    "query_timeout_from_env",
 ]
-
-
-def memory_budget_from_env() -> int | None:
-    """``REPRO_MEM_BUDGET`` as bytes, or ``None`` when unset/empty."""
-    raw = os.environ.get(MEM_BUDGET_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{MEM_BUDGET_ENV} must be an integer byte count, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValidationError(f"{MEM_BUDGET_ENV} must be positive, got {raw!r}")
-    return value
-
-
-def query_timeout_from_env() -> float | None:
-    """``REPRO_QUERY_TIMEOUT`` as seconds, or ``None`` when unset/empty."""
-    raw = os.environ.get(QUERY_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{QUERY_TIMEOUT_ENV} must be a number of seconds, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValidationError(f"{QUERY_TIMEOUT_ENV} must be positive, got {raw!r}")
-    return value
 
 
 def governor_context_for(config) -> GovernorContext | None:
     """The per-query :class:`GovernorContext` a ``ClusterConfig`` implies.
 
-    Explicit config fields win; the environment variables fill in when a
-    field is unset (so an exported ``REPRO_MEM_BUDGET`` governs every
-    engine in the process, which is how the CI spill leg works). Returns
-    ``None`` when neither a budget nor a timeout is in force — governance
-    off means literally no per-query state.
+    Returns ``None`` when the config sets neither a budget nor a timeout —
+    governance off means literally no per-query state.
     """
     budget = config.memory_budget_bytes
-    if budget is None:
-        budget = memory_budget_from_env()
     timeout = config.query_timeout_sec
-    if timeout is None:
-        timeout = query_timeout_from_env()
     if budget is None and timeout is None:
         return None
     return GovernorContext(

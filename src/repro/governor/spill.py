@@ -17,7 +17,7 @@ kernel joins one bucket pair at a time. Three properties matter:
   reusing the same hash would collapse every row into one bucket). The
   same inputs always produce byte-identical bucket files.
 - **One kernel**: this module only buckets, spills and re-orders column
-  batches; matching (NULL keys, inner/left/semi/anti emission) is the
+  batches; matching (NULL keys, inner/left emission) is the
   executor's build/probe, handed in as ``join_bucket``, so the degraded
   path cannot drift from the in-memory one.
 """

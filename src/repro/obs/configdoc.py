@@ -1,19 +1,16 @@
 """The configuration contract: every knob, generated into one document.
 
-The knob surface has three fronts: :class:`~repro.engine.cluster.
-ClusterConfig` fields (each with a declarative validation rule), the
-``REPRO_*`` environment variables, and the CLI flags that map onto them.
-This module is the registry tying the three together, the same way
-:mod:`repro.obs.metrics` ties counters to ``docs/METRICS.md``:
+The knob surface is :class:`~repro.engine.cluster.ClusterConfig` (each
+field with a declarative validation rule) plus the CLI flags that map onto
+it; the package reads no environment variables (the determinism lint bans
+environment reads). This module ties fields and flags together, the same
+way :mod:`repro.obs.metrics` ties counters to ``docs/METRICS.md``:
 
-- the cluster-knob table is built **live** from ``ClusterConfig`` — field
-  names, defaults, and validation rules come from the dataclass itself, so
-  they cannot drift; only the one-line descriptions are curated here, and
+- the knob table is built **live** from ``ClusterConfig`` — field names,
+  defaults, and validation rules come from the dataclass itself, so they
+  cannot drift; only the one-line descriptions are curated here, and
   :func:`config_rows` *refuses* a field without one (or a description for
   a field that no longer exists);
-- the environment-variable table is curated in :data:`ENV_VARS`; a test
-  greps the source tree for ``REPRO_*`` literals and fails on any variable
-  the registry does not know;
 - ``docs/CONFIGURATION.md`` is the byte-exact output of
   ``prost-repro config --markdown``, held in sync by a tier-1 test
   mirroring the metrics-docs one.
@@ -61,12 +58,6 @@ _FIELD_DOCS: dict[str, str] = {
     "spill_dir": "Directory for grace-hash spill files (system temp dir when unset).",
 }
 
-#: ``ClusterConfig`` field → environment-variable fallback, when one exists.
-_FIELD_ENV: dict[str, str] = {
-    "memory_budget_bytes": "REPRO_MEM_BUDGET",
-    "query_timeout_sec": "REPRO_QUERY_TIMEOUT",
-}
-
 #: ``ClusterConfig`` field → CLI flag, when one exists.
 _FIELD_FLAGS: dict[str, str] = {
     "num_workers": "--workers",
@@ -82,91 +73,8 @@ class ConfigRow:
     name: str
     default: str
     rule: str
-    env: str
     flag: str
     description: str
-
-
-@dataclass(frozen=True)
-class EnvVar:
-    """One documented ``REPRO_*`` environment variable.
-
-    Attributes:
-        name: the variable, e.g. ``REPRO_PLAN_CHECK``.
-        scope: ``runtime`` (read by the library/CLI) or ``tests`` (read
-            only by the test suite).
-        default: behavior when unset, as reader-facing text.
-        consumer: the module that reads it.
-        description: one line of documentation.
-    """
-
-    name: str
-    scope: str
-    default: str
-    consumer: str
-    description: str
-
-
-#: The environment-variable registry. A completeness test greps the source
-#: tree for ``REPRO_[A-Z_]*`` literals and fails on any name missing here,
-#: so a new variable cannot ship undocumented.
-ENV_VARS: tuple[EnvVar, ...] = (
-    EnvVar(
-        "REPRO_CHAOS_SEED", "runtime", "chaos off",
-        "repro.testing.differential",
-        "Enables chaos mode in the fuzz harness and picks the fault-plan base seed.",
-    ),
-    EnvVar(
-        "REPRO_FUZZ_ITERATIONS", "runtime", "20",
-        "repro.testing.differential",
-        "Number of fuzz seeds `prost-repro fuzz` (and pytest) run.",
-    ),
-    EnvVar(
-        "REPRO_FUZZ_SEED", "runtime", "0",
-        "repro.testing.differential",
-        "Base seed of the differential fuzz harness (one graph per seed).",
-    ),
-    EnvVar(
-        "REPRO_INTERLEAVE_SEEDS", "tests", "5",
-        "repro.testing.interleave",
-        "Number of seeded thread schedules the interleaving tests sweep (CI uses 10).",
-    ),
-    EnvVar(
-        "REPRO_MEM_BUDGET", "runtime", "memory governance off",
-        "repro.governor",
-        "Per-query memory budget in bytes, when `ClusterConfig.memory_budget_bytes` is unset.",
-    ),
-    EnvVar(
-        "REPRO_PLAN_CHECK", "runtime", "1 (verify every plan)",
-        "repro.analysis",
-        "Set to 0 to skip the static plan verifier before query execution.",
-    ),
-    EnvVar(
-        "REPRO_QUERY_TIMEOUT", "runtime", "deadlines off",
-        "repro.governor",
-        "Per-query deadline in seconds, when `ClusterConfig.query_timeout_sec` is unset.",
-    ),
-    EnvVar(
-        "REPRO_SERVE_MODE", "runtime", "0 (direct engines)",
-        "repro.testing.differential",
-        "Set to 1 to route PRoST engines through a `QueryServer` in the fuzz harness and regression tests.",
-    ),
-    EnvVar(
-        "REPRO_SERVE_PLAN_CACHE", "runtime", "64 entries",
-        "repro.serve.server",
-        "Default plan-cache capacity of a `QueryServer` (0 disables the cache).",
-    ),
-    EnvVar(
-        "REPRO_SERVE_RESULT_CACHE", "runtime", "256 entries",
-        "repro.serve.server",
-        "Default result-cache capacity of a `QueryServer` (0 disables the cache).",
-    ),
-    EnvVar(
-        "REPRO_UPDATE_GOLDENS", "tests", "0 (assert, don't rewrite)",
-        "tests/obs",
-        "Set to 1 to rewrite golden EXPLAIN fixtures instead of asserting against them.",
-    ),
-)
 
 
 def _format_default(value: object) -> str:
@@ -207,7 +115,6 @@ def config_rows() -> list[ConfigRow]:
                 name=spec.name,
                 default=_format_default(spec.default),
                 rule=_RULE_TEXT.get(rule, rule),
-                env=_FIELD_ENV.get(spec.name, ""),
                 flag=_FIELD_FLAGS.get(spec.name, ""),
                 description=_FIELD_DOCS[spec.name],
             )
@@ -220,45 +127,28 @@ def markdown() -> str:
     lines = [
         "# Configuration reference",
         "",
-        "Every knob the system exposes: `ClusterConfig` fields (defaults and",
-        "validation rules read live from the dataclass) and the `REPRO_*`",
-        "environment variables. Generated by `prost-repro config --markdown`;",
-        "a tier-1 test asserts this file is byte-identical to the generator,",
-        "so the document cannot drift from the code.",
+        "Every knob the system exposes: the `ClusterConfig` fields (defaults",
+        "and validation rules read live from the dataclass) and the CLI flags",
+        "that set them. The package reads no environment variables. Generated",
+        "by `prost-repro config --markdown`; a tier-1 test asserts this file is",
+        "byte-identical to the generator, so the document cannot drift from",
+        "the code.",
         "",
         "## Cluster knobs (`ClusterConfig`)",
         "",
         "Construct with `ClusterConfig(...)` and pass to",
         "`ProstEngine(cluster_config=...)`; every field is validated at",
-        "construction by the declarative rule shown. A blank env/flag cell",
-        "means the knob is configurable only in code.",
+        "construction by the declarative rule shown. A blank flag cell means",
+        "the knob is configurable only in code.",
         "",
-        "| Knob | Default | Validation | Env fallback | CLI flag | Description |",
-        "|---|---|---|---|---|---|",
+        "| Knob | Default | Validation | CLI flag | Description |",
+        "|---|---|---|---|---|",
     ]
     for row in config_rows():
-        env = f"`{row.env}`" if row.env else ""
         flag = f"`{row.flag}`" if row.flag else ""
         lines.append(
-            f"| `{row.name}` | `{row.default}` | {row.rule} | {env} | "
-            f"{flag} | {row.description} |"
-        )
-    lines.extend(
-        [
-            "",
-            "## Environment variables (`REPRO_*`)",
-            "",
-            "Explicit arguments and CLI flags always win over the environment.",
-            "Scope `tests` means only the test suite reads the variable.",
-            "",
-            "| Variable | Scope | When unset | Read by | Description |",
-            "|---|---|---|---|---|",
-        ]
-    )
-    for variable in ENV_VARS:
-        lines.append(
-            f"| `{variable.name}` | {variable.scope} | {variable.default} | "
-            f"`{variable.consumer}` | {variable.description} |"
+            f"| `{row.name}` | `{row.default}` | {row.rule} | {flag} | "
+            f"{row.description} |"
         )
     lines.append("")
     return "\n".join(lines)
@@ -268,18 +158,8 @@ def render_text() -> str:
     """A terminal rendering of the same contract (``prost-repro config``)."""
     lines = ["[ClusterConfig]"]
     for row in config_rows():
-        extras = []
-        if row.env:
-            extras.append(f"env {row.env}")
-        if row.flag:
-            extras.append(f"flag {row.flag}")
-        suffix = f" ({', '.join(extras)})" if extras else ""
+        suffix = f" (flag {row.flag})" if row.flag else ""
         lines.append(
             f"  {row.name:28} default={row.default:<12} {row.rule}{suffix}"
-        )
-    lines.append("[environment]")
-    for variable in ENV_VARS:
-        lines.append(
-            f"  {variable.name:28} [{variable.scope}] unset -> {variable.default}"
         )
     return "\n".join(lines)

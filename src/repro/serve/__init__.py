@@ -12,9 +12,10 @@ scans across a burst. ``prost-repro serve`` drives an interactive session;
 ``python3 -m perfbench run --workload serve_mixed`` measures the whole
 stack.
 
-Environment knobs: ``REPRO_SERVE_PLAN_CACHE`` / ``REPRO_SERVE_RESULT_CACHE``
-set default cache capacities (0 disables a cache); ``REPRO_SERVE_MODE=1``
-makes the differential fuzz harness route PRoST engines through a server,
+Cache capacities are constructor arguments (``prost-repro serve
+--plan-cache / --result-cache``; 0 disables a cache, defaults 64 / 256).
+The differential fuzz harness's ``prost-mixed-served`` / ``prost-vp-served``
+systems route PRoST engines through a server with a 2-entry plan cache,
 proving cached-plan and batched execution stay multiset-equal to cold
 execution.
 """
@@ -26,22 +27,16 @@ from .server import (
     DEFAULT_PLAN_CACHE_SIZE,
     DEFAULT_RESULT_CACHE_SIZE,
     DEFAULT_TENANT,
-    PLAN_CACHE_ENV,
-    RESULT_CACHE_ENV,
     PlanEntry,
     QueryServer,
     ResultEntry,
     ServerStats,
-    plan_cache_size_from_env,
-    result_cache_size_from_env,
 )
 
 __all__ = [
     "DEFAULT_PLAN_CACHE_SIZE",
     "DEFAULT_RESULT_CACHE_SIZE",
     "DEFAULT_TENANT",
-    "PLAN_CACHE_ENV",
-    "RESULT_CACHE_ENV",
     "LruCache",
     "PlanEntry",
     "QueryServer",
@@ -49,8 +44,6 @@ __all__ = [
     "ServerStats",
     "canonicalize",
     "execute_batch",
-    "plan_cache_size_from_env",
     "plan_shape",
-    "result_cache_size_from_env",
     "tables_scanned",
 ]

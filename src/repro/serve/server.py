@@ -23,7 +23,6 @@ cached plan immediately before it executes as defense in depth.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass, field, fields
 
@@ -36,44 +35,14 @@ from ..sparql.parser import parse_sparql
 from .cache import LruCache
 from .normalize import canonicalize, plan_shape
 
-#: Environment fallback for the plan-cache capacity (entries).
-PLAN_CACHE_ENV = "REPRO_SERVE_PLAN_CACHE"
-
-#: Environment fallback for the result-cache capacity (entries; 0 disables).
-RESULT_CACHE_ENV = "REPRO_SERVE_RESULT_CACHE"
-
-#: Default plan-cache capacity when neither argument nor env is given.
+#: Plan-cache capacity when the constructor is not given one.
 DEFAULT_PLAN_CACHE_SIZE = 64
 
-#: Default result-cache capacity when neither argument nor env is given.
+#: Result-cache capacity when the constructor is not given one.
 DEFAULT_RESULT_CACHE_SIZE = 256
 
 #: Tenant label charged when a caller does not name one.
 DEFAULT_TENANT = "default"
-
-
-def _cache_size_from_env(name: str) -> int | None:
-    """Parse one cache-capacity env var (``None`` when unset/invalid)."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
-        return None
-    try:
-        value = int(raw.strip())
-    except ValueError:
-        raise ValidationError(f"{name} must be an integer, got {raw!r}")
-    if value < 0:
-        raise ValidationError(f"{name} must be non-negative, got {value}")
-    return value
-
-
-def plan_cache_size_from_env() -> int | None:
-    """The ``REPRO_SERVE_PLAN_CACHE`` capacity, or ``None`` when unset."""
-    return _cache_size_from_env(PLAN_CACHE_ENV)
-
-
-def result_cache_size_from_env() -> int | None:
-    """The ``REPRO_SERVE_RESULT_CACHE`` capacity, or ``None`` when unset."""
-    return _cache_size_from_env(RESULT_CACHE_ENV)
 
 
 @dataclass
@@ -122,10 +91,8 @@ class QueryServer:
 
     Args:
         engine: the loaded (or about-to-be-loaded) engine to serve.
-        plan_cache_size: LRU capacity of the plan cache (0 disables);
-            falls back to ``REPRO_SERVE_PLAN_CACHE``, then the default.
-        result_cache_size: LRU capacity of the result cache (0 disables);
-            falls back to ``REPRO_SERVE_RESULT_CACHE``, then the default.
+        plan_cache_size: LRU capacity of the plan cache (0 disables).
+        result_cache_size: LRU capacity of the result cache (0 disables).
         max_queries_per_tenant: per-tenant concurrent-slot cap applied at
             the engine's admission gate (``None`` leaves the gate's
             existing policy untouched).
@@ -135,19 +102,11 @@ class QueryServer:
     def __init__(
         self,
         engine: ProstEngine,
-        plan_cache_size: int | None = None,
-        result_cache_size: int | None = None,
+        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
+        result_cache_size: int = DEFAULT_RESULT_CACHE_SIZE,
         max_queries_per_tenant: int | None = None,
         default_tenant: str = DEFAULT_TENANT,
     ):
-        if plan_cache_size is None:
-            plan_cache_size = plan_cache_size_from_env()
-        if plan_cache_size is None:
-            plan_cache_size = DEFAULT_PLAN_CACHE_SIZE
-        if result_cache_size is None:
-            result_cache_size = result_cache_size_from_env()
-        if result_cache_size is None:
-            result_cache_size = DEFAULT_RESULT_CACHE_SIZE
         self.engine = engine
         self.default_tenant = default_tenant
         if max_queries_per_tenant is not None:

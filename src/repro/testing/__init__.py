@@ -31,14 +31,10 @@ from .differential import (
     FuzzReport,
     ServedProstEngine,
     chaos_plan_seed,
-    chaos_seed_from_env,
-    fuzz_defaults,
     run_fuzz,
-    serve_mode_from_env,
 )
 from .graphgen import GraphGenConfig, generate_graph
 from .interleave import (
-    INTERLEAVE_SEEDS_ENV,
     DeadlockError,
     InstrumentedLock,
     InterleaveError,
@@ -46,7 +42,6 @@ from .interleave import (
     InterleaveScheduler,
     SchedulerStallError,
     instrument_methods,
-    interleave_seeds,
     replay_instructions,
     sweep,
 )
@@ -63,7 +58,6 @@ __all__ = [
     "FaultStats",
     "FuzzReport",
     "GraphGenConfig",
-    "INTERLEAVE_SEEDS_ENV",
     "InstrumentedLock",
     "InterleaveError",
     "InterleaveResult",
@@ -72,15 +66,11 @@ __all__ = [
     "SchedulerStallError",
     "ServedProstEngine",
     "chaos_plan_seed",
-    "chaos_seed_from_env",
-    "fuzz_defaults",
     "generate_graph",
     "generate_query",
     "instrument_methods",
-    "interleave_seeds",
     "replay_instructions",
     "run_fuzz",
     "serialize_query",
-    "serve_mode_from_env",
     "sweep",
 ]

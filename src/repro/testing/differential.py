@@ -2,7 +2,8 @@
 
 One *case* is a (graph, query) pair. The runner executes the query on the
 :class:`~repro.testing.oracle.BruteForceOracle` and on each system under
-test — PRoST (``mixed`` and ``vp``), S2RDF, SPARQLGX, and Rya — and asserts
+test — PRoST (``mixed`` and ``vp``, each direct and behind the serving
+layer), S2RDF, SPARQLGX, and Rya — and asserts
 **multiset equality** of the solution rows. A failing case is shrunk to a
 minimal counterexample by dropping graph triples and query patterns while
 the mismatch still reproduces, then reported with its seed, the shrunken
@@ -12,7 +13,6 @@ graph, the shrunken query, and a one-command replay line.
 from __future__ import annotations
 
 import inspect
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -27,34 +27,26 @@ from .oracle import BruteForceOracle
 from .querygen import QueryGenConfig, generate_query, serialize_query
 from ..errors import ValidationError
 
-#: Systems the differential harness covers, in reporting order.
-ALL_SYSTEMS = ("prost-mixed", "prost-vp", "s2rdf", "sparqlgx", "rya")
+#: Systems the differential harness covers, in reporting order. The
+#: ``-served`` systems are PRoST behind the serving layer
+#: (:class:`ServedProstEngine`).
+ALL_SYSTEMS = (
+    "prost-mixed",
+    "prost-vp",
+    "prost-mixed-served",
+    "prost-vp-served",
+    "s2rdf",
+    "sparqlgx",
+    "rya",
+)
 
 #: Systems that execute on the simulated cluster — the ones chaos mode can
 #: inject faults into (Rya runs on the key-value store instead).
 CLUSTER_SYSTEMS = ("prost-mixed", "prost-vp", "s2rdf", "sparqlgx")
 
-#: Environment variables honored by both pytest's opt-in fuzz test and the
-#: ``prost-repro fuzz`` CLI subcommand (one resolution code path for both).
-SEED_ENV = "REPRO_FUZZ_SEED"
-ITERATIONS_ENV = "REPRO_FUZZ_ITERATIONS"
-#: Enables chaos mode and picks its base seed when set (CLI: ``--chaos``).
-CHAOS_SEED_ENV = "REPRO_CHAOS_SEED"
-#: When truthy, PRoST engines run behind a :class:`ServedProstEngine` so the
-#: whole differential corpus also exercises the serving layer's cached-plan
-#: and batched execution paths (CI runs a leg with a 2-entry plan cache).
-SERVE_MODE_ENV = "REPRO_SERVE_MODE"
-
-
-def chaos_seed_from_env() -> int | None:
-    """The chaos base seed requested via :data:`CHAOS_SEED_ENV`, if any."""
-    value = os.environ.get(CHAOS_SEED_ENV)
-    return int(value) if value is not None else None
-
-
-def serve_mode_from_env() -> bool:
-    """Whether :data:`SERVE_MODE_ENV` asks for served PRoST engines."""
-    return os.environ.get(SERVE_MODE_ENV, "0") not in ("0", "", "false")
+#: Plan-cache capacity of a served system: small enough that a seed's ten
+#: queries evict and replan, so the corpus exercises both paths.
+SERVED_PLAN_CACHE_SIZE = 2
 
 
 class ServedProstEngine:
@@ -70,8 +62,9 @@ class ServedProstEngine:
     the harness's oracle comparison then holds the cached path to the
     brute-force ground truth as well.
 
-    The result cache is deliberately disabled: a result-cache hit would
-    answer the later runs from the first run's rows, proving nothing.
+    The plan cache holds :data:`SERVED_PLAN_CACHE_SIZE` entries. The result
+    cache is deliberately disabled: a result-cache hit would answer the
+    later runs from the first run's rows, proving nothing.
     """
 
     def __init__(self, strategy: str, cluster_config: ClusterConfig | None = None):
@@ -79,7 +72,11 @@ class ServedProstEngine:
         from ..serve import QueryServer
 
         self.engine = ProstEngine(strategy=strategy, cluster_config=cluster_config)
-        self.server = QueryServer(self.engine, result_cache_size=0)
+        self.server = QueryServer(
+            self.engine,
+            plan_cache_size=SERVED_PLAN_CACHE_SIZE,
+            result_cache_size=0,
+        )
 
     @property
     def session(self):
@@ -115,37 +112,24 @@ def chaos_plan_seed(chaos_seed: int, case_seed: int) -> int:
     return chaos_seed * 1_000_003 + case_seed
 
 
-def fuzz_defaults(seed: int = 0, iterations: int = 20) -> tuple[int, int]:
-    """(seed, iterations), with :data:`SEED_ENV`/:data:`ITERATIONS_ENV`
-    overriding the passed defaults when set."""
-    env_seed = os.environ.get(SEED_ENV)
-    env_iterations = os.environ.get(ITERATIONS_ENV)
-    if env_seed is not None:
-        seed = int(env_seed)
-    if env_iterations is not None:
-        iterations = int(env_iterations)
-    return seed, iterations
-
-
 def make_system(name: str, cluster_config: ClusterConfig | None = None):
     """A fresh, unloaded engine instance for a system name.
 
     ``cluster_config`` applies to the systems that run on the simulated
     cluster (chaos mode passes one carrying a ``fault_seed``); Rya runs on
-    the key-value store and ignores it. With :data:`SERVE_MODE_ENV` set,
-    the PRoST engines come wrapped in :class:`ServedProstEngine`.
+    the key-value store and ignores it.
     """
     from ..baselines import Rya, S2Rdf, SparqlGx
     from ..core.prost import ProstEngine
 
     if name == "prost-mixed":
-        if serve_mode_from_env():
-            return ServedProstEngine("mixed", cluster_config=cluster_config)
         return ProstEngine(strategy="mixed", cluster_config=cluster_config)
     if name == "prost-vp":
-        if serve_mode_from_env():
-            return ServedProstEngine("vp", cluster_config=cluster_config)
         return ProstEngine(strategy="vp", cluster_config=cluster_config)
+    if name == "prost-mixed-served":
+        return ServedProstEngine("mixed", cluster_config=cluster_config)
+    if name == "prost-vp-served":
+        return ServedProstEngine("vp", cluster_config=cluster_config)
     if name == "s2rdf":
         return S2Rdf(cluster_config=cluster_config)
     if name == "sparqlgx":

@@ -27,13 +27,12 @@ Three instruments place the yield points:
 races fixed in this subsystem's PR stay fixed: cache eviction and
 epoch-bump reload schedules keep results multiset-equal across every
 replayed seed, while the *pre-fix* behavior (reinstated by monkeypatch)
-is caught by at least one seed. The seed-sweep width is
-``REPRO_INTERLEAVE_SEEDS`` (see :func:`interleave_seeds`).
+is caught by at least one seed. Unless a test names its own seeds,
+:func:`sweep` replays the first :data:`DEFAULT_INTERLEAVE_SEEDS` seeds.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -46,43 +45,22 @@ __all__ = [
     "DEFAULT_INTERLEAVE_SEEDS",
     "DEFAULT_MAX_STEPS",
     "DeadlockError",
-    "INTERLEAVE_SEEDS_ENV",
     "InstrumentedLock",
     "InterleaveError",
     "InterleaveResult",
     "InterleaveScheduler",
     "SchedulerStallError",
     "instrument_methods",
-    "interleave_seeds",
     "replay_instructions",
     "sweep",
 ]
 
-#: Environment variable: how many seeds the interleaving sweeps replay.
-INTERLEAVE_SEEDS_ENV = "REPRO_INTERLEAVE_SEEDS"
-
-#: Seeds replayed when :data:`INTERLEAVE_SEEDS_ENV` is unset.
-DEFAULT_INTERLEAVE_SEEDS = 5
+#: Seeds a :func:`sweep` replays when the test names none.
+DEFAULT_INTERLEAVE_SEEDS = 10
 
 #: Scheduler decisions before a run is declared stalled (a livelock guard;
 #: real scenarios take a few hundred steps).
 DEFAULT_MAX_STEPS = 100_000
-
-
-def interleave_seeds(default: int = DEFAULT_INTERLEAVE_SEEDS) -> range:
-    """The seed range a sweep replays: ``range(REPRO_INTERLEAVE_SEEDS)``.
-
-    An unset / blank / invalid / negative env value falls back to
-    ``default`` — the sweep must never silently shrink to zero seeds.
-    """
-    raw = os.environ.get(INTERLEAVE_SEEDS_ENV)
-    if raw is None or not raw.strip():
-        return range(default)
-    try:
-        count = int(raw.strip())
-    except ValueError:
-        return range(default)
-    return range(count if count > 0 else default)
 
 
 def replay_instructions(seed: int, test_id: str = "") -> str:
@@ -94,8 +72,7 @@ def replay_instructions(seed: int, test_id: str = "") -> str:
     target = test_id if test_id else "tests/serve/test_interleave.py"
     return (
         f"failing interleaving seed: {seed} (schedules are deterministic "
-        f"per seed)\nreplay: {INTERLEAVE_SEEDS_ENV}={seed + 1} "
-        f"PYTHONPATH=src python -m pytest {target} -x -q"
+        f"per seed)\nreplay: PYTHONPATH=src python -m pytest {target} -x -q"
     )
 
 
@@ -110,7 +87,7 @@ def sweep(
     deadlock, stall) out of one seed's scenario is re-raised as an
     ``AssertionError`` carrying :func:`replay_instructions` for that seed.
     """
-    for seed in seeds if seeds is not None else interleave_seeds():
+    for seed in seeds if seeds is not None else range(DEFAULT_INTERLEAVE_SEEDS):
         try:
             scenario(seed)
         except BaseException as exc:

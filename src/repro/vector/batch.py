@@ -54,8 +54,8 @@ class ColumnBatch:
             when every physical row is live. Operators downstream must read
             rows through the selection; :meth:`compact` materializes it.
         bytes_cache: memo dict shared by every selection view over the
-            *same* ``columns`` tuple (filters, shuffled partitions,
-            semi-join outputs). Holds the per-physical-row byte-cost
+            *same* ``columns`` tuple (filters, shuffled partitions).
+            Holds the per-physical-row byte-cost
             vector (:func:`row_bytes_vector`) so size estimation prices a
             filtered view by summing cached per-row costs instead of
             re-walking every cell. Views over a different column subset
@@ -221,8 +221,8 @@ def batch_bytes(batch: ColumnBatch) -> int:
 
     Equal by construction to ``estimate_batch_bytes(batch.columns,
     batch.live())``, but the per-cell walk happens once per physical
-    columns tuple: filters, shuffled partitions, and semi/anti-join outputs
-    share the source's ``bytes_cache``, so re-pricing a view is one list
+    columns tuple: filters and shuffled partitions share the source's
+    ``bytes_cache``, so re-pricing a view is one list
     index per live row. A view that arrives *without* a populated cache
     (a projection built fresh column tuples) is priced by walking only its
     live rows — building a table-length vector for a narrow selection

@@ -67,6 +67,16 @@ def broken_package(tmp_path):
         """,
     )
     module(
+        "serve/bad_environment.py",
+        """
+        import os
+        from os import getenv                  # environment getter
+
+        def settings():
+            return os.environ.get("X"), os.getenv("Y"), getenv("Z")
+        """,
+    )
+    module(
         "core/bad_metrics.py",
         """
         KNOWN = "engine.shuffle_bytes"         # inline literal, not constant
@@ -103,6 +113,18 @@ def test_fixture_determinism(broken_package):
     assert "wall-clock" in messages
     assert "random.Random" in messages
     assert "bare set" in messages
+
+
+def test_fixture_environment_reads(broken_package):
+    """Environment reads are banned in every subpackage, not only the data
+    plane: the fixture's offender lives in ``serve``."""
+    violations = [
+        v
+        for v in check_determinism(load_source_files(broken_package))
+        if v.path == "serve/bad_environment.py"
+    ]
+    assert sorted(v.line for v in violations) == [3, 6, 6]
+    assert all("ambient configuration" in v.message for v in violations)
 
 
 def test_fixture_metrics(broken_package):

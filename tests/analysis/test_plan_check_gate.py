@@ -1,16 +1,18 @@
 """The pre-execution gate: a corrupted plan is rejected before it runs,
-and ``REPRO_PLAN_CHECK=0`` opts out."""
+whoever else is verifying at the same time."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import plan_check_enabled, set_plan_check_enabled
 from repro.core.prost import ProstEngine
 from repro.errors import PlanVerificationError, ReproError
 
 QUERY = (
     "SELECT ?x ?n WHERE { ?x <http://ex/knows> ?y . ?y <http://ex/name> ?n }"
+)
+OTHER_QUERY = (
+    "SELECT ?x ?a WHERE { ?x <http://ex/knows> ?y . ?y <http://ex/age> ?a }"
 )
 
 
@@ -45,43 +47,34 @@ def test_gate_error_is_a_repro_error(tampering_engine):
         tampering_engine.sparql(QUERY)
 
 
-def test_gate_can_be_disabled(tampering_engine):
-    previous = set_plan_check_enabled(False)
-    try:
-        result = tampering_engine.sparql(QUERY)  # runs despite the tamper
-        assert len(result) > 0
-    finally:
-        set_plan_check_enabled(previous)
+def test_verify_leaves_other_callers_gated(tampering_engine):
+    """``verify`` collects diagnostics without switching the gate off: a
+    tampered query another caller runs while ``verify`` is planning is
+    still rejected, and no unverified plan lands in the plan cache."""
+    engine = tampering_engine
+    translator = engine._translator
+    tampered = translator.translate_bgp
+    nested = []
 
+    def planning(patterns):
+        if not nested:
+            nested.append(OTHER_QUERY)
+            try:
+                engine.sparql(OTHER_QUERY)
+            except PlanVerificationError:
+                nested.append("rejected")
+            else:
+                nested.append("ran unverified")
+        return tampered(patterns)
 
-def test_setter_returns_previous_value():
-    first = plan_check_enabled()
-    try:
-        assert set_plan_check_enabled(False) == first
-        assert plan_check_enabled() is False
-        assert set_plan_check_enabled(True) is False
-    finally:
-        set_plan_check_enabled(first)
-
-
-def test_env_var_parsing(monkeypatch):
-    """``REPRO_PLAN_CHECK`` accepts the usual falsy spellings at import."""
-    import importlib
-
-    import repro.analysis as analysis
-
-    monkeypatch.setenv("REPRO_PLAN_CHECK", "0")
-    importlib.reload(analysis)
-    assert analysis.plan_check_enabled() is False
-    monkeypatch.setenv("REPRO_PLAN_CHECK", "yes")
-    importlib.reload(analysis)
-    assert analysis.plan_check_enabled() is True
-    monkeypatch.delenv("REPRO_PLAN_CHECK")
-    importlib.reload(analysis)
-    assert analysis.plan_check_enabled() is True
+    translator.translate_bgp = planning
+    diagnostics = engine.verify(QUERY)
+    assert any(d.code == "PV105" for d in diagnostics)
+    assert nested == [OTHER_QUERY, "rejected"]
+    with pytest.raises(PlanVerificationError):
+        engine.sparql(OTHER_QUERY)  # same text: nothing unverified was cached
 
 
 def test_clean_queries_pass_the_gate(prost_mixed):
-    assert plan_check_enabled()
     result = prost_mixed.sparql(QUERY)
     assert len(result) > 0

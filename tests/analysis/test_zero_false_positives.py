@@ -2,14 +2,15 @@
 planners produce — the WatDiv basic query set on all four logical-plan
 systems, and the tier-1 differential fuzz corpus.
 
-(The corpus also runs the verifier implicitly: ``REPRO_PLAN_CHECK`` defaults
-on, so every engine query in the test suite is a regression check.)"""
+(The corpus also runs the verifier implicitly: ``ProstEngine`` checks every
+plan it builds, so every engine query in the test suite is a regression
+check.)"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis import plan_check_enabled, verify_logical_plan
+from repro.analysis import verify_logical_plan
 from repro.baselines import S2Rdf, SparqlGx, SparqlGxDirect
 from repro.core.prost import ProstEngine
 from repro.sparql.parser import parse_sparql
@@ -74,6 +75,22 @@ def test_fuzz_corpus_clean():
     assert checked == 200
 
 
-def test_plan_check_is_on_by_default():
-    """Every other test in the suite doubles as a verifier regression."""
-    assert plan_check_enabled()
+def test_plan_check_is_on_by_default(social_graph, monkeypatch):
+    """Every plan the engine builds is checked — so every other test in the
+    suite doubles as a verifier regression."""
+    import repro.analysis
+
+    calls = []
+    check_query = repro.analysis.check_query
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return check_query(*args, **kwargs)
+
+    monkeypatch.setattr(repro.analysis, "check_query", counting)
+    engine = ProstEngine()
+    engine.load(social_graph)
+    query = "SELECT ?x WHERE { ?x <http://ex/knows> ?y }"
+    engine.sparql(query)
+    engine.sparql(query)  # plan-cache hit: nothing new to check
+    assert len(calls) == 1

@@ -12,8 +12,12 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=None,
         metavar="N",
         help="run the extended differential fuzz test for N random seeds "
-        "(default: skipped; REPRO_FUZZ_ITERATIONS works too, and "
-        "REPRO_FUZZ_SEED picks the base seed)",
+        "(default: skipped)",
+    )
+    parser.addoption(
+        "--update-goldens",
+        action="store_true",
+        help="rewrite tests/obs/golden/*.txt from the current EXPLAIN output",
     )
 
 from repro.core import ProstEngine

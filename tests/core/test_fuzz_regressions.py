@@ -19,24 +19,13 @@ from repro.core import ProstEngine
 from repro.rdf import Graph
 from repro.sparql.parser import parse_sparql
 from repro.testing import BruteForceOracle
-from repro.testing.differential import (
-    ServedProstEngine,
-    row_key,
-    serve_mode_from_env,
-)
-
-
-def _prost(strategy: str):
-    """A PRoST engine — served (cached-plan + batch cross-checks) when the
-    CI leg sets REPRO_SERVE_MODE, direct otherwise."""
-    if serve_mode_from_env():
-        return ServedProstEngine(strategy)
-    return ProstEngine(strategy=strategy)
-
+from repro.testing.differential import ServedProstEngine, row_key
 
 ENGINE_FACTORIES = {
-    "prost-mixed": lambda: _prost("mixed"),
-    "prost-vp": lambda: _prost("vp"),
+    "prost-mixed": lambda: ProstEngine(strategy="mixed"),
+    "prost-vp": lambda: ProstEngine(strategy="vp"),
+    "prost-mixed-served": lambda: ServedProstEngine("mixed"),
+    "prost-vp-served": lambda: ServedProstEngine("vp"),
     "s2rdf": S2Rdf,
     "sparqlgx": SparqlGx,
     "sparqlgx-sde": SparqlGxDirect,

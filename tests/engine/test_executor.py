@@ -106,14 +106,16 @@ class TestJoins:
         assert ("c", "3", None) in rows
 
     def test_semi_join(self):
+        """No planner emits a semi join, so ``Join`` rejects it when built."""
         session = session_with_tables()
-        rows = session.table("left").join(session.table("right"), on=["k"], how="semi").collect()
-        assert sorted(rows) == [("a", "1"), ("a", "9"), ("b", "2")]
+        with pytest.raises(PlanError, match="unknown join type 'semi'"):
+            session.table("left").join(session.table("right"), on=["k"], how="semi")
 
     def test_anti_join(self):
+        """No planner emits an anti join, so ``Join`` rejects it when built."""
         session = session_with_tables()
-        rows = session.table("left").join(session.table("right"), on=["k"], how="anti").collect()
-        assert rows == [("c", "3")]
+        with pytest.raises(PlanError, match="unknown join type 'anti'"):
+            session.table("left").join(session.table("right"), on=["k"], how="anti")
 
     def test_cross_join(self):
         session = session_with_tables()

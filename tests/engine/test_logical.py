@@ -78,12 +78,6 @@ class TestJoin:
         join = Join(left, right, on=("k",))
         assert join.schema.names == ("k", "a", "b")
 
-    def test_semi_join_keeps_left_schema(self):
-        left = Project(scan(), (("k", col("s")), ("a", col("o"))))
-        right = Project(scan(), (("k", col("s")),))
-        join = Join(left, right, on=("k",), how="semi")
-        assert join.schema.names == ("k", "a")
-
     def test_missing_key_rejected(self):
         left = Project(scan(), (("a", col("s")),))
         right = Project(scan(), (("b", col("s")),))

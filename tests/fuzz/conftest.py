@@ -1,30 +1,20 @@
 """Configuration for the differential fuzzing tests.
 
 The fixed-seed subset (``test_differential.py``) runs in tier-1 by default.
-The extended run is opt-in: ``pytest --fuzz-iterations N tests/fuzz`` or
-``REPRO_FUZZ_ITERATIONS=N pytest tests/fuzz``; ``REPRO_FUZZ_SEED`` picks the
-base seed. Both knobs resolve through
-:func:`repro.testing.differential.fuzz_defaults`, the same code path the
-``prost-repro fuzz`` CLI subcommand uses.
+The extended run is opt-in: ``pytest --fuzz-iterations N tests/fuzz`` runs
+N seeds from seed 0 (``prost-repro fuzz --seed S --iterations N`` runs any
+other range).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.testing import fuzz_defaults
-
 
 @pytest.fixture
-def extended_fuzz_settings(request) -> tuple[int, int]:
-    """(base_seed, iterations) for the opt-in extended run, or skip."""
-    option = request.config.getoption("--fuzz-iterations")
-    seed, iterations = fuzz_defaults(seed=0, iterations=option or 0)
-    if option is not None:  # the CLI flag wins over the environment
-        iterations = option
-    if iterations <= 0:
-        pytest.skip(
-            "extended fuzzing is opt-in: pass --fuzz-iterations N or set "
-            "REPRO_FUZZ_ITERATIONS=N"
-        )
-    return seed, iterations
+def extended_fuzz_iterations(request) -> int:
+    """Seed count of the opt-in extended run, or skip."""
+    iterations = request.config.getoption("--fuzz-iterations")
+    if not iterations or iterations <= 0:
+        pytest.skip("extended fuzzing is opt-in: pass --fuzz-iterations N")
+    return iterations

@@ -19,7 +19,7 @@ import pytest
 from repro.core.prost import ProstEngine
 from repro.engine import ClusterConfig, ExecutionMetrics
 from repro.engine.cluster import SimulatedCluster
-from repro.errors import ExecutionError, QueryTimeoutError, ValidationError
+from repro.errors import ExecutionError, QueryTimeoutError
 from repro.governor import GovernorContext, governor_context_for
 from repro.rdf.graph import Graph
 
@@ -146,33 +146,16 @@ class TestDeterminism:
 
 
 class TestConfiguration:
-    def test_no_governor_state_when_unconfigured(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MEM_BUDGET", raising=False)
-        monkeypatch.delenv("REPRO_QUERY_TIMEOUT", raising=False)
+    def test_no_governor_state_when_unconfigured(self):
         cluster = SimulatedCluster(ClusterConfig(num_workers=2))
         assert cluster.new_query_metrics().governor is None
 
-    def test_env_vars_create_a_governor_context(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "65536")
-        monkeypatch.setenv("REPRO_QUERY_TIMEOUT", "30")
-        context = governor_context_for(ClusterConfig(num_workers=2))
+    def test_config_fields_create_a_governor_context(self):
+        context = governor_context_for(
+            ClusterConfig(
+                num_workers=2, memory_budget_bytes=65536, query_timeout_sec=30
+            )
+        )
         assert context is not None
         assert context.budget.limit_bytes == 65536
         assert context.deadline.timeout_sec == 30.0
-
-    def test_explicit_config_fields_win_over_the_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MEM_BUDGET", "65536")
-        context = governor_context_for(
-            ClusterConfig(num_workers=2, memory_budget_bytes=128)
-        )
-        assert context.budget.limit_bytes == 128
-
-    @pytest.mark.parametrize("value", ["not-a-number", "-1", "0"])
-    def test_bad_env_values_are_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_MEM_BUDGET", value)
-        with pytest.raises(ValidationError, match="REPRO_MEM_BUDGET"):
-            governor_context_for(ClusterConfig(num_workers=2))
-        monkeypatch.delenv("REPRO_MEM_BUDGET")
-        monkeypatch.setenv("REPRO_QUERY_TIMEOUT", value)
-        with pytest.raises(ValidationError, match="REPRO_QUERY_TIMEOUT"):
-            governor_context_for(ClusterConfig(num_workers=2))

@@ -39,7 +39,7 @@ def _random_rows(rng, count, width, key_cardinality, null_rate=0.15):
     return rows
 
 
-HOWS = ("inner", "left", "semi", "anti")
+HOWS = ("inner", "left")
 
 
 def _kernel(left_keys, right_keys, right_keep, how):

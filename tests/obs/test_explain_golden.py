@@ -6,7 +6,7 @@ and mixed (star joined to a one-pattern hop) — so any change to the
 renderer, the translator's node grouping, or the priority arithmetic shows
 up as a readable diff. Regenerate intentionally with::
 
-    REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest tests/obs/test_explain_golden.py
+    PYTHONPATH=src python -m pytest tests/obs/test_explain_golden.py --update-goldens
 
 The ANALYZE assertions avoid byte counts on purpose (cell widths depend on
 the term-ID dictionary state) and pin structure instead: actual row
@@ -14,7 +14,6 @@ annotations, executed join strategies, and the alignment with the engine
 trace.
 """
 
-import os
 import pathlib
 
 import pytest
@@ -50,16 +49,16 @@ QUERIES = {
 
 class TestGoldenSnapshots:
     @pytest.mark.parametrize("name", sorted(QUERIES))
-    def test_explain_matches_golden(self, prost_watdiv, name):
+    def test_explain_matches_golden(self, prost_watdiv, pytestconfig, name):
         query, _ = QUERIES[name]
         rendered = prost_watdiv.explain(query) + "\n"
         path = GOLDEN_DIR / f"{name}.txt"
-        if os.environ.get("REPRO_UPDATE_GOLDENS"):
+        if pytestconfig.getoption("--update-goldens"):
             path.write_text(rendered, encoding="utf-8")
         expected = path.read_text(encoding="utf-8")
         assert rendered == expected, (
             f"EXPLAIN output for {name} drifted from {path}; if intentional, "
-            "regenerate with REPRO_UPDATE_GOLDENS=1"
+            "regenerate with --update-goldens"
         )
 
     def test_goldens_cover_both_node_kinds(self):

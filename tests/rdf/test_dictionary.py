@@ -1,6 +1,5 @@
 """Term dictionary tests: dense IDs, memoized decode, and round-trips."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

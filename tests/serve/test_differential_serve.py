@@ -1,40 +1,26 @@
 """Serve-mode differential equivalence: served == cold, on fuzzed corpora.
 
-``REPRO_SERVE_MODE=1`` makes the differential harness wrap both PRoST
-engines in :class:`~repro.testing.differential.ServedProstEngine`, which
-runs every query cold, via the plan cache, and as a two-copy batch, and
-demands all three agree before the oracle comparison even happens. These
-tests run a slice of the fuzz corpus that way — with a deliberately tiny
-plan cache so evictions and replans are exercised — plus direct unit
-checks of the wrapper itself.
+The differential harness's ``prost-mixed-served`` / ``prost-vp-served``
+systems wrap PRoST in :class:`~repro.testing.differential.ServedProstEngine`,
+which runs every query cold, via the plan cache, and as a two-copy batch,
+and demands all three agree before the oracle comparison even happens. The
+tier-1 corpus (``tests/fuzz/test_differential.py``) runs both on every
+seed; these tests check the wrapper itself, and that its deliberately tiny
+plan cache really evicts and replans on fuzzed queries.
 """
 
 from collections import Counter
 
-import pytest
-
 from repro.rdf import Graph
-from repro.testing import BruteForceOracle, run_fuzz
+from repro.testing import BruteForceOracle, DifferentialRunner
 from repro.testing.differential import (
+    SERVED_PLAN_CACHE_SIZE,
     ServedProstEngine,
+    make_system,
     row_key,
-    serve_mode_from_env,
 )
 
 from .conftest import GRAPH_NT, Q_FOLLOWS, Q_STAR, Q_TWO_HOP
-
-
-class TestServeModeEnv:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SERVE_MODE", raising=False)
-        assert serve_mode_from_env() is False
-
-    @pytest.mark.parametrize("value,expected", [
-        ("1", True), ("true", True), ("0", False), ("", False),
-    ])
-    def test_parsing(self, monkeypatch, value, expected):
-        monkeypatch.setenv("REPRO_SERVE_MODE", value)
-        assert serve_mode_from_env() is expected
 
 
 class TestServedProstEngine:
@@ -62,18 +48,18 @@ class TestServedProstEngine:
 
 
 class TestServeModeFuzz:
-    def test_fuzz_slice_through_the_serving_layer(self, monkeypatch):
-        """Three seeds of the PRoST systems with a 2-entry plan cache (the
-        CI leg runs the full corpus; this keeps tier-1 honest and fast)."""
-        monkeypatch.setenv("REPRO_SERVE_MODE", "1")
-        monkeypatch.setenv("REPRO_SERVE_PLAN_CACHE", "2")
-        report = run_fuzz(
-            base_seed=0,
-            iterations=3,
-            queries_per_graph=5,
-            systems=("prost-mixed", "prost-vp"),
-            shrink=False,
-        )
-        assert report.ok, report.summary() + "\n\n" + "\n\n".join(
-            m.format() for m in report.mismatches
-        )
+    def test_fuzz_slice_through_the_serving_layer(self):
+        """One fuzz seed through a served system: the 2-entry plan cache
+        evicts and replans, and every answer still matches the oracle."""
+        runner = DifferentialRunner(queries_per_graph=10)
+        graph, queries = runner.generate_case(0)
+        oracle = BruteForceOracle(graph)
+        served = make_system("prost-mixed-served")
+        served.load(graph)
+        for query in queries:
+            expected = Counter(map(row_key, oracle.evaluate(query)))
+            assert Counter(map(row_key, served.sparql(query).rows)) == expected
+        stats = served.server.stats
+        assert served.server._plan_cache.capacity == SERVED_PLAN_CACHE_SIZE
+        assert stats.plan_cache_evictions > 0
+        assert stats.plan_cache_hits > 0

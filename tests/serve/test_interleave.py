@@ -15,8 +15,8 @@ proof, not a stress test:
   (pre- or post-reload) under every swept seed, across cache eviction
   churn, epoch-bump reloads, and batch execution.
 
-Sweep width comes from ``REPRO_INTERLEAVE_SEEDS`` (default 5; CI runs 10).
-A failing seed prints one-line replay instructions.
+Each sweep replays seeds 0..9; a failing seed prints one-line replay
+instructions.
 """
 
 from repro.core import ProstEngine
@@ -27,7 +27,6 @@ from repro.testing.interleave import (
     InstrumentedLock,
     InterleaveScheduler,
     instrument_methods,
-    interleave_seeds,
     sweep,
 )
 

@@ -5,10 +5,8 @@ import pytest
 from repro.errors import AdmissionRejectedError, ValidationError
 from repro.serve import (
     DEFAULT_PLAN_CACHE_SIZE,
-    PLAN_CACHE_ENV,
-    RESULT_CACHE_ENV,
+    DEFAULT_RESULT_CACHE_SIZE,
     QueryServer,
-    plan_cache_size_from_env,
 )
 
 from .conftest import Q_FOLLOWS, Q_FOLLOWS_ISO, Q_STAR, row_keys
@@ -130,21 +128,17 @@ class TestTenants:
 
 
 class TestConfiguration:
-    def test_env_fallback_and_argument_priority(self, engine, monkeypatch):
-        monkeypatch.setenv(PLAN_CACHE_ENV, "3")
-        assert plan_cache_size_from_env() == 3
-        assert QueryServer(engine)._plan_cache.capacity == 3
+    def test_default_capacities(self, engine):
+        server = QueryServer(engine)
+        assert server._plan_cache.capacity == DEFAULT_PLAN_CACHE_SIZE
+        assert server._result_cache.capacity == DEFAULT_RESULT_CACHE_SIZE
+
+    def test_argument_sets_capacity(self, engine):
         assert QueryServer(engine, plan_cache_size=5)._plan_cache.capacity == 5
 
-    def test_default_when_env_unset(self, engine, monkeypatch):
-        monkeypatch.delenv(PLAN_CACHE_ENV, raising=False)
-        assert QueryServer(engine)._plan_cache.capacity == DEFAULT_PLAN_CACHE_SIZE
-
-    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-    def test_invalid_env_rejected(self, engine, monkeypatch, value):
-        monkeypatch.setenv(RESULT_CACHE_ENV, value)
+    def test_negative_capacity_rejected(self, engine):
         with pytest.raises(ValidationError):
-            QueryServer(engine)
+            QueryServer(engine, result_cache_size=-1)
 
     def test_invalid_tenant_cap_rejected(self, engine):
         with pytest.raises(ValidationError):

@@ -11,13 +11,11 @@ import pytest
 
 from repro.testing.interleave import (
     DEFAULT_INTERLEAVE_SEEDS,
-    INTERLEAVE_SEEDS_ENV,
     DeadlockError,
     InstrumentedLock,
     InterleaveScheduler,
     SchedulerStallError,
     instrument_methods,
-    interleave_seeds,
     replay_instructions,
     sweep,
 )
@@ -191,23 +189,14 @@ class TestInstrumentation:
 
 
 class TestSeedPlumbing:
-    def test_env_unset_uses_default(self, monkeypatch):
-        monkeypatch.delenv(INTERLEAVE_SEEDS_ENV, raising=False)
-        assert interleave_seeds() == range(DEFAULT_INTERLEAVE_SEEDS)
+    def test_sweep_replays_the_default_seeds(self):
+        seen = []
+        sweep(seen.append)
+        assert seen == list(range(DEFAULT_INTERLEAVE_SEEDS))
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(INTERLEAVE_SEEDS_ENV, "12")
-        assert interleave_seeds() == range(12)
-
-    def test_env_invalid_falls_back(self, monkeypatch):
-        for bad in ("", "  ", "many", "0", "-3"):
-            monkeypatch.setenv(INTERLEAVE_SEEDS_ENV, bad)
-            assert interleave_seeds() == range(DEFAULT_INTERLEAVE_SEEDS)
-
-    def test_replay_instructions_name_seed_and_env(self):
+    def test_replay_instructions_name_seed_and_target(self):
         text = replay_instructions(7, "tests/serve/test_interleave.py")
         assert "seed: 7" in text
-        assert f"{INTERLEAVE_SEEDS_ENV}=8" in text
         assert "tests/serve/test_interleave.py" in text
 
     def test_sweep_attaches_replay_help(self):
