@@ -12,7 +12,7 @@ from repro.core import ProstEngine
 from repro.sparql.parser import parse_sparql
 
 
-def test_ablation_broadcast_joins(benchmark, suite, save_artifact):
+def test_ablation_broadcast_joins(suite, save_artifact):
     with_broadcast = suite.make_prost()
     with_broadcast.load(suite.dataset.graph)
 
@@ -37,9 +37,7 @@ def test_ablation_broadcast_joins(benchmark, suite, save_artifact):
             totals.append((simulated, shuffle_bytes, broadcasts))
         return totals
 
-    (on_sec, on_shuffle, on_bcasts), (off_sec, off_shuffle, off_bcasts) = (
-        benchmark.pedantic(run_both, rounds=1, iterations=1)
-    )
+    (on_sec, on_shuffle, on_bcasts), (off_sec, off_shuffle, off_bcasts) = run_both()
     save_artifact(
         "ablation_broadcast",
         "Ablation: broadcast-join selection (20-query totals)\n"

@@ -11,7 +11,7 @@ from repro.core.loader import load_prost_store
 from repro.engine import EngineSession, SimulatedCluster
 
 
-def test_ablation_property_table_encoding(benchmark, suite, save_artifact):
+def test_ablation_property_table_encoding(suite, save_artifact):
     def load_both():
         # Page compression off in both arms, so the comparison isolates the
         # RLE/dictionary encodings themselves.
@@ -28,7 +28,7 @@ def test_ablation_property_table_encoding(benchmark, suite, save_artifact):
         )
         return encoded, plain
 
-    encoded, plain = benchmark.pedantic(load_both, rounds=1, iterations=1)
+    encoded, plain = load_both()
 
     def table_bytes(store, table_name):
         return store.session.catalog.get(table_name).file_stats.total_bytes

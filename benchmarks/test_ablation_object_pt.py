@@ -22,7 +22,7 @@ OBJECT_STAR_QUERIES = [
 ]
 
 
-def test_ablation_object_property_table(benchmark, suite, save_artifact):
+def test_ablation_object_property_table(suite, save_artifact):
     baseline = suite.make_prost()
     baseline.load(suite.dataset.graph)
     with_object_pt = suite.make_prost(use_object_property_table=True)
@@ -41,9 +41,7 @@ def test_ablation_object_property_table(benchmark, suite, save_artifact):
             results.append((simulated, joins))
         return results
 
-    (base_sec, base_joins), (opt_sec, opt_joins) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+    (base_sec, base_joins), (opt_sec, opt_joins) = run_both()
     save_artifact(
         "ablation_object_pt",
         "Ablation: object-keyed Property Table (object-star query totals)\n"

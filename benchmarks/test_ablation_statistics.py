@@ -19,7 +19,7 @@ def _total_work(engine, queries) -> tuple[float, int]:
     return simulated, shuffled
 
 
-def test_ablation_statistics_ordering(benchmark, suite, save_artifact):
+def test_ablation_statistics_ordering(suite, save_artifact):
     with_stats = suite.make_prost()
     with_stats.load(suite.dataset.graph)
     without_stats = suite.make_prost(use_statistics=False)
@@ -31,9 +31,7 @@ def test_ablation_statistics_ordering(benchmark, suite, save_artifact):
             _total_work(without_stats, suite.queries),
         )
 
-    (stats_sec, stats_bytes), (nostats_sec, nostats_bytes) = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
+    (stats_sec, stats_bytes), (nostats_sec, nostats_bytes) = run_both()
     save_artifact(
         "ablation_statistics",
         "Ablation: statistics-based join ordering (20-query totals)\n"

@@ -11,8 +11,8 @@ from repro.bench import render_figure2
 from repro.watdiv.queries import QUERY_GROUPS
 
 
-def test_figure2_vp_vs_mixed(benchmark, suite, save_artifact):
-    runs = benchmark.pedantic(suite.run_strategy_comparison, rounds=1, iterations=1)
+def test_figure2_vp_vs_mixed(suite, save_artifact):
+    runs = suite.run_strategy_comparison()
     save_artifact("figure2_vp_vs_mixed", render_figure2(runs))
 
     vp_only = runs["VP only"]

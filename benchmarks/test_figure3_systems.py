@@ -10,8 +10,8 @@ several Star/Snowflake queries (paper: F2, S1, S3, S5).
 from repro.bench import render_figure3, speedup_table
 
 
-def test_figure3_systems(benchmark, suite, system_runs, save_artifact):
-    runs = benchmark.pedantic(lambda: system_runs, rounds=1, iterations=1)
+def test_figure3_systems(system_runs, save_artifact):
+    runs = system_runs
     save_artifact("figure3_systems", render_figure3(runs))
 
     prost = runs["PRoST"]

@@ -38,7 +38,7 @@ def synthetic_graph(num_predicates: int, seed: int = 5) -> Graph:
     return graph
 
 
-def test_loading_vs_predicate_count(benchmark, save_artifact):
+def test_loading_vs_predicate_count(save_artifact):
     config = ClusterConfig(num_workers=9, data_scale=100_000_000 / TRIPLES)
 
     def measure():
@@ -53,7 +53,7 @@ def test_loading_vs_predicate_count(benchmark, save_artifact):
             )
         return results
 
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = measure()
 
     lines = [
         "Loading time vs predicate vocabulary (fixed 4k triples, simulated s)",

@@ -16,7 +16,7 @@ from repro.watdiv.queries import QUERY_GROUPS
 SCALES = (150, 300, 600)
 
 
-def test_emulated_times_are_scale_invariant(benchmark, save_artifact):
+def test_emulated_times_are_scale_invariant(save_artifact):
     def run_all_scales():
         averages = {}
         for scale in SCALES:
@@ -25,7 +25,7 @@ def test_emulated_times_are_scale_invariant(benchmark, save_artifact):
             averages[scale] = run.average_by_group()
         return averages
 
-    averages = benchmark.pedantic(run_all_scales, rounds=1, iterations=1)
+    averages = run_all_scales()
 
     lines = ["Scaling check: PRoST per-class averages (ms) across generator scales"]
     lines.append(f"{'scale':<8}" + "".join(f"{g:>10}" for g in QUERY_GROUPS))

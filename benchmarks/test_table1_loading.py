@@ -10,10 +10,8 @@ Rya between PRoST and S2RDF in size.
 from repro.bench import render_table1
 
 
-def test_table1_loading(benchmark, suite, save_artifact):
-    reports = benchmark.pedantic(
-        suite.run_loading_comparison, rounds=1, iterations=1
-    )
+def test_table1_loading(suite, save_artifact):
+    reports = suite.run_loading_comparison()
     save_artifact("table1_loading", render_table1(reports, suite.data_scale))
 
     by_system = {report.system: report for report in reports}

@@ -54,7 +54,6 @@ BLOCKING_CALLS = frozenset(
         "sparql",
         "dataframe",
         "execute_prepared",
-        "execute_batch",
         "collect",
         "collect_data_with_report",
         "load",

@@ -31,7 +31,13 @@ from ..core.filters import SparqlCondition
 from ..core.loader import LoadReport
 from ..core.naming import assign_names
 from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
-from ..engine.cluster import ClusterConfig, SimulatedCluster
+from ..engine.cluster import (
+    NETWORK_BYTES_PER_SEC,
+    SCAN_BYTES_PER_SEC,
+    TASK_OVERHEAD_SEC,
+    ClusterConfig,
+    SimulatedCluster,
+)
 from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
 from ..errors import UnsupportedSparqlError, ValidationError
@@ -150,11 +156,11 @@ class S2Rdf:
         scale = config.data_scale
         stored = self.session.catalog.total_stored_bytes()
         simulated_sec = (
-            scale * stored / (config.scan_bytes_per_sec * config.num_workers)
+            scale * stored / (SCAN_BYTES_PER_SEC * config.num_workers)
             + scale * 2 * simulated_shuffle_bytes
-            / (config.network_bytes_per_sec * config.num_workers)
+            / (NETWORK_BYTES_PER_SEC * config.num_workers)
             + scale * simulated_write_bytes
-            / (config.scan_bytes_per_sec * config.num_workers)
+            / (SCAN_BYTES_PER_SEC * config.num_workers)
             # Each reduction is one short Spark SQL job (submission +
             # scheduling); S2RDF's loading time is dominated by the sheer
             # number of these jobs.
@@ -306,7 +312,7 @@ class S2Rdf:
         if frame is None:
             # Empty-table optimization: no cluster work at all.
             report = QueryExecutionReport(
-                simulated_sec=self.session.config.task_overhead_sec,
+                simulated_sec=TASK_OVERHEAD_SEC,
                 wall_clock_sec=time.perf_counter() - started,
             )
             self.last_query_report_ = report

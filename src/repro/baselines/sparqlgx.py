@@ -24,7 +24,7 @@ from ..core.loader import LoadReport, estimate_load_seconds
 from ..core.naming import assign_names
 from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
 from ..errors import UnsupportedSparqlError
-from ..engine.cluster import ClusterConfig, SimulatedCluster
+from ..engine.cluster import SCAN_BYTES_PER_SEC, ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
 from ..rdf.graph import Graph
@@ -258,7 +258,7 @@ class SparqlGxDirect:
             triples_loaded=len(graph),
             simulated_sec=config.data_scale
             * len(payload)
-            / (config.scan_bytes_per_sec * config.num_workers),
+            / (SCAN_BYTES_PER_SEC * config.num_workers),
             wall_clock_sec=time.perf_counter() - started,
         )
         self.load_report = report

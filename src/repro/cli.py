@@ -310,7 +310,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     Reads one query per line from stdin (SPARQL is line-oriented enough for
     a console session); dot-commands inspect the server:
 
-    - ``.stats`` — serve counters and cache hit rates
+    - ``.stats`` — the ``serve.*`` counters
     - ``.tenants`` — per-tenant admission accounting
     - ``.explain <query>`` — plans (annotated ``[cached plan]`` on a hit)
     - ``.tenant <name>`` — switch the tenant label for subsequent queries

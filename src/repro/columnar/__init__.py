@@ -1,12 +1,11 @@
-"""Columnar storage (mini-Parquet): encodings, schemas, and table files."""
+"""Columnar storage (mini-Parquet): encodings, schemas, and the table writer."""
 
-from .binio import ByteReader, ByteWriter
+from .binio import ByteWriter
 from .encoding import (
     DICTIONARY,
     ENCODINGS,
     PLAIN,
     RLE,
-    decode,
     encode_best,
     encode_dictionary,
     encode_plain,
@@ -17,14 +16,10 @@ from .table_file import (
     DEFAULT_ROW_GROUP_SIZE,
     ChunkInfo,
     FileStatistics,
-    file_statistics,
-    read_schema,
-    read_table,
     write_table,
 )
 
 __all__ = [
-    "ByteReader",
     "ByteWriter",
     "ChunkInfo",
     "ColumnSchema",
@@ -35,14 +30,10 @@ __all__ = [
     "PLAIN",
     "RLE",
     "TableSchema",
-    "decode",
     "encode_best",
     "encode_dictionary",
     "encode_plain",
     "encode_rle",
-    "file_statistics",
-    "read_schema",
-    "read_table",
     "validate_column",
     "validate_value",
     "write_table",

@@ -26,7 +26,7 @@ from itertools import chain, compress, islice
 from operator import ne, sub
 
 from ..errors import EncodingError
-from .binio import SMALL_UVARINTS, ByteReader, uvarint_bytes, varint_bytes
+from .binio import SMALL_UVARINTS, uvarint_bytes, varint_bytes
 from .schema import ColumnSchema
 
 PLAIN = "plain"
@@ -58,18 +58,6 @@ def _scalar_bytes(type_name: str, value) -> bytes:
     raise EncodingError(f"unknown scalar type {type_name!r}")
 
 
-def _read_scalar(reader: ByteReader, type_name: str):
-    if type_name == "string":
-        return reader.read_string()
-    if type_name == "int":
-        return reader.read_varint()
-    if type_name == "double":
-        return reader.read_double()
-    if type_name == "bool":
-        return reader.read_bytes(1) == b"\x01"
-    raise EncodingError(f"unknown scalar type {type_name!r}")
-
-
 def value_bytes(column: ColumnSchema, value) -> bytes:
     """One nullable cell (scalar or list) as a tagged unit."""
     if value is None:
@@ -81,19 +69,6 @@ def value_bytes(column: ColumnSchema, value) -> bytes:
         [_PRESENT_UNIT, uvarint_bytes(len(value))]
         + [_scalar_bytes(element_type, element) for element in value]
     )
-
-
-def read_value(reader: ByteReader, column: ColumnSchema):
-    """Read one nullable cell written by :func:`write_value`."""
-    tag = reader.read_bytes(1)[0]
-    if tag == _NULL:
-        return None
-    if tag != _PRESENT:
-        raise EncodingError(f"bad value tag {tag}")
-    if column.is_list:
-        count = reader.read_uvarint()
-        return [_read_scalar(reader, column.element_type) for _ in range(count)]
-    return _read_scalar(reader, column.type)
 
 
 # -- one pass over a chunk -------------------------------------------------------
@@ -196,31 +171,9 @@ def encode_plain(column: ColumnSchema, values: Sequence) -> bytes:
     return _plain(_analyse(column, values))
 
 
-def decode_plain(column: ColumnSchema, data: bytes) -> list:
-    reader = ByteReader(data)
-    count = reader.read_uvarint()
-    return [read_value(reader, column) for _ in range(count)]
-
-
 def encode_rle(column: ColumnSchema, values: Sequence) -> bytes:
     """Encode values as (run-length, value) pairs."""
     return _rle(_analyse(column, values))
-
-
-def decode_rle(column: ColumnSchema, data: bytes) -> list:
-    reader = ByteReader(data)
-    total = reader.read_uvarint()
-    values: list = []
-    while len(values) < total:
-        run = reader.read_uvarint()
-        value = read_value(reader, column)
-        if isinstance(value, list):
-            values.extend(list(value) for _ in range(run))
-        else:
-            values.extend([value] * run)
-    if len(values) != total:
-        raise EncodingError("RLE run lengths do not sum to the declared count")
-    return values
 
 
 def encode_dictionary(column: ColumnSchema, values: Sequence) -> bytes:
@@ -231,29 +184,7 @@ def encode_dictionary(column: ColumnSchema, values: Sequence) -> bytes:
     return _dictionary(_analyse(column, values))
 
 
-def decode_dictionary(column: ColumnSchema, data: bytes) -> list:
-    reader = ByteReader(data)
-    total = reader.read_uvarint()
-    dict_size = reader.read_uvarint()
-    dictionary = [read_value(reader, column) for _ in range(dict_size)]
-    values: list = []
-    while len(values) < total:
-        run = reader.read_uvarint()
-        code = reader.read_uvarint()
-        if code >= dict_size:
-            raise EncodingError(f"dictionary index {code} out of range")
-        value = dictionary[code]
-        if isinstance(value, list):
-            values.extend(list(value) for _ in range(run))
-        else:
-            values.extend([value] * run)
-    if len(values) != total:
-        raise EncodingError("dictionary run lengths do not sum to the declared count")
-    return values
-
-
 _ENCODERS = {PLAIN: _plain, RLE: _rle, DICTIONARY: _dictionary}
-_DECODERS = {PLAIN: decode_plain, RLE: decode_rle, DICTIONARY: decode_dictionary}
 
 
 def encode_best(
@@ -270,11 +201,3 @@ def encode_best(
         if not best_name or len(data) < len(best_data):
             best_name, best_data = name, data
     return best_name, best_data
-
-
-def decode(column: ColumnSchema, encoding: str, data: bytes) -> list:
-    """Decode a chunk produced by any of the encoders."""
-    decoder = _DECODERS.get(encoding)
-    if decoder is None:
-        raise EncodingError(f"unknown encoding {encoding!r}")
-    return decoder(column, data)

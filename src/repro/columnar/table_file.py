@@ -10,12 +10,11 @@ File layout (all primitives from :mod:`repro.columnar.binio`)::
         per column: uvarint encoding-id | compression flag byte
                     | sized chunk bytes (zlib-deflated when flagged)
 
-Readers can prune columns: chunks of unselected columns are skipped without
-decoding (their byte ranges are length-prefixed). This models Parquet's
-column pruning and is what makes the wide Property Table cheap to scan for
-star sub-queries touching few predicates. Chunk payloads are additionally
-zlib-compressed when that shrinks them, playing the role of Parquet's
-page-level Snappy/GZIP compression.
+Chunk payloads are additionally zlib-compressed when that shrinks them,
+playing the role of Parquet's page-level Snappy/GZIP compression. The file
+is written once, at load; the :class:`FileStatistics` the writer returns are
+what scans are priced from, and nothing in the package reads the file back
+(the test suite keeps a reader as the writer's oracle).
 """
 
 from __future__ import annotations
@@ -24,15 +23,14 @@ import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from ..errors import EncodingError, SchemaError, ValidationError
+from ..errors import SchemaError, ValidationError
 from ..hdfs.filesystem import SimulatedHdfs
-from .binio import ByteReader, ByteWriter
-from .encoding import ENCODINGS, decode, encode_best
-from .schema import ColumnSchema, TableSchema, validate_column
+from .binio import ByteWriter
+from .encoding import ENCODINGS, encode_best
+from .schema import TableSchema, validate_column
 
 _MAGIC = b"RCF1"
 _ENCODING_IDS = {name: i for i, name in enumerate(ENCODINGS)}
-_ENCODING_NAMES = {i: name for name, i in _ENCODING_IDS.items()}
 
 #: Default rows per row group; small so laptop-scale tables still get several.
 DEFAULT_ROW_GROUP_SIZE = 50_000
@@ -154,98 +152,3 @@ def _write_schema(writer: ByteWriter, schema: TableSchema) -> None:
     for column in schema.columns:
         writer.write_string(column.name)
         writer.write_string(column.type)
-
-
-def _read_schema(reader: ByteReader) -> TableSchema:
-    count = reader.read_uvarint()
-    return TableSchema(
-        [ColumnSchema(reader.read_string(), reader.read_string()) for _ in range(count)]
-    )
-
-
-def _open(data: bytes) -> tuple[TableSchema, ByteReader]:
-    if data[: len(_MAGIC)] != _MAGIC:
-        raise EncodingError("not a columnar table file (bad magic)")
-    reader = ByteReader(data, offset=len(_MAGIC))
-    return _read_schema(reader), reader
-
-
-def read_schema(hdfs: SimulatedHdfs, path: str) -> TableSchema:
-    """Read only the schema header of a columnar file."""
-    schema, _ = _open(hdfs.read(path))
-    return schema
-
-
-def read_table(
-    hdfs: SimulatedHdfs, path: str, columns: Sequence[str] | None = None
-) -> tuple[TableSchema, list[tuple]]:
-    """Read a columnar file, optionally pruning to ``columns``.
-
-    Returns the (possibly pruned) schema and the rows as tuples in the pruned
-    schema's order. Unselected chunks are skipped without decoding.
-    """
-    schema, reader = _open(hdfs.read(path))
-    wanted = list(schema.names) if columns is None else list(columns)
-    pruned = schema.select(wanted)
-    wanted_set = set(wanted)
-    rows: list[tuple] = []
-    group_count = reader.read_uvarint()
-    for _ in range(group_count):
-        row_count = reader.read_uvarint()
-        decoded: dict[str, list] = {}
-        for column in schema.columns:
-            encoding_id = reader.read_uvarint()
-            compression = reader.read_bytes(1)
-            chunk = reader.read_sized()
-            if column.name not in wanted_set:
-                continue
-            encoding = _ENCODING_NAMES.get(encoding_id)
-            if encoding is None:
-                raise EncodingError(f"unknown encoding id {encoding_id}")
-            if compression == b"\x01":
-                chunk = zlib.decompress(chunk)
-            values = decode(column, encoding, chunk)
-            if len(values) != row_count:
-                raise EncodingError(
-                    f"chunk of {column.name!r} has {len(values)} values, "
-                    f"expected {row_count}"
-                )
-            decoded[column.name] = values
-        for row_index in range(row_count):
-            rows.append(tuple(decoded[name][row_index] for name in wanted))
-    return pruned, rows
-
-
-def file_statistics(hdfs: SimulatedHdfs, path: str) -> FileStatistics:
-    """Recompute :class:`FileStatistics` from a stored file."""
-    data = hdfs.read(path)
-    schema, reader = _open(data)
-    group_count = reader.read_uvarint()
-    chunks: list[ChunkInfo] = []
-    total_rows = 0
-    for _ in range(group_count):
-        row_count = reader.read_uvarint()
-        total_rows += row_count
-        for column in schema.columns:
-            encoding_id = reader.read_uvarint()
-            compression = reader.read_bytes(1)
-            chunk = reader.read_sized()
-            stored_size = len(chunk)
-            if compression == b"\x01":
-                chunk = zlib.decompress(chunk)
-            values = decode(column, _ENCODING_NAMES[encoding_id], chunk)
-            chunks.append(
-                ChunkInfo(
-                    column=column.name,
-                    encoding=_ENCODING_NAMES[encoding_id],
-                    encoded_bytes=stored_size,
-                    num_values=len(values),
-                    null_count=sum(1 for v in values if v is None),
-                )
-            )
-    return FileStatistics(
-        row_count=total_rows,
-        row_groups=group_count,
-        total_bytes=len(data),
-        chunks=tuple(chunks),
-    )

@@ -17,6 +17,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..columnar.schema import ColumnSchema, TableSchema
+from ..engine.cluster import NETWORK_BYTES_PER_SEC, SCAN_BYTES_PER_SEC
 from ..engine.session import EngineSession
 from ..errors import LoaderError
 from ..rdf.graph import Graph
@@ -321,13 +322,13 @@ def estimate_load_seconds(
         table_jobs
         * scale
         * input_bytes
-        / (config.scan_bytes_per_sec * config.num_workers)
+        / (SCAN_BYTES_PER_SEC * config.num_workers)
     )
     job_overhead_sec = table_jobs * LOAD_JOB_OVERHEAD_SEC
-    write_sec = scale * bytes_written / (config.scan_bytes_per_sec * config.num_workers)
+    write_sec = scale * bytes_written / (SCAN_BYTES_PER_SEC * config.num_workers)
     shuffle_bytes = shuffles * input_bytes
     shuffle_sec = (
-        scale * 2 * shuffle_bytes / (config.network_bytes_per_sec * config.num_workers)
+        scale * 2 * shuffle_bytes / (NETWORK_BYTES_PER_SEC * config.num_workers)
     )
     cpu_sec = scale * triples * (1 + shuffles) / (rate * config.num_workers)
     return rescan_sec + job_overhead_sec + write_sec + shuffle_sec + cpu_sec

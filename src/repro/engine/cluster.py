@@ -10,17 +10,35 @@ processed, bytes shuffled/broadcast, tasks launched) into
 :class:`ExecutionMetrics`, and :class:`ClusterConfig` converts the totals
 into a simulated wall-clock time.
 
-The defaults are calibrated to the paper's cluster:
-
-- 9 workers, 125 MB/s network per node (Gigabit), 150 MB/s effective disk
-  scan rate per node, 5M rows/s per-core processing, 50 ms per stage of task
-  scheduling overhead (Spark's well-known constant).
+The cost model is calibrated to the paper's cluster: 9 workers, 125 MB/s
+network per node (Gigabit), 150 MB/s effective disk scan rate per node, 5M
+rows/s per-core processing, 50 ms per stage of task scheduling overhead
+(Spark's well-known constant). The rates other than the row rate are module
+constants; the row rate stays a field because SPARQLGX's RDD execution runs
+at a slower one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from ..errors import ValidationError
+
+#: Per-node network bandwidth (Gigabit Ethernet ≈ 125 MB/s).
+NETWORK_BYTES_PER_SEC = 125e6
+
+#: Per-node effective storage scan bandwidth.
+SCAN_BYTES_PER_SEC = 150e6
+
+#: Scheduling overhead charged per launched task wave.
+TASK_OVERHEAD_SEC = 0.05
+
+#: A task that fails this many times aborts the query (Spark's
+#: ``spark.task.maxFailures``, default 4).
+MAX_TASK_ATTEMPTS = 4
+
+#: A task running at least this many times slower than its siblings gets a
+#: speculative duplicate (``spark.speculation.multiplier``, default 1.5).
+SPECULATION_MULTIPLIER = 1.5
 
 
 def _validate_config_field(name: str, rule: str, value) -> None:
@@ -51,12 +69,6 @@ def _validate_config_field(name: str, rule: str, value) -> None:
     elif rule == "optional_str":
         if value is not None and (not isinstance(value, str) or not value):
             raise ValidationError(f"{name} must be a non-empty string or None")
-    elif rule == "min_attempts":
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be at least 1")
-    elif rule == "speculation":
-        if isinstance(value, bool) or not isinstance(value, real) or value <= 1.0:
-            raise ValidationError(f"{name} must exceed 1.0")
     else:  # pragma: no cover - guarded by the completeness check below
         raise ValidationError(f"unknown validation rule {rule!r} for {name}")
 
@@ -68,14 +80,9 @@ def _validate_config_field(name: str, rule: str, value) -> None:
 _CONFIG_FIELD_RULES: dict[str, str] = {
     "num_workers": "positive_int",
     "partitions_per_worker": "positive_int",
-    "network_bytes_per_sec": "positive",
-    "scan_bytes_per_sec": "positive",
     "rows_per_sec": "positive",
-    "task_overhead_sec": "non_negative",
     "broadcast_threshold_bytes": "non_negative",
     "data_scale": "positive",
-    "max_task_attempts": "min_attempts",
-    "speculation_multiplier": "speculation",
     "fault_seed": "optional_int",
     "memory_budget_bytes": "optional_positive_int",
     "query_timeout_sec": "optional_positive",
@@ -95,10 +102,7 @@ class ClusterConfig:
     Attributes:
         num_workers: Spark-style worker count (the paper uses 9).
         partitions_per_worker: default shuffle partitions per worker.
-        network_bytes_per_sec: per-node network bandwidth (Gigabit ≈ 125 MB/s).
-        scan_bytes_per_sec: per-node storage scan bandwidth.
         rows_per_sec: per-node row-processing rate for narrow operators.
-        task_overhead_sec: scheduling overhead charged per launched task wave.
         broadcast_threshold_bytes: max estimated size for a broadcast join
             (Spark's ``autoBroadcastJoinThreshold`` default is 10 MB). The
             threshold applies at *emulated* scale: it is divided by
@@ -111,11 +115,6 @@ class ClusterConfig:
             multiplied by this factor when costing (stage overheads are not:
             Spark's scheduling constant does not grow with data). Benchmarks
             set ``data_scale = 100e6 / len(graph)`` to emulate WatDiv100M.
-        max_task_attempts: a task that fails this many times aborts the
-            query (Spark's ``spark.task.maxFailures``, default 4).
-        speculation_multiplier: a task running at least this many times
-            slower than its siblings gets a speculative duplicate
-            (``spark.speculation.multiplier``, default 1.5).
         fault_seed: when set, every query runs under a seeded chaos
             :class:`~repro.engine.faults.FaultPlan` drawn from this seed.
         memory_budget_bytes: per-query memory budget charged at every
@@ -134,14 +133,9 @@ class ClusterConfig:
 
     num_workers: int = 9
     partitions_per_worker: int = 2
-    network_bytes_per_sec: float = 125e6
-    scan_bytes_per_sec: float = 150e6
     rows_per_sec: float = 5e6
-    task_overhead_sec: float = 0.05
     broadcast_threshold_bytes: int = 10 * 1024 * 1024
     data_scale: float = 1.0
-    max_task_attempts: int = 4
-    speculation_multiplier: float = 1.5
     fault_seed: int | None = None
     memory_budget_bytes: int | None = None
     query_timeout_sec: float | None = None
@@ -325,7 +319,7 @@ def estimate_cost(metrics: ExecutionMetrics, config: ClusterConfig) -> CostBreak
     """
     workers = config.num_workers
     scale = config.data_scale
-    scan_sec = scale * metrics.bytes_scanned / (config.scan_bytes_per_sec * workers)
+    scan_sec = scale * metrics.bytes_scanned / (SCAN_BYTES_PER_SEC * workers)
     # Narrow operators (filter/project/explode) fuse into single passes
     # under whole-stage codegen; charge them at a fused rate.
     cpu_sec = scale * (
@@ -335,32 +329,32 @@ def estimate_cost(metrics: ExecutionMetrics, config: ClusterConfig) -> CostBreak
     # A shuffled byte crosses the network twice (map-side write, reduce-side
     # read); aggregate bandwidth is per-node bandwidth × workers.
     shuffle_sec = (
-        scale * 2 * metrics.shuffle_bytes / (config.network_bytes_per_sec * workers)
+        scale * 2 * metrics.shuffle_bytes / (NETWORK_BYTES_PER_SEC * workers)
     )
     broadcast_sec = (
-        scale * metrics.broadcast_bytes / config.network_bytes_per_sec
+        scale * metrics.broadcast_bytes / NETWORK_BYTES_PER_SEC
         + 0.01 * metrics.broadcast_count
     )
-    overhead_sec = metrics.stages * config.task_overhead_sec
+    overhead_sec = metrics.stages * TASK_OVERHEAD_SEC
     # Recovery work re-runs at the same rates as first-run work (recovered
     # rows are charged unfused — re-execution restarts the pipeline), plus
     # the serial waits: retry backoff, straggler drag, and one scheduling
     # overhead per extra task wave.
     recovery_sec = (
-        scale * metrics.recovery_bytes_scanned / (config.scan_bytes_per_sec * workers)
+        scale * metrics.recovery_bytes_scanned / (SCAN_BYTES_PER_SEC * workers)
         + scale * metrics.recovery_rows_processed / (config.rows_per_sec * workers)
         + scale
         * 2
         * metrics.recovery_shuffle_bytes
-        / (config.network_bytes_per_sec * workers)
+        / (NETWORK_BYTES_PER_SEC * workers)
         + metrics.retry_backoff_sec
         + metrics.straggler_extra_sec
-        + metrics.retry_waves * config.task_overhead_sec
+        + metrics.retry_waves * TASK_OVERHEAD_SEC
     )
     # Grace-hash spills write every spilled byte to local disk and read it
     # back once, charged at the storage scan rate (spills are local I/O,
     # not network traffic).
-    spill_sec = scale * 2 * metrics.spill_bytes / (config.scan_bytes_per_sec * workers)
+    spill_sec = scale * 2 * metrics.spill_bytes / (SCAN_BYTES_PER_SEC * workers)
     return CostBreakdown(
         scan_sec=scan_sec,
         cpu_sec=cpu_sec,

@@ -23,7 +23,7 @@ accounting overlay, which is exactly the correctness bar — any fault plan
 that does not exhaust the retry budget must leave query results unchanged —
 and the differential chaos harness (``prost-repro fuzz --chaos``) holds
 every engine to it. A plan *can* exhaust the budget: a task with at least
-``max_task_attempts`` injected failures aborts the query with
+``MAX_TASK_ATTEMPTS`` (4) injected failures aborts the query with
 :class:`~repro.errors.FaultToleranceExhaustedError`, as Spark aborts a job
 after ``spark.task.maxFailures``.
 """
@@ -35,6 +35,13 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import FaultToleranceExhaustedError, TaskFailedError, ValidationError
+from .cluster import (
+    MAX_TASK_ATTEMPTS,
+    NARROW_FUSION_FACTOR,
+    NETWORK_BYTES_PER_SEC,
+    SCAN_BYTES_PER_SEC,
+    SPECULATION_MULTIPLIER,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .cluster import ClusterConfig, ExecutionMetrics
@@ -125,8 +132,8 @@ class FaultPlan:
             with a fresh salt, so enabling it leaves every other category's
             draws byte-identical).
         max_failures: cap on consecutive injected failures per task. Keep it
-            below ``ClusterConfig.max_task_attempts`` for recoverable plans;
-            at or above it the query aborts.
+            below ``MAX_TASK_ATTEMPTS`` for recoverable plans; at or above
+            it the query aborts.
         slowdown_range: (lo, hi) uniform range for straggler slowdowns.
     """
 
@@ -180,11 +187,10 @@ class FaultPlan:
     ) -> "FaultPlan":
         """A chaos plan: every fault category active at a moderate rate.
 
-        The default ``max_failures`` stays below the default
-        ``max_task_attempts`` (4), so rate-drawn plans are always
-        recoverable. Memory pressure only bites when the query carries a
-        memory budget; for unbudgeted queries the plan behaves exactly as
-        it did without the category.
+        The default ``max_failures`` stays below ``MAX_TASK_ATTEMPTS`` (4),
+        so rate-drawn plans are always recoverable. Memory pressure only
+        bites when the query carries a memory budget; for unbudgeted
+        queries the plan behaves exactly as it did without the category.
         """
         return cls(
             seed=seed,
@@ -309,12 +315,12 @@ class FaultInjector:
     - **worker loss** — ``1/num_workers`` of every shuffle-producing stage's
       output so far dies with the worker; each such stage re-runs that
       fraction of its tasks (lineage recompute);
-    - **straggler** — a slowdown below ``speculation_multiplier`` just
-      stretches the stage by the extra task time; at or above it a
+    - **straggler** — a slowdown below ``SPECULATION_MULTIPLIER`` (1.5)
+      just stretches the stage by the extra task time; at or above it a
       speculative duplicate launches, so the extra cost is one task's work
       plus the detection delay instead of the full slowdown.
 
-    Failures beyond ``max_task_attempts`` raise
+    Failures beyond ``MAX_TASK_ATTEMPTS`` raise
     :class:`FaultToleranceExhaustedError` and abort the query.
     """
 
@@ -369,7 +375,7 @@ class FaultInjector:
         fault: TaskFault,
         work: _StageWork,
     ) -> None:
-        if fault.failures >= self.config.max_task_attempts:
+        if fault.failures >= MAX_TASK_ATTEMPTS:
             last_attempt = TaskFailedError(
                 f"task {task} of stage {stage} failed attempt {fault.failures}",
                 stage=stage,
@@ -379,8 +385,7 @@ class FaultInjector:
             )
             raise FaultToleranceExhaustedError(
                 f"task {task} of stage {stage} ({work.note or 'unnamed'}) failed "
-                f"{fault.failures} attempts; max_task_attempts="
-                f"{self.config.max_task_attempts}"
+                f"{fault.failures} attempts; the limit is {MAX_TASK_ATTEMPTS}"
             ) from last_attempt
         per_task = 1.0 / max(1, work.tasks)
         if fault.kind == "fetch":
@@ -420,15 +425,14 @@ class FaultInjector:
         work: _StageWork,
     ) -> None:
         task_sec = self._serial_sec(work) / max(1, work.tasks)
-        threshold = self.config.speculation_multiplier
-        if slowdown >= threshold:
+        if slowdown >= SPECULATION_MULTIPLIER:
             # Speculation races a fresh copy: pay the duplicate's work and
             # the delay before the scheduler notices the straggler, not the
             # full slowdown.
             metrics.speculative_tasks += 1
             metrics.retry_waves += 1
             self._charge_recovery(metrics, work, 1.0 / max(1, work.tasks))
-            metrics.straggler_extra_sec += (threshold - 1.0) * task_sec
+            metrics.straggler_extra_sec += (SPECULATION_MULTIPLIER - 1.0) * task_sec
             metrics.fault_events.append(
                 f"stage {stage} task {task}: straggler x{slowdown:.1f}, "
                 "speculative duplicate launched"
@@ -492,17 +496,15 @@ class FaultInjector:
 
     def _serial_sec(self, work: _StageWork) -> float:
         """Single-node seconds for a stage's work (per-task time × tasks)."""
-        from .cluster import NARROW_FUSION_FACTOR
-
         config = self.config
         return config.data_scale * (
-            work.bytes_scanned / config.scan_bytes_per_sec
+            work.bytes_scanned / SCAN_BYTES_PER_SEC
             + (
                 work.rows_processed
                 + work.narrow_rows_processed / NARROW_FUSION_FACTOR
             )
             / config.rows_per_sec
-            + 2 * work.shuffle_bytes / config.network_bytes_per_sec
+            + 2 * work.shuffle_bytes / NETWORK_BYTES_PER_SEC
         )
 
     def _latest_shuffle_producer(self, exclude_from: int) -> _StageWork | None:

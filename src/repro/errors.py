@@ -73,9 +73,7 @@ class ExecutionError(ReproError):
 
     The fault-tolerance machinery raises typed subclasses: a single task
     attempt fails with :class:`TaskFailedError`, a task that exhausts its
-    retry budget fails the query with :class:`FaultToleranceExhaustedError`,
-    and an HDFS block whose every replica is on a dead datanode raises
-    :class:`BlockUnavailableError`.
+    retry budget fails the query with :class:`FaultToleranceExhaustedError`.
     """
 
 
@@ -105,19 +103,10 @@ class TaskFailedError(ExecutionError):
 
 
 class FaultToleranceExhaustedError(ExecutionError):
-    """A task failed more times than ``max_task_attempts`` allows.
+    """A task failed as many times as ``MAX_TASK_ATTEMPTS`` allows.
 
     Mirrors Spark aborting a stage (and the job) once a single task has
     failed ``spark.task.maxFailures`` times.
-    """
-
-
-class BlockUnavailableError(ExecutionError, StorageError):
-    """Every replica of an HDFS block lives on a failed datanode.
-
-    Both an :class:`ExecutionError` (a scan cannot proceed) and a
-    :class:`StorageError` (the storage layer lost data), so callers
-    catching either family see it.
     """
 
 

@@ -1,22 +1,17 @@
 """Simulated HDFS: a namenode with block-placement over virtual datanodes.
 
-The filesystem stores real bytes (so the columnar layer round-trips through
-it), tracks block locations (so the engine can schedule locality-aware scans),
-and accounts storage per node (so Table 1's "Size" column can be measured).
-Paths are slash-separated strings; directories are implicit, as in HDFS.
+The loaders write every table here once, as real bytes split into placed,
+replicated blocks, so Table 1's "Size" column is measured on what was
+written. Nothing on the query path reads a file back: scans read the
+catalog's resident column batches. Paths are slash-separated strings;
+directories are implicit, as in HDFS.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..errors import (
-    BlockUnavailableError,
-    FileAlreadyExistsError,
-    FileNotFoundInHdfsError,
-    StorageError,
-    ValidationError,
-)
+from ..errors import FileAlreadyExistsError, FileNotFoundInHdfsError, ValidationError
 from .blocks import DEFAULT_BLOCK_SIZE, Block, plan_placement, split_into_blocks
 
 
@@ -62,11 +57,7 @@ class SimulatedHdfs:
         self.block_size = block_size
         self.replication = min(replication, num_datanodes)
         self._files: dict[str, HdfsFile] = {}
-        self._failed: set[int] = set()
         self._next_block_id = 0
-        #: Block reads served by a non-primary replica because the primary's
-        #: datanode was down (the reader's failover path).
-        self.failover_reads = 0
 
     # -- writing -------------------------------------------------------------
 
@@ -93,79 +84,21 @@ class SimulatedHdfs:
             replicas = plan_placement(
                 self._next_block_id, self.num_datanodes, self.replication, preferred_node
             )
-            if self._failed:
-                live = [n for n in range(self.num_datanodes) if n not in self._failed]
-                if not live:
-                    raise StorageError("no live datanodes left to place blocks on")
-                replicas = tuple(
-                    replica if replica not in self._failed else live[replica % len(live)]
-                    for replica in replicas
-                )
-                replicas = tuple(dict.fromkeys(replicas))  # dedupe, keep order
             blocks.append(Block(self._next_block_id, size, replicas))
             self._next_block_id += 1
         file = HdfsFile(path=path, data=data, blocks=blocks)
         self._files[path] = file
         return file
 
-    def delete(self, path: str) -> None:
-        """Remove a file.
-
-        Raises:
-            FileNotFoundInHdfsError: when the path does not exist.
-        """
-        path = _normalize(path)
-        if path not in self._files:
-            raise FileNotFoundInHdfsError(path)
-        del self._files[path]
-
-    def delete_prefix(self, prefix: str) -> int:
-        """Remove every file under a directory prefix; return the count."""
-        prefix = "/" + prefix.strip("/")
-        doomed = [p for p in self._files if p == prefix or p.startswith(prefix + "/")]
-        for path in doomed:
-            del self._files[path]
-        return len(doomed)
-
     # -- reading -------------------------------------------------------------
 
     def read(self, path: str) -> bytes:
-        """Return a file's full payload, reading each block from a live replica.
-
-        Replica selection is the HDFS client's failover order: the primary
-        replica first, then the remaining replicas in placement order. A
-        block is only unreadable when *every* replica sits on a failed
-        datanode.
+        """Return a file's full payload.
 
         Raises:
             FileNotFoundInHdfsError: when the path does not exist.
-            BlockUnavailableError: when all replicas of some block are on
-                failed datanodes.
         """
-        file = self._require(path)
-        if not self._failed:
-            return file.data
-        chunks: list[bytes] = []
-        offset = 0
-        for block in file.blocks:
-            replica = self._live_replica(block)
-            if replica is None:
-                raise BlockUnavailableError(
-                    f"block {block.block_id} of {file.path}: all replicas "
-                    f"{list(block.replicas)} are on failed datanodes"
-                )
-            if replica != block.primary_node:
-                self.failover_reads += 1
-            chunks.append(file.data[offset : offset + block.size])
-            offset += block.size
-        return b"".join(chunks)
-
-    def _live_replica(self, block: Block) -> int | None:
-        """First in-service replica of a block (primary first), or ``None``."""
-        for node in block.replicas:
-            if node not in self._failed:
-                return node
-        return None
+        return self._require(path).data
 
     def exists(self, path: str) -> bool:
         try:
@@ -213,67 +146,6 @@ class SimulatedHdfs:
                 for node in block.replicas:
                     usage[node] += block.size
         return usage
-
-    # -- failure handling -------------------------------------------------------
-
-    def fail_node(self, node: int, repair: bool = True) -> int:
-        """Take a datanode out of service, optionally re-replicating its blocks.
-
-        With ``repair`` (the default), as HDFS's namenode does on a datanode
-        death: every block that had a replica on the failed node gets a new
-        replica on a surviving node (copied from a surviving replica),
-        keeping the replication factor whenever enough nodes remain. Returns
-        the number of blocks repaired.
-
-        With ``repair=False`` the node just goes dark — replica lists keep
-        their dead entries and readers fail over to surviving replicas at
-        :meth:`read` time (the window between a crash and the namenode's
-        re-replication pass). Returns 0.
-
-        Raises:
-            ValueError: for an unknown node id.
-            BlockUnavailableError: in repair mode, when some block had its
-                *only* replica on the node (data loss — with replication ≥ 2
-                this cannot happen).
-        """
-        if not 0 <= node < self.num_datanodes:
-            raise ValidationError(f"unknown datanode {node}")
-        if not repair:
-            self._failed.add(node)
-            return 0
-        repaired = 0
-        survivors = [n for n in range(self.num_datanodes) if n != node and n not in self._failed]
-        self._failed.add(node)
-        for file in self._files.values():
-            for index, block in enumerate(file.blocks):
-                if node not in block.replicas:
-                    continue
-                remaining = tuple(r for r in block.replicas if r != node)
-                if not remaining:
-                    raise BlockUnavailableError(
-                        f"block {block.block_id} of {file.path} lost its last replica"
-                    )
-                candidates = [n for n in survivors if n not in remaining]
-                if candidates:
-                    # Deterministic choice: the replacement follows the
-                    # surviving primary around the ring.
-                    replacement = min(
-                        candidates, key=lambda n: (n - remaining[0]) % self.num_datanodes
-                    )
-                    remaining = remaining + (replacement,)
-                file.blocks[index] = Block(block.block_id, block.size, remaining)
-                repaired += 1
-        return repaired
-
-    @property
-    def failed_nodes(self) -> frozenset[int]:
-        """Datanodes currently out of service."""
-        return frozenset(self._failed)
-
-    @property
-    def live_nodes(self) -> int:
-        """Number of in-service datanodes."""
-        return self.num_datanodes - len(self._failed)
 
     def _require(self, path: str) -> HdfsFile:
         path = _normalize(path)

@@ -8,8 +8,8 @@ Three pieces, all zero-dependency:
   executor so every traced query yields a span tree aligned with its
   physical plan;
 - :mod:`~repro.obs.metrics` — the :class:`MetricsRegistry` naming and
-  documenting every counter the engine, fault-injection, serving, and HDFS
-  layers emit (``docs/METRICS.md`` is generated from it);
+  documenting every counter the engine, fault-injection, governor, and
+  serving layers emit (``docs/METRICS.md`` is generated from it);
 - :mod:`~repro.obs.explain` — the ASCII Join-Tree renderer behind
   ``EXPLAIN`` / ``EXPLAIN ANALYZE`` (estimated vs actual rows, chosen join
   strategies, shuffle/broadcast bytes, recovery charges).
@@ -33,7 +33,6 @@ from .metrics import (
     MetricsRegistry,
     snapshot_cost,
     snapshot_execution_metrics,
-    snapshot_hdfs,
     snapshot_server_stats,
 )
 from .tracer import Span, Tracer
@@ -53,6 +52,5 @@ __all__ = [
     "render_span_tree",
     "snapshot_cost",
     "snapshot_execution_metrics",
-    "snapshot_hdfs",
     "snapshot_server_stats",
 ]

@@ -32,8 +32,6 @@ _RULE_TEXT: dict[str, str] = {
     "optional_positive": "number > 0, or unset",
     "optional_int": "integer, or unset",
     "optional_str": "non-empty string, or unset",
-    "min_attempts": "integer >= 1",
-    "speculation": "number > 1.0",
 }
 
 #: Curated one-line description per ``ClusterConfig`` field. Defaults and
@@ -43,14 +41,9 @@ _RULE_TEXT: dict[str, str] = {
 _FIELD_DOCS: dict[str, str] = {
     "num_workers": "Simulated Spark workers (the paper's cluster has 9).",
     "partitions_per_worker": "Default shuffle partitions per worker.",
-    "network_bytes_per_sec": "Per-node network bandwidth (Gigabit = 125e6).",
-    "scan_bytes_per_sec": "Per-node storage scan bandwidth.",
     "rows_per_sec": "Per-core row-processing rate for narrow operators.",
-    "task_overhead_sec": "Scheduling overhead charged per launched task wave.",
     "broadcast_threshold_bytes": "Max estimated build-side size for a broadcast join (divided by `data_scale` before comparing); `0` = never broadcast a hash join of non-empty inputs.",
     "data_scale": "Emulation factor: every byte/row counter is multiplied by this when costing, so a small dataset runs \"as if\" full-size.",
-    "max_task_attempts": "A task failing this many times aborts the query (Spark `spark.task.maxFailures`).",
-    "speculation_multiplier": "A task this many times slower than its siblings gets a speculative duplicate.",
     "fault_seed": "When set, every query runs under a seeded chaos fault plan drawn from this seed.",
     "memory_budget_bytes": "Per-query memory budget; tripping it degrades (broadcast->shuffle) or spills instead of failing.",
     "query_timeout_sec": "Cooperative per-query deadline, polled at stage boundaries.",

@@ -2,11 +2,11 @@
 
 Before this module, the counters the system emits lived in ad-hoc places —
 :class:`~repro.engine.cluster.ExecutionMetrics` fields, chaos
-:class:`~repro.testing.differential.FaultStats` fields, an HDFS attribute —
+:class:`~repro.testing.differential.FaultStats` fields, server stats —
 each named only by its Python identifier. The :class:`MetricsRegistry` gives
 every counter a stable dotted name (``engine.shuffle_bytes``,
-``faults.task_retries``, ``hdfs.failover_reads``, ``cost.recovery_sec``), a
-unit, the layer that emits it, and a one-line description.
+``faults.task_retries``, ``serve.plan_cache_hits``, ``cost.recovery_sec``),
+a unit, the layer that emits it, and a one-line description.
 
 Everything downstream draws from this namespace:
 
@@ -32,7 +32,7 @@ class CounterSpec:
     Attributes:
         name: stable dotted name, ``<layer>.<counter>``.
         layer: emitting layer (``engine``, ``faults``, ``governor``,
-            ``serve``, ``hdfs``, ``cost``).
+            ``serve``, ``cost``).
         unit: what one increment means (``bytes``, ``rows``, ``count``,
             ``seconds``).
         description: one line of documentation.
@@ -107,10 +107,8 @@ class MetricsRegistry:
             "governor (`repro.governor`); all zero when no memory budget or "
             "deadline is configured.",
             "serve": "Session-server counters of the multi-tenant serving "
-            "layer (`repro.serve.server.QueryServer`): cache effectiveness, "
-            "admission shedding, and batch sharing.",
-            "hdfs": "Storage-layer counters of the simulated HDFS "
-            "(`repro.hdfs.filesystem.SimulatedHdfs`).",
+            "layer (`repro.serve.server.QueryServer`): cache effectiveness "
+            "and admission shedding.",
             "cost": "Simulated seconds derived from the counters above by the "
             "cluster cost model (`repro.engine.cluster.estimate_cost`).",
         }
@@ -180,22 +178,16 @@ def _build_default_registry() -> MetricsRegistry:
     for name, unit, description in governor:
         registry.register(f"governor.{name}", "governor", unit, description)
     serve = [
-        ("queries_served", "count", "Queries answered by the server, across every path (cold, cached plan, cached result, batched)."),
+        ("queries_served", "count", "Queries answered by the server, across every path (cold, cached plan, cached result)."),
         ("plan_cache_hits", "count", "Queries answered with a cached verified plan (translate → optimize → plan-verify skipped)."),
         ("plan_cache_misses", "count", "Queries that had to plan from scratch (first sighting of a shape, or epoch change)."),
         ("plan_cache_evictions", "count", "Plan-cache entries dropped: LRU pressure plus PV401 lineage evictions."),
         ("result_cache_hits", "count", "Queries answered entirely from the result cache (no execution at all)."),
         ("result_cache_misses", "count", "Result-cache lookups that missed and fell through to execution."),
         ("admission_rejections", "count", "Queries shed at the governor's admission gate (queue full or slot wait timed out)."),
-        ("batched_queries", "count", "Queries in a batch answered by sharing another member's identical execution."),
-        ("shared_scans", "count", "Table-scan references in a batch beyond the first per table (each reads the one resident copy another member also reads)."),
     ]
     for name, unit, description in serve:
         registry.register(f"serve.{name}", "serve", unit, description)
-    registry.register(
-        "hdfs.failover_reads", "hdfs", "count",
-        "Block reads served by a non-primary replica after a datanode failure.",
-    )  # name mirrored by the HDFS_FAILOVER_READS constant below
     cost = [
         ("scan_sec", "Parallel storage-scan time (bytes_scanned at the per-node scan rate × workers)."),
         ("cpu_sec", "Parallel row-processing time (fused narrow rows + wide rows at the per-core rate)."),
@@ -225,7 +217,6 @@ REGISTRY = _build_default_registry()
 ENGINE_BYTES_SCANNED = "engine.bytes_scanned"
 ENGINE_SHUFFLE_BYTES = "engine.shuffle_bytes"
 ENGINE_BROADCAST_BYTES = "engine.broadcast_bytes"
-HDFS_FAILOVER_READS = "hdfs.failover_reads"
 
 #: ExecutionMetrics fields that live under the ``faults.`` namespace (they
 #: are charged by the fault injector, not the data plane).
@@ -299,8 +290,6 @@ _SERVE_FIELDS = (
     "result_cache_hits",
     "result_cache_misses",
     "admission_rejections",
-    "batched_queries",
-    "shared_scans",
 )
 
 
@@ -323,8 +312,3 @@ def snapshot_cost(cost) -> dict[str, float]:
             "spill_sec",
         )
     }
-
-
-def snapshot_hdfs(hdfs) -> dict[str, int]:
-    """Registry-named snapshot of a ``SimulatedHdfs`` instance."""
-    return {HDFS_FAILOVER_READS: hdfs.failover_reads}

@@ -16,12 +16,7 @@ from .ntriples import (
     write_ntriples_file,
 )
 from .stats import GraphStatistics, PredicateStatistics, collect_statistics
-from .stats_io import (
-    load_statistics,
-    save_statistics,
-    statistics_from_json,
-    statistics_to_json,
-)
+from .stats_io import save_statistics, statistics_to_json
 from .terms import (
     IRI,
     RDF_TYPE,
@@ -50,9 +45,7 @@ __all__ = [
     "Triple",
     "collect_statistics",
     "default_dictionary",
-    "load_statistics",
     "save_statistics",
-    "statistics_from_json",
     "statistics_to_json",
     "parse_ntriples",
     "parse_ntriples_file",

@@ -150,10 +150,6 @@ class TermDictionary:
             self._sort_key_by_id[index] = key
         return key
 
-    def decoded_bytes(self, term_id: int) -> int:
-        """Size of the *decoded* serialization (cost-model accounting)."""
-        return len(self._text_by_id[term_id - TERM_ID_BASE])
-
     @property
     def texts(self) -> list[str]:
         """The text table, indexed by ``term_id - TERM_ID_BASE`` (read-only;

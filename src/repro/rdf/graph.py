@@ -127,10 +127,6 @@ class Graph:
         values = [t.object for t in self._by_subject.get(subject, ()) if t.predicate == predicate]
         return sorted(values, key=self._sort_keys.__getitem__)
 
-    def predicate_counts(self) -> dict[IRI, int]:
-        """Triple count per predicate."""
-        return {pred: len(triples) for pred, triples in self._by_predicate.items()}
-
     def to_ntriples(self) -> str:
         """Serialize the graph deterministically (sorted) to N-Triples."""
         key = self._sort_keys.__getitem__

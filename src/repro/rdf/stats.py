@@ -38,13 +38,6 @@ class PredicateStatistics:
     distinct_objects: int
     is_multivalued: bool
 
-    @property
-    def objects_per_subject(self) -> float:
-        """Average number of object values per subject (>= 1.0)."""
-        if self.distinct_subjects == 0:
-            return 0.0
-        return self.triple_count / self.distinct_subjects
-
 
 @dataclass
 class GraphStatistics:

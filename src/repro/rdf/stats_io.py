@@ -1,9 +1,10 @@
 """Persistence for graph statistics.
 
 PRoST computes its statistics once, during loading, and stores them next to
-the data so later query sessions skip the pass over the graph. This module
-serializes :class:`~repro.rdf.stats.GraphStatistics` to JSON and back,
-including the optional characteristic sets.
+the data, as its loader does. This module serializes
+:class:`~repro.rdf.stats.GraphStatistics` to JSON, including the optional
+characteristic sets; the engine keeps the in-memory statistics it collected,
+so nothing in the package reads the file back.
 """
 
 from __future__ import annotations
@@ -11,8 +12,7 @@ from __future__ import annotations
 import json
 
 from ..hdfs.filesystem import SimulatedHdfs
-from .stats import GraphStatistics, PredicateStatistics
-from ..errors import ValidationError
+from .stats import GraphStatistics
 
 #: Current serialization format version.
 FORMAT_VERSION = 1
@@ -45,44 +45,7 @@ def statistics_to_json(statistics: GraphStatistics) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def statistics_from_json(text: str) -> GraphStatistics:
-    """Parse statistics serialized by :func:`statistics_to_json`.
-
-    Raises:
-        ValueError: for unknown format versions or malformed documents.
-    """
-    payload = json.loads(text)
-    version = payload.get("version")
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"unsupported statistics format version: {version!r}")
-    predicates = {
-        iri: PredicateStatistics(
-            triple_count=entry["triple_count"],
-            distinct_subjects=entry["distinct_subjects"],
-            distinct_objects=entry["distinct_objects"],
-            is_multivalued=entry["is_multivalued"],
-        )
-        for iri, entry in payload["predicates"].items()
-    }
-    characteristic_sets = None
-    if "characteristic_sets" in payload:
-        characteristic_sets = {
-            frozenset(entry["predicates"]): entry["count"]
-            for entry in payload["characteristic_sets"]
-        }
-    return GraphStatistics(
-        total_triples=payload["total_triples"],
-        total_subjects=payload["total_subjects"],
-        predicates=predicates,
-        characteristic_sets=characteristic_sets,
-    )
-
-
 def save_statistics(hdfs: SimulatedHdfs, path: str, statistics: GraphStatistics) -> None:
     """Write statistics to a (simulated) HDFS path, replacing any old file."""
     hdfs.write(path, statistics_to_json(statistics).encode("utf-8"), overwrite=True)
 
-
-def load_statistics(hdfs: SimulatedHdfs, path: str) -> GraphStatistics:
-    """Read statistics saved with :func:`save_statistics`."""
-    return statistics_from_json(hdfs.read(path).decode("utf-8"))

@@ -6,9 +6,8 @@ The serving front door the ROADMAP's "millions of users" item asks for:
 (through the engine's :class:`~repro.governor.Governor`), an LRU **plan
 cache** keyed on normalized query shape + dataset epoch (skipping
 translate → optimize → plan-verify on a hit, guarded by the ``PV401``
-lineage check), a **result cache** invalidated by dataset reloads, and a
-batch executor that deduplicates identical queries and shares PT/VP table
-scans across a burst. ``prost-repro serve`` drives an interactive session;
+lineage check), and a **result cache** invalidated by dataset reloads.
+``prost-repro serve`` drives an interactive session;
 ``python3 -m perfbench run --workload serve_mixed`` measures the whole
 stack.
 
@@ -16,11 +15,9 @@ Cache capacities are constructor arguments (``prost-repro serve
 --plan-cache / --result-cache``; 0 disables a cache, defaults 64 / 256).
 The differential fuzz harness's ``prost-mixed-served`` / ``prost-vp-served``
 systems route PRoST engines through a server with a 2-entry plan cache,
-proving cached-plan and batched execution stay multiset-equal to cold
-execution.
+proving cached-plan execution stays multiset-equal to cold execution.
 """
 
-from .batching import execute_batch, tables_scanned
 from .cache import LruCache
 from .normalize import canonicalize, plan_shape
 from .server import (
@@ -43,7 +40,5 @@ __all__ = [
     "ResultEntry",
     "ServerStats",
     "canonicalize",
-    "execute_batch",
     "plan_shape",
-    "tables_scanned",
 ]

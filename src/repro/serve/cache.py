@@ -9,8 +9,8 @@ out of the LRU order.
 
 Locking discipline: every mutable attribute is ``# guarded-by: _lock``
 (the convention the :mod:`repro.analysis.concurrency` checker enforces),
-including the counters — ``hit_rate`` and :meth:`snapshot` read several of
-them together and must never observe a torn update.
+including the counters — :meth:`snapshot` reads several of them together
+and must never observe a torn update.
 """
 
 from __future__ import annotations
@@ -106,15 +106,6 @@ class LruCache(Generic[V]):
         with self._lock:
             self._entries.clear()
 
-    def reset_counters(self) -> None:
-        """Zero the hit/miss/eviction counters (entries are kept), so a
-        measurement can separate its warm-up pass from the measured
-        window."""
-        with self._lock:
-            self.hits = 0
-            self.misses = 0
-            self.evictions = 0
-
     def snapshot(self) -> dict[str, int]:
         """One consistent view of the counters and size, taken atomically.
 
@@ -129,11 +120,3 @@ class LruCache(Generic[V]):
                 "evictions": self.evictions,
                 "size": len(self._entries),
             }
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups, ``0.0`` before the first lookup (the two
-        counters are read under the lock, as one consistent pair)."""
-        with self._lock:
-            lookups = self.hits + self.misses
-            return self.hits / lookups if lookups else 0.0

@@ -61,8 +61,6 @@ class ServerStats:
     result_cache_hits: int = 0
     result_cache_misses: int = 0
     admission_rejections: int = 0
-    batched_queries: int = 0
-    shared_scans: int = 0
 
     def to_dict(self) -> dict[str, int]:
         """Plain field → value mapping (JSON payloads, assertions)."""
@@ -216,7 +214,10 @@ class QueryServer:
             with self._lock:
                 self.stats.result_cache_misses += 1
 
-        result = self._execute_with_plan_cache(parsed, canonical, epoch, tracer=tracer)
+        entry = self._plan_for(canonical, epoch)
+        result = self.engine.execute_prepared(
+            parsed, entry.frame, entry.description, tracer=tracer, admitted=True
+        )
         if self._result_cache.capacity:
             self._result_cache.put(
                 (canonical, epoch), ResultEntry(tuple(result.rows), result.report)
@@ -226,10 +227,9 @@ class QueryServer:
     def _plan_for(self, canonical: SelectQuery, epoch: tuple) -> PlanEntry:
         """The (cached or freshly planned) entry for a canonical query.
 
-        The plan-cache hot path, shared by single-query serving and batch
-        execution: look up the stripped shape, PV401-verify a hit against
-        the live engine (a stale lineage means evict-and-replan), and on a
-        miss plan the full canonical query — modifiers included, so the
+        The plan-cache hot path: look up the stripped shape, PV401-verify a
+        hit against the live engine (a stale lineage means evict-and-replan),
+        and on a miss plan the full canonical query — modifiers included, so the
         static verifier sees exactly what a direct engine call would — and
         cache the (modifier-independent) frame under the stripped shape.
         """
@@ -260,15 +260,6 @@ class QueryServer:
                 with self._lock:
                     self.stats.plan_cache_evictions += lru_evicted
         return entry
-
-    def _execute_with_plan_cache(
-        self, parsed: SelectQuery, canonical: SelectQuery, epoch: tuple, tracer=None
-    ) -> ResultSet:
-        """Execute via a cached plan when one exists, else plan and cache."""
-        entry = self._plan_for(canonical, epoch)
-        return self.engine.execute_prepared(
-            parsed, entry.frame, entry.description, tracer=tracer, admitted=True
-        )
 
     def explain(self, query: str | SelectQuery) -> str:
         """EXPLAIN through the server: cached plans are annotated as such.

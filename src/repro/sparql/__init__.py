@@ -1,6 +1,5 @@
-"""SPARQL front end: tokenizer, parser, algebra, and shape analysis."""
+"""SPARQL front end: tokenizer, parser, and algebra."""
 
-from .analysis import BgpAnalysis, analyze_bgp, analyze_query
 from .algebra import (
     And,
     Comparison,
@@ -18,10 +17,7 @@ from .tokenizer import Token, tokenize
 
 __all__ = [
     "And",
-    "BgpAnalysis",
     "CountAggregate",
-    "analyze_bgp",
-    "analyze_query",
     "Comparison",
     "DEFAULT_PREFIXES",
     "FilterExpression",

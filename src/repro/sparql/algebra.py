@@ -49,12 +49,6 @@ class TriplePattern:
                 if isinstance(slot, Variable)}
 
     @property
-    def has_literal_object(self) -> bool:
-        """Whether the object position is a concrete literal (paper §3.3:
-        literal constraints get the highest join priority)."""
-        return isinstance(self.object, Literal)
-
-    @property
     def has_constant_object(self) -> bool:
         """Whether the object position is any concrete term (IRI or literal)."""
         return not isinstance(self.object, Variable)
@@ -188,10 +182,6 @@ class SelectQuery:
     order_by: tuple[OrderCondition, ...] = ()
     limit: int | None = None
     offset: int | None = None
-
-    @property
-    def is_select_star(self) -> bool:
-        return not self.variables
 
     @property
     def is_union(self) -> bool:

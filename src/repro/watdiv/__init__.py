@@ -8,7 +8,6 @@ from .queries import (
     BenchmarkQuery,
     QueryTemplate,
     basic_query_set,
-    queries_by_group,
 )
 from .schema import MULTIVALUED_PROPERTIES, Populations, entity_iri
 
@@ -24,5 +23,4 @@ __all__ = [
     "basic_query_set",
     "entity_iri",
     "generate_watdiv",
-    "queries_by_group",
 ]

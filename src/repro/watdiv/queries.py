@@ -312,11 +312,3 @@ def basic_query_set(dataset: WatDivDataset) -> list[BenchmarkQuery]:
             )
         )
     return queries
-
-
-def queries_by_group(queries: list[BenchmarkQuery]) -> dict[str, list[BenchmarkQuery]]:
-    """Group instantiated queries by their shape class."""
-    grouped: dict[str, list[BenchmarkQuery]] = {group: [] for group in QUERY_GROUPS}
-    for query in queries:
-        grouped[query.group].append(query)
-    return grouped

@@ -35,9 +35,5 @@ def test_snapshot_keys_are_registered():
         assert key in metrics.REGISTRY
     for key in metrics.snapshot_cost(FakeMetrics()):
         assert key in metrics.REGISTRY
-
-    class FakeHdfs:
-        failover_reads = 0
-
-    for key in metrics.snapshot_hdfs(FakeHdfs()):
+    for key in metrics.snapshot_server_stats(FakeMetrics()):
         assert key in metrics.REGISTRY

@@ -9,6 +9,7 @@ encoders to reproduce them byte for byte.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Sequence
 
 from repro.columnar.binio import ByteWriter
@@ -20,13 +21,18 @@ _NULL = 0
 _PRESENT = 1
 
 
+def write_double(writer: ByteWriter, value: float) -> None:
+    """A little-endian IEEE 754 double (the only fixed-width scalar)."""
+    writer.write_bytes(struct.pack("<d", value))
+
+
 def _write_scalar(writer: ByteWriter, type_name: str, value) -> None:
     if type_name == "string":
         writer.write_string(value)
     elif type_name == "int":
         writer.write_varint(value)
     elif type_name == "double":
-        writer.write_double(float(value))
+        write_double(writer, float(value))
     elif type_name == "bool":
         writer.write_bytes(b"\x01" if value else b"\x00")
     else:

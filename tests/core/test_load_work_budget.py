@@ -9,13 +9,15 @@ at a time without this failing.
 import sys
 from collections import Counter
 
-from repro.columnar import encoding, read_table
+from repro.columnar import encoding
 from repro.core import ProstEngine
 from repro.rdf import Graph
 from repro.rdf import terms as terms_module
 from repro.rdf.ntriples import write_ntriples_file
 from repro.rdf.terms import IRI, BlankNode, Literal
 from repro.watdiv.generator import generate_watdiv
+
+from ..columnar.reference_decoders import read_table
 
 
 def _count_calls(watched: dict, body) -> Counter:

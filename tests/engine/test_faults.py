@@ -13,7 +13,13 @@ from repro.engine import (
     WorkerLoss,
     estimate_cost,
 )
-from repro.engine.cluster import ExecutionMetrics
+from repro.engine.cluster import (
+    MAX_TASK_ATTEMPTS,
+    SCAN_BYTES_PER_SEC,
+    SPECULATION_MULTIPLIER,
+    TASK_OVERHEAD_SEC,
+    ExecutionMetrics,
+)
 from repro.engine.faults import (
     RETRY_BACKOFF_BASE_SEC,
     RETRY_BACKOFF_CAP_SEC,
@@ -106,7 +112,7 @@ class TestFaultPlan:
             for task in range(8):
                 fault = plan.task_fault(stage, task)
                 if fault is not None:
-                    assert fault.failures < ClusterConfig().max_task_attempts
+                    assert fault.failures < MAX_TASK_ATTEMPTS
 
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
@@ -173,9 +179,9 @@ class TestTaskRetry:
 
     def test_exhaustion_raises_typed_error(self):
         plan = FaultPlan(
-            task_faults=(TaskFault(stage=0, task=0, failures=4),)
+            task_faults=(TaskFault(stage=0, task=0, failures=MAX_TASK_ATTEMPTS),)
         )
-        session = make_session(fault_plan=plan, max_task_attempts=4)
+        session = make_session(fault_plan=plan)
         with pytest.raises(FaultToleranceExhaustedError) as excinfo:
             run_join(session)
         # The exception chain carries the last failed attempt, and the
@@ -184,12 +190,13 @@ class TestTaskRetry:
         assert isinstance(excinfo.value, ExecutionError)
 
     def test_failures_below_threshold_recover(self):
+        failures = MAX_TASK_ATTEMPTS - 1
         plan = FaultPlan(
-            task_faults=(TaskFault(stage=0, task=0, failures=3),)
+            task_faults=(TaskFault(stage=0, task=0, failures=failures),)
         )
-        rows, report = run_join(make_session(fault_plan=plan, max_task_attempts=4))
+        rows, report = run_join(make_session(fault_plan=plan))
         assert rows
-        assert report.metrics.task_retries == 3
+        assert report.metrics.task_retries == failures
 
 
 class TestFetchRetry:
@@ -279,23 +286,19 @@ class TestSpeculation:
 
     def test_mild_straggler_just_drags(self, busy_stage):
         plan = FaultPlan(stragglers=(StragglerSpec(stage=busy_stage, task=0, slowdown=1.2),))
-        _, report = run_join(
-            make_session(fault_plan=plan, speculation_multiplier=1.5)
-        )
+        _, report = run_join(make_session(fault_plan=plan))
         metrics = report.metrics
         assert metrics.speculative_tasks == 0
         assert metrics.straggler_extra_sec > 0
 
-    def test_speculation_threshold_is_configurable(self, busy_stage):
-        plan = FaultPlan(stragglers=(StragglerSpec(stage=busy_stage, task=0, slowdown=3.0),))
-        _, eager = run_join(
-            make_session(fault_plan=plan, speculation_multiplier=2.0)
-        )
-        _, lazy = run_join(
-            make_session(fault_plan=plan, speculation_multiplier=4.0)
-        )
-        assert eager.metrics.speculative_tasks == 1
-        assert lazy.metrics.speculative_tasks == 0
+    def test_speculation_starts_at_the_multiplier(self, busy_stage):
+        def speculative_tasks(slowdown: float) -> int:
+            spec = StragglerSpec(stage=busy_stage, task=0, slowdown=slowdown)
+            _, report = run_join(make_session(fault_plan=FaultPlan(stragglers=(spec,))))
+            return report.metrics.speculative_tasks
+
+        assert speculative_tasks(SPECULATION_MULTIPLIER) == 1
+        assert speculative_tasks(SPECULATION_MULTIPLIER - 0.01) == 0
 
 
 class TestMetricsPlumbing:
@@ -331,15 +334,15 @@ class TestMetricsPlumbing:
         assert a.recovered_faults == 3 + 3 + 1 + 1
 
     def test_estimate_cost_charges_recovery(self):
-        config = ClusterConfig(num_workers=1, task_overhead_sec=0.05)
+        config = ClusterConfig(num_workers=1)
         metrics = ExecutionMetrics(
-            recovery_bytes_scanned=int(config.scan_bytes_per_sec),
+            recovery_bytes_scanned=int(SCAN_BYTES_PER_SEC),
             retry_backoff_sec=1.0,
             straggler_extra_sec=0.5,
             retry_waves=2,
         )
         cost = estimate_cost(metrics, config)
-        assert cost.recovery_sec == pytest.approx(1.0 + 1.0 + 0.5 + 0.1)
+        assert cost.recovery_sec == pytest.approx(1.0 + 1.0 + 0.5 + 2 * TASK_OVERHEAD_SEC)
         assert cost.total_sec == pytest.approx(cost.recovery_sec)
 
     def test_fault_events_logged(self):

@@ -38,22 +38,6 @@ class TestReadWrite:
         with pytest.raises(FileNotFoundInHdfsError):
             make_fs().read("/nope")
 
-    def test_delete(self):
-        fs = make_fs()
-        fs.write("/a", b"1")
-        fs.delete("/a")
-        assert not fs.exists("/a")
-        with pytest.raises(FileNotFoundInHdfsError):
-            fs.delete("/a")
-
-    def test_delete_prefix(self):
-        fs = make_fs()
-        fs.write("/t/a", b"1")
-        fs.write("/t/b", b"2")
-        fs.write("/u/c", b"3")
-        assert fs.delete_prefix("/t") == 2
-        assert fs.list_files() == ["/u/c"]
-
     def test_invalid_path_rejected(self):
         with pytest.raises(ValueError):
             make_fs().write("/dir/", b"x")
@@ -103,7 +87,9 @@ class TestAccounting:
         fs = make_fs()
         fs.write("/b", b"1")
         fs.write("/a", b"1")
-        assert fs.list_files() == ["/a", "/b"]
+        fs.write("/t/c", b"1")
+        assert fs.list_files() == ["/a", "/b", "/t/c"]
+        assert fs.list_files("/t") == ["/t/c"]
 
 
 @given(st.binary(max_size=500), st.integers(min_value=1, max_value=64))

@@ -17,7 +17,6 @@ from repro.obs import (
     REGISTRY,
     snapshot_cost,
     snapshot_execution_metrics,
-    snapshot_hdfs,
 )
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -40,12 +39,9 @@ class TestCompleteness:
         for spec_field in dataclasses.fields(CostBreakdown):
             assert f"cost.{spec_field.name}" in REGISTRY
 
-    def test_hdfs_failover_counter_is_registered(self):
-        assert "hdfs.failover_reads" in REGISTRY
-
     def test_registry_layers(self):
         assert set(REGISTRY.layers()) == {
-            "cost", "engine", "faults", "governor", "hdfs", "serve",
+            "cost", "engine", "faults", "governor", "serve",
         }
 
     def test_every_server_stats_field_is_registered(self):
@@ -90,13 +86,6 @@ class TestSnapshots:
         snapshot = snapshot_cost(cost)
         assert set(snapshot) <= {spec.name for spec in REGISTRY}
         assert snapshot["cost.recovery_sec"] == 6.0
-
-    def test_hdfs_snapshot_keys_resolve_in_registry(self):
-        class FakeHdfs:
-            failover_reads = 4
-
-        snapshot = snapshot_hdfs(FakeHdfs())
-        assert snapshot == {"hdfs.failover_reads": 4}
 
     def test_config_is_importable(self):
         # Counter semantics reference the cluster config (data_scale etc.);

@@ -50,10 +50,10 @@ class TestTermDictionary:
         d = TermDictionary()
         assert d.lookup("<http://ex/never-interned>") is None
 
-    def test_decoded_bytes_matches_text_length(self):
+    def test_decoded_lengths_match_text_length(self):
         d = TermDictionary()
         text = "<http://ex/some-longer-iri>"
-        assert d.decoded_bytes(d.intern_text(text)) == len(text)
+        assert d.decoded_lengths[d.intern_text(text) - TERM_ID_BASE] == len(text)
 
     def test_clear_resets_id_space(self):
         d = TermDictionary()

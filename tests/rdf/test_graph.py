@@ -65,12 +65,6 @@ class TestViews:
         objects = self.graph.objects(IRI("http://ex/a"), IRI("http://ex/p"))
         assert objects == [IRI("http://ex/b"), IRI("http://ex/c")]
 
-    def test_predicate_counts(self):
-        assert self.graph.predicate_counts() == {
-            IRI("http://ex/p"): 3,
-            IRI("http://ex/q"): 1,
-        }
-
 
 class TestSerialization:
     def test_to_ntriples_is_sorted_and_parseable(self):

@@ -44,9 +44,6 @@ class TestSimpleStatistics:
         assert stats.triple_count == 0
         assert not stats.is_multivalued
 
-    def test_objects_per_subject(self):
-        assert self.stats.for_predicate("http://ex/likes").objects_per_subject == 1.5
-
     def test_characteristic_sets_absent_at_simple_level(self):
         assert self.stats.characteristic_sets is None
         assert self.stats.star_subject_estimate({"http://ex/likes"}) is None

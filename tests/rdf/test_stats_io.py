@@ -1,15 +1,46 @@
-"""Statistics persistence tests: JSON round trips and HDFS storage."""
+"""Statistics persistence tests: JSON round trips and HDFS storage.
+
+The package only writes the statistics file; the reader below is the
+writer's oracle.
+"""
+
+import json
 
 import pytest
 
+from repro.errors import ValidationError
 from repro.hdfs import SimulatedHdfs
 from repro.rdf import Graph, collect_statistics
-from repro.rdf.stats_io import (
-    load_statistics,
-    save_statistics,
-    statistics_from_json,
-    statistics_to_json,
-)
+from repro.rdf.stats import GraphStatistics, PredicateStatistics
+from repro.rdf.stats_io import FORMAT_VERSION, save_statistics, statistics_to_json
+
+
+def statistics_from_json(text: str) -> GraphStatistics:
+    """Parse statistics serialized by ``statistics_to_json``."""
+    payload = json.loads(text)
+    version = payload.get("version")
+    if version != FORMAT_VERSION:
+        raise ValidationError(f"unsupported statistics format version: {version!r}")
+    characteristic_sets = None
+    if "characteristic_sets" in payload:
+        characteristic_sets = {
+            frozenset(entry["predicates"]): entry["count"]
+            for entry in payload["characteristic_sets"]
+        }
+    return GraphStatistics(
+        total_triples=payload["total_triples"],
+        total_subjects=payload["total_subjects"],
+        predicates={
+            iri: PredicateStatistics(**entry)
+            for iri, entry in payload["predicates"].items()
+        },
+        characteristic_sets=characteristic_sets,
+    )
+
+
+def load_statistics(hdfs: SimulatedHdfs, path: str) -> GraphStatistics:
+    """Read statistics saved with ``save_statistics``."""
+    return statistics_from_json(hdfs.read(path).decode("utf-8"))
 
 NT = """
 <http://ex/a> <http://ex/likes> <http://ex/x> .

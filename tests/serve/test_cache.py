@@ -72,14 +72,6 @@ class TestLruCache:
         with pytest.raises(ValidationError):
             LruCache(-1)
 
-    def test_hit_rate(self):
-        cache = LruCache(2)
-        assert cache.hit_rate == 0.0
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("b")
-        assert cache.hit_rate == 0.5
-
     def test_put_reports_its_own_eviction(self):
         """put() returns how many LRU entries *this* insert displaced, so
         concurrent callers never need a racy before/after counter read."""
@@ -89,20 +81,6 @@ class TestLruCache:
         assert cache.put("a", 10) == 0  # refresh, not an eviction
         assert cache.put("c", 3) == 1  # displaces "b"
         assert cache.evictions == 1
-
-    def test_reset_counters_keeps_entries(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("missing")
-        cache.reset_counters()
-        assert cache.snapshot() == {
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "size": 1,
-        }
-        assert cache.get("a") == 1
 
     def test_snapshot_is_complete(self):
         cache = LruCache(2)

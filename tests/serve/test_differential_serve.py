@@ -2,8 +2,8 @@
 
 The differential harness's ``prost-mixed-served`` / ``prost-vp-served``
 systems wrap PRoST in :class:`~repro.testing.differential.ServedProstEngine`,
-which runs every query cold, via the plan cache, and as a two-copy batch,
-and demands all three agree before the oracle comparison even happens. The
+which runs every query cold and via the plan cache, and demands the two
+agree before the oracle comparison even happens. The
 tier-1 corpus (``tests/fuzz/test_differential.py``) runs both on every
 seed; these tests check the wrapper itself, and that its deliberately tiny
 plan cache really evicts and replans on fuzzed queries.
@@ -37,13 +37,13 @@ class TestServedProstEngine:
             actual = Counter(map(row_key, served.sparql(query).rows))
             assert actual == expected, text
 
-    def test_exercises_cached_plan_and_batch_paths(self):
+    def test_exercises_the_cached_plan_path(self):
         served = ServedProstEngine("mixed")
         served.load(Graph.from_ntriples(GRAPH_NT))
         served.sparql(Q_FOLLOWS)
         stats = served.server.stats
-        assert stats.plan_cache_hits >= 1  # the second (cached) run hit
-        assert stats.batched_queries >= 1  # the two-copy batch deduplicated
+        assert stats.queries_served == 2  # one cold run, one cached-plan run
+        assert stats.plan_cache_hits == 1  # the second (cached) run hit
         assert stats.result_cache_hits == 0  # result cache must stay off
 
 

@@ -13,7 +13,7 @@ proof, not a stress test:
   the bug the epoch-checked ``_cache_plan`` insert fixed;
 - the fixed tree keeps results multiset-equal to a legitimate dataset
   (pre- or post-reload) under every swept seed, across cache eviction
-  churn, epoch-bump reloads, and batch execution.
+  churn and epoch-bump reloads.
 
 Each sweep replays seeds 0..9; a failing seed prints one-line replay
 instructions.
@@ -22,7 +22,6 @@ instructions.
 from repro.core import ProstEngine
 from repro.rdf import Graph
 from repro.serve import QueryServer
-from repro.serve.batching import execute_batch
 from repro.testing.interleave import (
     InstrumentedLock,
     InterleaveScheduler,
@@ -127,13 +126,9 @@ class TestEngineReloadRace:
 
 class TestServerInterleavings:
     @staticmethod
-    def _instrumented_server(scheduler, plan_cache_size=2, result_cache_size=2):
+    def _instrumented_server(scheduler):
         engine = _loaded_engine()
-        server = QueryServer(
-            engine,
-            plan_cache_size=plan_cache_size,
-            result_cache_size=result_cache_size,
-        )
+        server = QueryServer(engine, plan_cache_size=2, result_cache_size=2)
         engine._cache_lock = InstrumentedLock(scheduler, "engine._cache_lock")
         server._lock = InstrumentedLock(scheduler, "server._lock")
         server._plan_cache._lock = InstrumentedLock(scheduler, "plan_cache._lock")
@@ -176,36 +171,6 @@ class TestServerInterleavings:
                     )
             for query in QUERIES:
                 assert row_keys(server.sparql(query)) == EXPECTED_NEW[query]
-
-        sweep(scenario, test_id=TEST_ID)
-
-    def test_batch_execution_races_reload(self):
-        """``execute_batch`` (dedup + shared scans) under a racing reload:
-        every per-query result is a legitimate snapshot of one dataset."""
-
-        def scenario(seed: int) -> None:
-            scheduler = InterleaveScheduler(seed)
-            server = self._instrumented_server(scheduler, plan_cache_size=8)
-            new_graph = Graph.from_ntriples(RELOAD_NT)
-            texts = [Q_FOLLOWS, Q_TWO_HOP, Q_FOLLOWS]
-            batch_out: dict[str, list] = {}
-
-            def batch():
-                batch_out["results"] = execute_batch(server, texts)
-
-            result = scheduler.run(
-                {
-                    "batcher": batch,
-                    "reloader": lambda: server.load(new_graph),
-                },
-                timeout_sec=120,
-            )
-            result.raise_errors()
-            for text, result_set in zip(texts, batch_out["results"]):
-                rows = row_keys(result_set)
-                assert rows in (EXPECTED_OLD[text], EXPECTED_NEW[text]), (
-                    f"batch result for {text!r} torn: {rows}"
-                )
 
         sweep(scenario, test_id=TEST_ID)
 

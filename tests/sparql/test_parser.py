@@ -17,7 +17,7 @@ class TestBasicQueries:
 
     def test_select_star(self):
         query = parse_sparql("SELECT * WHERE { ?s <http://ex/p> ?o }")
-        assert query.is_select_star
+        assert query.variables == ()
         assert query.projection == (Variable("s"), Variable("o"))
 
     def test_multiple_patterns_dot_separated(self):
@@ -196,12 +196,11 @@ class TestAlgebraHelpers:
         query = parse_sparql("SELECT ?s WHERE { ?s <http://ex/p> ?o }")
         assert query.pattern_variables == {Variable("s"), Variable("o")}
 
-    def test_has_literal_object(self):
+    def test_literal_object_is_constant(self):
         query = parse_sparql('SELECT ?s WHERE { ?s <http://ex/p> "x" }')
-        assert query.patterns[0].has_literal_object
         assert query.patterns[0].has_constant_object
 
     def test_iri_object_is_constant_not_literal(self):
         query = parse_sparql("SELECT ?s WHERE { ?s <http://ex/p> <http://ex/o> }")
-        assert not query.patterns[0].has_literal_object
+        assert not isinstance(query.patterns[0].object, Literal)
         assert query.patterns[0].has_constant_object

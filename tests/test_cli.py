@@ -259,7 +259,7 @@ class TestMetrics:
     def test_plain_listing_groups_by_layer(self, capsys):
         assert main(["metrics"]) == 0
         out = capsys.readouterr().out
-        for layer in ("[engine]", "[faults]", "[hdfs]", "[cost]"):
+        for layer in ("[engine]", "[faults]", "[serve]", "[cost]"):
             assert layer in out
         assert "engine.bytes_scanned" in out
 
