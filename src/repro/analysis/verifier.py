@@ -24,7 +24,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from ..core.estimate import join_rows
 from ..core.join_tree import JoinTree, JoinTreeNode, ObjectPtNode, PtNode, VpNode
+from ..engine.cluster import (
+    ClusterConfig,
+    broadcast_build,
+    broadcast_threshold,
+    relation_bytes,
+)
 from ..engine.logical import (
     Aggregate,
     Distinct,
@@ -44,7 +51,6 @@ from .diagnostics import ADVISORY_CODES, Diagnostic, render_diagnostics
 if TYPE_CHECKING:
     from ..core.translator import JoinTreeTranslator
     from ..engine.catalog import Catalog
-    from ..engine.cluster import ClusterConfig
 
 #: Relative tolerance for priority recomputation (scores are pure float
 #: arithmetic over integer statistics; anything beyond rounding noise is a
@@ -519,16 +525,20 @@ def _derive_join(
                 )
             )
 
-    if config is not None and plan.how != "cross":
-        out.extend(_check_budget(plan, left, right, path, label, config))
-
+    rows = (
+        join_rows(left.est_rows, right.est_rows, keyed=plan.how != "cross")
+        if left.est_rows is not None and right.est_rows is not None
+        else None
+    )
     if plan.how == "cross":
-        rows = (
-            left.est_rows * right.est_rows
-            if left.est_rows is not None and right.est_rows is not None
-            else None
-        )
         return _Derived(None, None, rows)
+
+    right_bytes = _estimated_bytes(right, plan.right)
+    build_bytes = _broadcast_build_bytes(
+        plan, _estimated_bytes(left, plan.left), right_bytes
+    )
+    if config is not None:
+        out.extend(_check_budget(plan, build_bytes, right_bytes, path, label, config))
 
     co_partitioned = (
         left.partitioning == plan.on and right.partitioning == plan.on
@@ -575,13 +585,8 @@ def _derive_join(
                 )
             )
     if plan.hint == "broadcast" and config is not None:
-        out.extend(_check_broadcast(plan, left, right, path, label, config))
+        out.extend(_check_broadcast(build_bytes, path, label, config))
 
-    rows = (
-        max(left.est_rows, right.est_rows)
-        if left.est_rows is not None and right.est_rows is not None
-        else None
-    )
     if co_partitioned:
         partitions = (
             left.num_partitions
@@ -592,35 +597,31 @@ def _derive_join(
     return _Derived(None, None, rows)
 
 
+def _estimated_bytes(side: _Derived, plan: LogicalPlan) -> int | None:
+    """Estimated size of one join input, or ``None`` when its rows are unknown."""
+    if side.est_rows is None:
+        return None
+    return relation_bytes(side.est_rows, len(plan.schema.names))
+
+
+def _broadcast_build_bytes(
+    plan: Join, left_bytes: int | None, right_bytes: int | None
+) -> int | None:
+    """Estimated size of the side a broadcast of ``plan`` replicates (the
+    executor's rule, :func:`~repro.engine.cluster.broadcast_build`), or
+    ``None`` when the sizes that decide it are unknown."""
+    if left_bytes is None or right_bytes is None:
+        return right_bytes if plan.how != "inner" else None
+    return broadcast_build(left_bytes, right_bytes, plan.how)[1]
+
+
 def _check_broadcast(
-    plan: Join,
-    left: _Derived,
-    right: _Derived,
-    path: str,
-    label: str,
-    config: "ClusterConfig",
+    build_bytes: int | None, path: str, label: str, config: "ClusterConfig"
 ) -> list[Diagnostic]:
     """A broadcast hint must have a build side under the threshold (PV204)."""
-    # Imported here, not at module level: the estimation constant lives with
-    # the EXPLAIN machinery and obs stays an optional layer.
-    from ..obs.explain import ESTIMATED_CELL_BYTES
-
-    def estimated_bytes(side: _Derived, schema_width: int) -> int | None:
-        if side.est_rows is None:
-            return None
-        return side.est_rows * schema_width * ESTIMATED_CELL_BYTES
-
-    left_bytes = estimated_bytes(left, len(plan.left.schema.names))
-    right_bytes = estimated_bytes(right, len(plan.right.schema.names))
-    if plan.how != "inner":
-        build_bytes = right_bytes  # only the build (right) side may ship
-    elif left_bytes is None or right_bytes is None:
-        build_bytes = None
-    else:
-        build_bytes = min(left_bytes, right_bytes)
     if build_bytes is None:
         return []
-    threshold = config.broadcast_threshold_bytes / config.data_scale
+    threshold = broadcast_threshold(config)
     if build_bytes <= threshold:
         return []
     return [
@@ -636,8 +637,8 @@ def _check_broadcast(
 
 def _check_budget(
     plan: Join,
-    left: _Derived,
-    right: _Derived,
+    build_bytes: int | None,
+    right_bytes: int | None,
     path: str,
     label: str,
     config: "ClusterConfig",
@@ -646,40 +647,27 @@ def _check_budget(
 
     Mirrors the runtime governor's decisions over *estimated* sizes: a
     broadcast build side over the budget will be demoted to a shuffle join,
-    and a keyed hash build over the budget will run as a partitioned
-    grace-hash spill. Both are degraded-but-valid plans, so these codes are
-    advisory (:data:`~repro.analysis.diagnostics.ADVISORY_CODES`) — they
-    never fail the pre-execution gate.
+    and a keyed hash build (always the right side) over the budget will run
+    as a partitioned grace-hash spill. Both are degraded-but-valid plans, so
+    these codes are advisory
+    (:data:`~repro.analysis.diagnostics.ADVISORY_CODES`) — they never fail
+    the pre-execution gate.
     """
     budget = config.memory_budget_bytes
     if budget is None:
         return []
-    from ..obs.explain import ESTIMATED_CELL_BYTES
-
-    def estimated_bytes(side: _Derived, schema_width: int) -> int | None:
-        if side.est_rows is None:
-            return None
-        return side.est_rows * schema_width * ESTIMATED_CELL_BYTES
-
-    left_bytes = estimated_bytes(left, len(plan.left.schema.names))
-    right_bytes = estimated_bytes(right, len(plan.right.schema.names))
     found: list[Diagnostic] = []
-    if plan.hint == "broadcast":
-        if plan.how != "inner" or left_bytes is None or right_bytes is None:
-            build_bytes = right_bytes  # only the build (right) side may ship
-        else:
-            build_bytes = min(left_bytes, right_bytes)
-        if build_bytes is not None and build_bytes > budget:
-            found.append(
-                Diagnostic(
-                    "PV301",
-                    f"broadcast build side estimated at {build_bytes} bytes "
-                    f"exceeds the {budget}-byte memory budget; the governor "
-                    "will degrade it to a shuffle join",
-                    path,
-                    label,
-                )
+    if plan.hint == "broadcast" and build_bytes is not None and build_bytes > budget:
+        found.append(
+            Diagnostic(
+                "PV301",
+                f"broadcast build side estimated at {build_bytes} bytes "
+                f"exceeds the {budget}-byte memory budget; the governor "
+                "will degrade it to a shuffle join",
+                path,
+                label,
             )
+        )
     if right_bytes is not None and right_bytes > budget:
         found.append(
             Diagnostic(

@@ -56,12 +56,6 @@ class FileStatistics:
     total_bytes: int
     chunks: tuple[ChunkInfo, ...]
 
-    def bytes_for_column(self, name: str) -> int:
-        return sum(chunk.encoded_bytes for chunk in self.chunks if chunk.column == name)
-
-    def encodings_used(self) -> set[str]:
-        return {chunk.encoding for chunk in self.chunks}
-
 
 def write_table(
     hdfs: SimulatedHdfs,

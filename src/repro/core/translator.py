@@ -7,10 +7,11 @@ Translation steps, following the paper:
    Property Table with a single select); every remaining pattern becomes a
    :class:`VpNode`. Under the ``vp`` strategy everything becomes VP nodes.
 2. Score each node with a priority derived from the loading-time statistics:
-   triple patterns containing literals (or any constant object) score
-   highest; otherwise a node's priority falls with the number of tuples in
-   its underlying data, adjusted by the distinct-subject count. A PT node is
-   scored over all its patterns, with literal patterns weighted heavily.
+   minus the node's estimated rows (:mod:`repro.core.estimate`, the one
+   estimator EXPLAIN and the plan verifier read too), plus bonuses for
+   literals. A VP pattern with a constant object scores highest; a PT node
+   gains a heavy weight per literal-constrained pattern and the top bonus
+   when its subject is bound.
 3. Build the tree: the lowest-priority (largest) node becomes the root; each
    further node, taken in descending priority, is attached below the
    already-placed node it shares a variable with, keeping selective
@@ -22,6 +23,7 @@ from __future__ import annotations
 from ..errors import TranslationError
 from ..sparql.algebra import SelectQuery, TriplePattern, Variable
 from ..rdf.stats import GraphStatistics
+from .estimate import node_rows
 from .join_tree import JoinTree, JoinTreeNode, ObjectPtNode, PtNode, VpNode
 
 #: Priority bonus for a constant (literal/IRI) in the object position.
@@ -87,17 +89,34 @@ class JoinTreeTranslator:
             # the derivable ground truth (repro.analysis.verifier).
             node.declared_partitioning = node.natural_partitioning()
             if self.use_statistics:
-                node.priority = self._score(node)
+                node.priority = self.score(node)
         return self._assemble(nodes)
 
     def score(self, node: JoinTreeNode) -> float:
         """The statistics-based priority this translator assigns ``node``.
 
-        Public so the plan verifier can recompute priorities independently
-        and reject trees whose declared priorities disagree with the
-        statistics (a tampered or stale plan).
+        Higher is more selective (computed deeper in the tree): minus the
+        node's estimated rows (:func:`~repro.core.estimate.node_rows`), plus
+        the literal bonuses. Public so the plan verifier can recompute
+        priorities independently and reject trees whose declared priorities
+        disagree with the statistics (a tampered or stale plan).
         """
-        return self._score(node)
+        score = -node_rows(node, self.statistics)
+        if isinstance(node, (PtNode, ObjectPtNode)):
+            for pattern in node.patterns:
+                if pattern.has_constant_object:
+                    score += PT_LITERAL_WEIGHT
+            if not any(isinstance(p.subject, Variable) for p in node.patterns):
+                score += LITERAL_PRIORITY  # fully bound subject: a point lookup
+        else:
+            pattern = node.patterns[0]
+            if pattern.has_constant_object and not isinstance(
+                pattern.predicate, Variable
+            ):
+                # Paper: literals are "a strong constraint" — highest
+                # priority, pushed down to the leaves.
+                score += LITERAL_PRIORITY
+        return score
 
     # -- node grouping ----------------------------------------------------------------
 
@@ -143,54 +162,6 @@ class JoinTreeTranslator:
                 nodes.append(ObjectPtNode(patterns=tuple(group)))
                 taken.update(id(p) for p in group)
         return [p for p in patterns if id(p) not in taken]
-
-    # -- priorities ------------------------------------------------------------------------
-
-    def _score(self, node: JoinTreeNode) -> float:
-        if isinstance(node, (PtNode, ObjectPtNode)):
-            return self._score_group(node)
-        return self._score_pattern(node.patterns[0])
-
-    def _score_pattern(self, pattern: TriplePattern) -> float:
-        """Higher is more selective (computed deeper in the tree)."""
-        if isinstance(pattern.predicate, Variable):
-            # An unbound predicate touches every VP table: least selective.
-            return -float(self.statistics.total_triples)
-        stats = self.statistics.for_predicate(pattern.predicate.value)
-        estimated = float(stats.triple_count)
-        if pattern.has_constant_object:
-            # A constant object keeps roughly one object-group of tuples.
-            estimated /= max(1, stats.distinct_objects)
-        if not isinstance(pattern.subject, Variable):
-            estimated /= max(1, stats.distinct_subjects)
-        score = -estimated
-        if pattern.has_constant_object:
-            # Paper: literals are "a strong constraint" — highest priority,
-            # pushed down to the leaves.
-            score += LITERAL_PRIORITY
-        return score
-
-    def _score_group(self, node: JoinTreeNode) -> float:
-        """PT nodes score over all their patterns; literals weigh heavily."""
-        predicates = {
-            p.predicate.value
-            for p in node.patterns
-            if not isinstance(p.predicate, Variable)
-        }
-        estimated = self.statistics.star_subject_estimate(predicates)
-        if estimated is None:
-            # Simple statistics: the star's size is bounded by the rarest
-            # predicate's distinct subjects (every pattern must match).
-            estimated = min(
-                self.statistics.for_predicate(p).distinct_subjects for p in predicates
-            )
-        score = -float(estimated)
-        for pattern in node.patterns:
-            if pattern.has_constant_object:
-                score += PT_LITERAL_WEIGHT
-        if not any(isinstance(p.subject, Variable) for p in node.patterns):
-            score += LITERAL_PRIORITY  # fully bound subject: a point lookup
-        return score
 
     # -- tree assembly ------------------------------------------------------------------------
 

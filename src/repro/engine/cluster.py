@@ -158,6 +158,39 @@ class ClusterConfig:
         return self.num_workers * self.partitions_per_worker
 
 
+#: Nominal in-memory bytes per result cell: turns an *estimated* row count
+#: into a size (EXPLAIN's predicted strategy, the plan verifier's broadcast
+#: and budget checks). The executor measures real sizes instead.
+ESTIMATED_CELL_BYTES = 24
+
+
+def relation_bytes(rows: int, width: int) -> int:
+    """Estimated size of ``rows`` result rows of ``width`` columns."""
+    return rows * width * ESTIMATED_CELL_BYTES
+
+
+def broadcast_threshold(config: ClusterConfig) -> float:
+    """The broadcast threshold at local scale.
+
+    The threshold compares emulated sizes (local bytes × ``data_scale``),
+    so local sizes are held against the configured bytes over the scale.
+    """
+    return config.broadcast_threshold_bytes / config.data_scale
+
+
+def broadcast_build(left_bytes: int, right_bytes: int, how: str) -> tuple[str, int]:
+    """The side a broadcast hash join replicates, and its size.
+
+    The right side if it is no larger or the join is not inner, else the
+    left: a left join must match each left row against the *whole* build
+    side at once, so only the right side may ship. Size-based selection
+    broadcasts exactly when this size is within :func:`broadcast_threshold`.
+    """
+    if right_bytes <= left_bytes or how != "inner":
+        return "right", right_bytes
+    return "left", left_bytes
+
+
 #: How many chained narrow operators whole-stage codegen typically fuses
 #: into one pass over the rows.
 NARROW_FUSION_FACTOR = 3.0

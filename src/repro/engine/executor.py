@@ -37,7 +37,12 @@ from ..errors import ExecutionError, PlanError
 from ..governor.spill import grace_hash_join
 from ..vector import ColumnBatch
 from .catalog import Catalog
-from .cluster import ClusterConfig, ExecutionMetrics
+from .cluster import (
+    ClusterConfig,
+    ExecutionMetrics,
+    broadcast_build,
+    broadcast_threshold,
+)
 from .data import ColumnarData, HashPartitioner
 from .expressions import ColumnRef
 from .logical import (
@@ -298,7 +303,8 @@ class PhysicalExecutor:
 
         left_bytes = left.estimated_bytes()
         right_bytes = right.estimated_bytes()
-        strategy = self._choose_strategy(plan, left, right, left_bytes, right_bytes, keys)
+        build, build_bytes = broadcast_build(left_bytes, right_bytes, plan.how)
+        strategy = self._choose_strategy(plan, left, right, build_bytes, keys)
         # Degradation ladder: a broadcast build over the memory budget falls
         # back to a shuffle join; a hash build over budget runs the same
         # build/probe one grace-hash disk bucket at a time, trading speed
@@ -306,14 +312,10 @@ class PhysicalExecutor:
         governor = metrics.governor
         spill_fanout = 0
         if governor is not None:
-            if strategy == "broadcast":
-                build_bytes = (
-                    right_bytes
-                    if right_bytes <= left_bytes or plan.how != "inner"
-                    else left_bytes
-                )
-                if governor.should_degrade_broadcast(metrics, build_bytes, span):
-                    strategy = "shuffle"
+            if strategy == "broadcast" and governor.should_degrade_broadcast(
+                metrics, build_bytes, span
+            ):
+                strategy = "shuffle"
             spill_fanout = governor.plan_join_build(metrics, right_bytes, span)
 
         def build_probe(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
@@ -358,19 +360,14 @@ class PhysicalExecutor:
             partitioner = left.partitioner
             pairs = zip(left.batches, right.batches)
         elif strategy == "broadcast":
-            # Only inner joins may broadcast the probe (left) side: for a
-            # left join a left row must be matched against the *whole* build
-            # side at once, so the build side must be the one replicated —
-            # i.e. the right side.
-            small_is_right = right_bytes <= left_bytes or plan.how != "inner"
-            small_bytes = right_bytes if small_is_right else left_bytes
+            small_is_right = build == "right"
             if span is not None:
-                span.set("build", "right" if small_is_right else "left")
-            metrics.broadcast_bytes += small_bytes
+                span.set("build", build)
+            metrics.broadcast_bytes += build_bytes
             metrics.broadcast_count += 1
             metrics.record_stage(
                 tasks=(left if small_is_right else right).num_partitions,
-                note=f"BroadcastHashJoin on={list(keys)} build={'right' if small_is_right else 'left'}",
+                note=f"BroadcastHashJoin on={list(keys)} build={build}",
             )
             if small_is_right:
                 # The replicated build side is one unselected batch, so its
@@ -436,8 +433,7 @@ class PhysicalExecutor:
         plan: Join,
         left: ColumnarData,
         right: ColumnarData,
-        left_bytes: int,
-        right_bytes: int,
+        build_bytes: int,
         keys: tuple[str, ...],
     ) -> str:
         if plan.hint == "broadcast":
@@ -450,14 +446,7 @@ class PhysicalExecutor:
             return "colocated"
         if plan.hint == "shuffle":
             return "shuffle"
-        # The threshold compares emulated sizes: local bytes × data_scale.
-        threshold = self.config.broadcast_threshold_bytes / self.config.data_scale
-        if plan.how != "inner":
-            # Non-inner joins can only broadcast the build (right) side.
-            if right_bytes <= threshold:
-                return "broadcast"
-            return "shuffle"
-        if min(left_bytes, right_bytes) <= threshold:
+        if build_bytes <= broadcast_threshold(self.config):
             return "broadcast"
         return "shuffle"
 

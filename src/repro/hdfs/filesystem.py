@@ -119,10 +119,6 @@ class SimulatedHdfs:
             p for p in self._files if p == prefix or p.startswith(prefix + "/")
         )
 
-    def block_locations(self, path: str) -> list[tuple[int, ...]]:
-        """Replica node-id tuples for each block of a file, in file order."""
-        return [block.replicas for block in self._require(path).blocks]
-
     # -- accounting ------------------------------------------------------------
 
     def logical_size(self, prefix: str = "/") -> int:
@@ -137,15 +133,6 @@ class SimulatedHdfs:
             for path in self.list_files(prefix)
             for block in self._files[path].blocks
         )
-
-    def node_usage(self) -> dict[int, int]:
-        """Bytes held per datanode (replicas counted where they live)."""
-        usage = {node: 0 for node in range(self.num_datanodes)}
-        for file in self._files.values():
-            for block in file.blocks:
-                for node in block.replicas:
-                    usage[node] += block.size
-        return usage
 
     def _require(self, path: str) -> HdfsFile:
         path = _normalize(path)

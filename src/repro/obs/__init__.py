@@ -22,8 +22,6 @@ from .explain import (
     JoinEdge,
     NodeRuntime,
     align_spans,
-    estimate_node_rows,
-    predict_join_strategy,
     render_join_tree,
     render_span_tree,
 )
@@ -46,8 +44,6 @@ __all__ = [
     "Span",
     "Tracer",
     "align_spans",
-    "estimate_node_rows",
-    "predict_join_strategy",
     "render_join_tree",
     "render_span_tree",
     "snapshot_cost",

@@ -2,10 +2,10 @@
 
 Two halves:
 
-- **estimation** — :func:`estimate_node_rows` scores each Join-Tree node
-  with the same loading-time statistics the translator uses for priorities,
-  and :func:`predict_join_strategy` pre-plays the executor's broadcast
-  threshold on those estimates (plain ``EXPLAIN``);
+- **estimation** — plain ``EXPLAIN`` prints each node's rows as the planner
+  estimates them (:func:`repro.core.estimate.node_rows`, the number the
+  translator ordered the tree by) and pre-plays the executor's broadcast
+  rule (:mod:`repro.engine.cluster`) on those estimates;
 - **alignment** — :func:`align_spans` matches the span tree a traced
   execution produced (one span per physical operator) back onto the Join
   Tree, recovering each node's *actual* row count and each join's chosen
@@ -23,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.join_tree import JoinTree, JoinTreeNode, VpNode
-from ..sparql.algebra import Variable
+from ..core.estimate import join_rows, node_rows
+from ..core.join_tree import JoinTree, JoinTreeNode
+from ..engine.cluster import broadcast_build, broadcast_threshold, relation_bytes
 from .metrics import (
     ENGINE_BROADCAST_BYTES,
     ENGINE_BYTES_SCANNED,
@@ -32,79 +33,9 @@ from .metrics import (
 )
 from .tracer import Span
 
-#: Nominal in-memory bytes per result cell, used only to pre-play the
-#: broadcast threshold on estimated row counts (plain EXPLAIN).
-ESTIMATED_CELL_BYTES = 24
-
 #: Span ``op`` values that wrap exactly one operator child and may sit
 #: between two joins of the fold (pushed filters, pruning projections, ...).
 _UNARY_OPS = ("filter", "project", "explode", "distinct", "aggregate")
-
-
-# -- estimation ---------------------------------------------------------------
-
-
-def estimate_node_rows(node: JoinTreeNode, statistics) -> int:
-    """Estimated result rows of one node's own sub-query (children excluded).
-
-    Mirrors the translator's priority scoring (`repro.core.translator`):
-    VP nodes start from the predicate's triple count, PT nodes from the
-    star-subject estimate, and every constant divides by the matching
-    distinct count.
-    """
-    if isinstance(node, VpNode):
-        pattern = node.pattern
-        if isinstance(pattern.predicate, Variable):
-            estimated = float(statistics.total_triples)
-        else:
-            stats = statistics.for_predicate(pattern.predicate.value)
-            estimated = float(stats.triple_count)
-            if pattern.has_constant_object:
-                estimated /= max(1, stats.distinct_objects)
-            if not isinstance(pattern.subject, Variable):
-                estimated /= max(1, stats.distinct_subjects)
-        return max(0, round(estimated))
-    predicates = {
-        p.predicate.value
-        for p in node.patterns
-        if not isinstance(p.predicate, Variable)
-    }
-    if not predicates:
-        return statistics.total_subjects
-    estimated = statistics.star_subject_estimate(predicates)
-    if estimated is None:
-        estimated = min(
-            statistics.for_predicate(p).distinct_subjects for p in predicates
-        )
-    estimated = float(estimated)
-    for pattern in node.patterns:
-        if pattern.has_constant_object and not isinstance(
-            pattern.predicate, Variable
-        ):
-            stats = statistics.for_predicate(pattern.predicate.value)
-            estimated /= max(1, stats.distinct_objects)
-    if not any(isinstance(p.subject, Variable) for p in node.patterns):
-        estimated = min(estimated, 1.0)
-    return max(0, round(estimated))
-
-
-def predict_join_strategy(
-    left_rows: int, right_rows: int, left_width: int, right_width: int, config
-) -> str:
-    """Pre-play the executor's size-based choice on *estimated* sizes.
-
-    Only ``broadcast-hash`` vs ``shuffle-hash`` is predictable from
-    estimates; colocated joins depend on partitioner lineage that only the
-    runtime knows, so ANALYZE may upgrade a prediction to ``colocated``.
-    """
-    if config is None:
-        return "?"
-    threshold = config.broadcast_threshold_bytes / config.data_scale
-    left_bytes = left_rows * left_width * ESTIMATED_CELL_BYTES
-    right_bytes = right_rows * right_width * ESTIMATED_CELL_BYTES
-    if min(left_bytes, right_bytes) <= threshold:
-        return "broadcast-hash"
-    return "shuffle-hash"
 
 
 # -- runtime alignment --------------------------------------------------------
@@ -310,6 +241,11 @@ def render_join_tree(
     return "\n".join(lines)
 
 
+def _estimated_rows(node: JoinTreeNode, statistics) -> int:
+    """The planner's row estimate of the node's own sub-query, rounded."""
+    return round(node_rows(node, statistics))
+
+
 def _node_width(node: JoinTreeNode) -> int:
     """Number of variable columns the node's sub-query outputs."""
     return max(1, len(node.variables))
@@ -329,7 +265,7 @@ def _render_node(
     which the parent uses to predict its next join strategy.
     """
     pad = " " * indent
-    est = estimate_node_rows(node, statistics)
+    est = _estimated_rows(node, statistics)
     info = runtime.get(id(node)) if runtime is not None else None
 
     head = f"{pad}{node.label()}  priority={node.priority:.3f}  est={est} rows"
@@ -347,7 +283,6 @@ def _render_node(
     accumulated_width = _node_width(node)
     order = sorted(node.children, key=lambda n: -n.priority)
     for child in order:
-        child_est = estimate_node_rows(child, statistics)
         child_info = runtime.get(id(child)) if runtime is not None else None
         child_edge = child_info.edge if child_info is not None else None
         shared = sorted(
@@ -368,23 +303,29 @@ def _render_node(
             if child_edge.recovery:
                 join_line += f"  [recovery: {_format_recovery(child_edge.recovery)}]"
         else:
-            strategy = (
-                predict_join_strategy(
-                    accumulated_est,
-                    child_est,
-                    accumulated_width,
-                    _node_width(child),
-                    config,
+            if not shared:
+                strategy = "cartesian"
+            elif config is None:
+                strategy = "?"
+            else:
+                _, build_bytes = broadcast_build(
+                    relation_bytes(accumulated_est, accumulated_width),
+                    relation_bytes(
+                        _estimated_rows(child, statistics), _node_width(child)
+                    ),
+                    "inner",
                 )
-                if shared
-                else "cartesian"
-            )
+                strategy = (
+                    "broadcast-hash"
+                    if build_bytes <= broadcast_threshold(config)
+                    else "shuffle-hash"
+                )
             on = shared
             join_line = f"{pad} +- join on {on}: {strategy} (est)"
         lines.append(join_line)
         subtree_est = _render_node(
             child, statistics, config, runtime, lines, indent + 4
         )
-        accumulated_est = max(accumulated_est, subtree_est)
+        accumulated_est = join_rows(accumulated_est, subtree_est, keyed=bool(shared))
         accumulated_width += _node_width(child)
     return accumulated_est

@@ -23,6 +23,8 @@ def test_strict_packages_type_check():
             "repro.analysis",
             "-p",
             "repro.obs",
+            "-m",
+            "repro.core.estimate",
         ]
     )
     assert status == 0, f"mypy failed:\n{stdout}\n{stderr}"

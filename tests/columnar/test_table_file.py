@@ -143,22 +143,22 @@ class TestStatistics:
     def test_bytes_for_column(self):
         fs = make_fs()
         stats = write_table(fs, "/t", SCHEMA, ROWS)
-        assert stats.bytes_for_column("s") > 0
-        assert stats.bytes_for_column("zzz") == 0
+        assert sum(c.encoded_bytes for c in stats.chunks if c.column == "s") > 0
+        assert not [c for c in stats.chunks if c.column == "zzz"]
 
     def test_null_heavy_column_is_tiny(self):
         fs = make_fs()
         schema = TableSchema([ColumnSchema("sparse", "string")])
         rows = [(None,)] * 5000 + [("value",)]
         stats = write_table(fs, "/t", schema, rows)
-        assert stats.bytes_for_column("sparse") < 100
+        assert sum(c.encoded_bytes for c in stats.chunks if c.column == "sparse") < 100
 
     def test_plain_only_encoding_restriction(self):
         fs = make_fs()
         stats = write_table(
             fs, "/t", SCHEMA, ROWS, allowed_encodings=("plain",)
         )
-        assert stats.encodings_used() == {"plain"}
+        assert {chunk.encoding for chunk in stats.chunks} == {"plain"}
 
 
 _cell = st.none() | st.text(max_size=8)

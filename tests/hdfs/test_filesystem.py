@@ -53,9 +53,9 @@ class TestBlocks:
     def test_block_locations_replicated(self):
         fs = make_fs(replication=2)
         fs.write("/a", b"x" * 100)
-        for replicas in fs.block_locations("/a"):
-            assert len(replicas) == 2
-            assert len(set(replicas)) == 2
+        for block in fs.file_info("/a").blocks:
+            assert len(block.replicas) == 2
+            assert len(set(block.replicas)) == 2
 
     def test_preferred_node_pins_primaries(self):
         fs = make_fs(block_size=8)
@@ -80,8 +80,12 @@ class TestAccounting:
     def test_node_usage_covers_all_replicas(self):
         fs = make_fs(replication=2, block_size=16)
         fs.write("/a", b"x" * 64)
-        usage = fs.node_usage()
+        usage = {node: 0 for node in range(fs.num_datanodes)}
+        for block in fs.file_info("/a").blocks:
+            for node in block.replicas:
+                usage[node] += block.size
         assert sum(usage.values()) == fs.physical_size()
+        assert all(usage.values())  # replicas spread over every datanode
 
     def test_list_files_sorted(self):
         fs = make_fs()
