@@ -38,7 +38,7 @@ def main() -> None:
     print("\n# The raw span tree behind the ANALYZE render:\n")
     tracer = Tracer()
     result = engine.sparql(QUERY, tracer=tracer)
-    report = engine.last_query_report()
+    report = result.report
     print(report.engine_report.explain())
 
     print("\n# Reconciliation: root-span counter deltas == ExecutionMetrics:")

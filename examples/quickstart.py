@@ -51,13 +51,13 @@ def main() -> None:
         }
     """
     print("Chain query (Vertical Partitioning joins):")
-    for a, c in engine.sparql(chain):
+    result = engine.sparql(chain)
+    for a, c in result:
         print(f"  {a} knows someone who knows {c}")
 
-    # Every query produces an execution report with the simulated cluster
+    # Every result carries an execution report with the simulated cluster
     # cost (the paper's 9-worker Gigabit cluster) and operator metrics.
-    query_report = engine.last_query_report()
-    print(f"\nLast query: {query_report.summary()}")
+    print(f"\nLast query: {result.report.summary()}")
 
 
 if __name__ == "__main__":

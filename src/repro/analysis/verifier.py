@@ -264,7 +264,7 @@ def _check_connectivity(tree: JoinTree, paths: dict[int, str]) -> list[Diagnosti
 
     def visit(node: JoinTreeNode) -> None:
         accumulated = {variable.name for variable in node.variables}
-        for child in sorted(node.children, key=lambda n: -n.priority):
+        for child in node.fold_order():
             child_vars = subtree_vars[id(child)]
             if not (accumulated & child_vars):
                 shared_elsewhere = child_vars & outside_vars(child)

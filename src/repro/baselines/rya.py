@@ -32,7 +32,7 @@ from ..core.results import (
     ResultSet,
     apply_solution_modifiers,
 )
-from ..errors import LoaderError
+from ..errors import LoaderError, UnsupportedSparqlError
 from ..kvstore.store import SortedKeyValueStore
 from ..rdf.graph import Graph
 from ..rdf.reference import evaluate_filter
@@ -72,6 +72,8 @@ class RyaCostModel:
     data_scale: float = 1.0
 
     def time_for(self, seeks: int, entries: int) -> float:
+        """Simulated seconds for ``seeks`` range-scan starts and
+        ``entries`` entries read."""
         return self.data_scale * (
             (seeks * self.seek_sec) / self.parallel_scans + entries * self.entry_sec
         )
@@ -90,7 +92,6 @@ class Rya:
         self.store = SortedKeyValueStore(num_tablet_servers=num_tablet_servers)
         self.cost_model = cost_model or RyaCostModel()
         self.statistics: GraphStatistics | None = None
-        self.last_query_report_: QueryExecutionReport | None = None
 
     # -- loading --------------------------------------------------------------------
 
@@ -135,9 +136,7 @@ class Rya:
 
     def sparql(self, query: str | SelectQuery) -> ResultSet:
         """Execute a SELECT query with index nested-loop joins."""
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if self.statistics is None:
-            raise LoaderError("no graph loaded; call load() first")
+        parsed = self._parse(query)
         started = time.perf_counter()
         self.store.metrics.reset()
 
@@ -171,7 +170,6 @@ class Rya:
             simulated_sec=self.cost_model.time_for(metrics.seeks, metrics.entries_read),
             wall_clock_sec=time.perf_counter() - started,
         )
-        self.last_query_report_ = report
         return ResultSet(tuple(v.name for v in parsed.projection), rows, report)
 
     def explain(self, query: str | SelectQuery, analyze: bool = False) -> str:
@@ -183,9 +181,7 @@ class Rya:
         earlier patterns). With ``analyze``, the query executes and a final
         line reports measured index seeks, entries read, and simulated time.
         """
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if self.statistics is None:
-            raise LoaderError("no graph loaded; call load() first")
+        parsed = self._parse(query)
         if parsed.is_union:
             groups = [
                 ("UNION branch", list(branch)) for branch in parsed.union_branches
@@ -212,17 +208,21 @@ class Rya:
                 )
                 bound |= {v.name for v in pattern.variables}
         if analyze:
-            self.sparql(parsed)
+            report = self.sparql(parsed).report
             metrics = self.store.metrics
-            assert self.last_query_report_ is not None
             lines.append(
                 f"measured: seeks={metrics.seeks} entries={metrics.entries_read} "
-                f"simulated={self.last_query_report_.simulated_sec * 1000:.1f}ms"
+                f"simulated={report.simulated_sec * 1000:.1f}ms"
             )
         return "\n".join(lines)
 
-    def last_query_report(self) -> QueryExecutionReport | None:
-        return self.last_query_report_
+    def _parse(self, query: str | SelectQuery) -> SelectQuery:
+        parsed = parse_sparql(query) if isinstance(query, str) else query
+        if self.statistics is None:
+            raise LoaderError("no graph loaded; call load() first")
+        if parsed.is_aggregate:
+            raise UnsupportedSparqlError("the Rya baseline does not evaluate aggregates")
+        return parsed
 
     def _reorder(self, patterns: list[TriplePattern]) -> list[TriplePattern]:
         """Rya's join reordering: greedily pick the pattern with the most

@@ -26,26 +26,20 @@ from dataclasses import dataclass
 
 from ..columnar.schema import ColumnSchema, TableSchema
 from ..core.encoding import encode_term
-from ..core.executor import shape_vp_frame, unbound_predicate_frame
-from ..core.filters import SparqlCondition
 from ..core.loader import LoadReport
 from ..core.naming import assign_names
-from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
 from ..engine.cluster import (
     NETWORK_BYTES_PER_SEC,
     SCAN_BYTES_PER_SEC,
-    TASK_OVERHEAD_SEC,
     ClusterConfig,
     SimulatedCluster,
 )
-from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
-from ..errors import UnsupportedSparqlError, ValidationError
+from ..errors import ValidationError
 from ..rdf.graph import Graph
 from ..rdf.stats import GraphStatistics, collect_statistics
 from ..sparql.algebra import SelectQuery, TriplePattern, Variable
-from ..sparql.parser import parse_sparql
-from .plans import pattern_cardinality
+from .plans import CompiledBaseline, pattern_cardinality
 
 _VP_SCHEMA = TableSchema([ColumnSchema("s", "string"), ColumnSchema("o", "string")])
 
@@ -66,10 +60,12 @@ class ExtVpEntry:
 
     @property
     def is_empty(self) -> bool:
+        """Whether no triple survives the reduction (which proves every
+        query joining the pair this way empty)."""
         return self.row_count == 0
 
 
-class S2Rdf:
+class S2Rdf(CompiledBaseline):
     """VP + ExtVP SPARQL processor with precomputed semi-join reductions."""
 
     name = "S2RDF"
@@ -94,7 +90,6 @@ class S2Rdf:
         self.statistics: GraphStatistics | None = None
         self._vp_tables: dict[str, str] = {}
         self._ext: dict[tuple[str, str, str], ExtVpEntry] = {}
-        self.last_query_report_: QueryExecutionReport | None = None
 
     # -- loading -------------------------------------------------------------------
 
@@ -245,129 +240,54 @@ class S2Rdf:
                 best_rows = float(entry.row_count)
         return best_table, best_rows, False
 
-    def dataframe(self, query: SelectQuery) -> DataFrame | None:
-        """Compile to a smallest-first join chain over the chosen tables.
+    def _table_choices(
+        self, query: SelectQuery
+    ) -> list[tuple[TriplePattern, str | None, float, bool]]:
+        """``(pattern, table, estimated_rows, provably_empty)`` per pattern.
 
-        Returns ``None`` when an empty reduction proves the result empty.
+        No reduction can apply to an unbound predicate: it is estimated as
+        the whole dataset and answered from the VP union (no table).
         """
         assert self.statistics is not None
         patterns = list(query.patterns)
-        choices: list[tuple[TriplePattern, str | None, float]] = []
+        choices: list[tuple[TriplePattern, str | None, float, bool]] = []
         for pattern in patterns:
             if isinstance(pattern.predicate, Variable):
-                # No reduction can apply to an unbound predicate: estimate it
-                # as the whole dataset and answer it from the VP union.
-                choices.append((pattern, "", float(self.statistics.total_triples)))
+                total = float(self.statistics.total_triples)
+                choices.append((pattern, None, total, False))
                 continue
             others = [p for p in patterns if p is not pattern]
-            table, rows, provably_empty = self._table_choice(pattern, others)
+            choices.append((pattern, *self._table_choice(pattern, others)))
+        return choices
+
+    def _pattern_order(
+        self, query: SelectQuery
+    ) -> list[tuple[TriplePattern, str | None]] | None:
+        """Each pattern with its chosen table, smallest estimate first;
+        ``None`` when an empty reduction proves the result empty."""
+        assert self.statistics is not None
+        estimated: list[tuple[TriplePattern, str | None, float]] = []
+        for pattern, table, rows, provably_empty in self._table_choices(query):
             if provably_empty:
                 return None
-            constant_factor = pattern_cardinality(self.statistics, pattern) / max(
-                1.0, float(self.statistics.for_predicate(pattern.predicate.value).triple_count)
-            )
-            choices.append((pattern, table, rows * constant_factor))
+            if not isinstance(pattern.predicate, Variable):
+                vp_rows = self.statistics.for_predicate(pattern.predicate.value).triple_count
+                rows *= pattern_cardinality(self.statistics, pattern) / max(1.0, float(vp_rows))
+            estimated.append((pattern, table, rows))
+        estimated.sort(key=lambda item: item[2])
+        return [(pattern, table) for pattern, table, _ in estimated]
 
-        choices.sort(key=lambda item: item[2])
-        frame = self._pattern_frame(choices[0][0], choices[0][1])
-        pending = choices[1:]
-        while pending:
-            index = next(
-                (
-                    i
-                    for i, (pattern, _, _) in enumerate(pending)
-                    if {v.name for v in pattern.variables} & set(frame.columns)
-                ),
-                0,
-            )
-            pattern, table, _ = pending.pop(index)
-            right = self._pattern_frame(pattern, table)
-            shared = sorted(set(frame.columns) & set(right.columns))
-            if shared:
-                frame = frame.join(right, on=shared)
-            else:
-                frame = frame.join(right, on=(), how="cross")
-        for filter_expression in query.filters:
-            frame = frame.filter(SparqlCondition(filter_expression))
-        frame = frame.select(*[v.name for v in query.projection])
-        if query.distinct:
-            frame = frame.distinct()
-        return frame
-
-    def _pattern_frame(self, pattern: TriplePattern, table: str | None) -> DataFrame:
-        if isinstance(pattern.predicate, Variable):
-            return unbound_predicate_frame(self.session, self._vp_tables, pattern)
-        source = self.session.table(table) if table else None
-        return shape_vp_frame(self.session, source, pattern)
-
-    def sparql(self, query: str | SelectQuery) -> ResultSet:
-        """Execute a SELECT query; see :class:`ResultSet`."""
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if parsed.optional_groups or parsed.is_union:
-            raise UnsupportedSparqlError(
-                "the S2RDF baseline evaluates plain basic graph patterns only"
-            )
-        started = time.perf_counter()
-        frame = self.dataframe(parsed)
-        if frame is None:
-            # Empty-table optimization: no cluster work at all.
-            report = QueryExecutionReport(
-                simulated_sec=TASK_OVERHEAD_SEC,
-                wall_clock_sec=time.perf_counter() - started,
-            )
-            self.last_query_report_ = report
-            return ResultSet(tuple(v.name for v in parsed.projection), [], report)
-        data, engine_report = frame.collect_data_with_report()
-        rows = finalize_solutions(parsed, data)
-        report = QueryExecutionReport(
-            simulated_sec=engine_report.simulated_sec,
-            wall_clock_sec=time.perf_counter() - started,
-            engine_report=engine_report,
-        )
-        self.last_query_report_ = report
-        return ResultSet(tuple(v.name for v in parsed.projection), rows, report)
-
-    def explain(self, query: str | SelectQuery, analyze: bool = False) -> str:
-        """Plan-shape EXPLAIN: per-pattern table choices + the join chain.
-
-        Shows which ExtVP reduction (or plain VP table) answers each triple
-        pattern and the compiled engine plan. With ``analyze``, the query
-        executes under a tracer and the engine plan carries per-operator
-        actual row counts and data-movement bytes.
-        """
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if parsed.optional_groups or parsed.is_union:
-            raise UnsupportedSparqlError(
-                "the S2RDF baseline evaluates plain basic graph patterns only"
-            )
-        assert self.statistics is not None
-        patterns = list(parsed.patterns)
+    def _explain_header(self, query: SelectQuery) -> list[str]:
+        """Which ExtVP reduction (or plain VP table) answers each pattern."""
         lines = ["== Table Choices =="]
-        for pattern in patterns:
+        for pattern, table, rows, provably_empty in self._table_choices(query):
             if isinstance(pattern.predicate, Variable):
                 lines.append(f"{pattern}  ->  VP union (unbound predicate)")
-                continue
-            others = [p for p in patterns if p is not pattern]
-            table, rows, provably_empty = self._table_choice(pattern, others)
-            if provably_empty:
+            elif provably_empty:
                 lines.append(f"{pattern}  ->  empty reduction (query provably empty)")
             else:
                 lines.append(f"{pattern}  ->  {table}  est={round(rows)} rows")
-        lines.append("== Engine Plan ==")
-        frame = self.dataframe(parsed)
-        if frame is None:
-            lines.append("(skipped: the empty-table optimization answers the query)")
-        elif analyze:
-            from ..obs.tracer import Tracer
-
-            _, engine_report = frame.collect_with_report(tracer=Tracer())
-            lines.append(engine_report.explain())
-        else:
-            lines.append(frame.explain())
-        return "\n".join(lines)
-
-    def last_query_report(self) -> QueryExecutionReport | None:
-        return self.last_query_report_
+        return lines
 
     def extvp_entries(self) -> list[ExtVpEntry]:
         """All computed reductions (persisted or not), for inspection."""

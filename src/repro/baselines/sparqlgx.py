@@ -18,28 +18,28 @@ import zlib
 
 from ..columnar.schema import ColumnSchema, TableSchema
 from ..core.encoding import cell_for_text, encode_term, encode_term_text
-from ..core.executor import shape_vp_frame, unbound_predicate_frame
-from ..core.filters import SparqlCondition
+from ..core.executor import shape_vp_frame
 from ..core.loader import LoadReport, estimate_load_seconds
 from ..core.naming import assign_names
-from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
-from ..errors import UnsupportedSparqlError
 from ..engine.cluster import SCAN_BYTES_PER_SEC, ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
 from ..rdf.graph import Graph
 from ..rdf.stats import GraphStatistics, collect_statistics
 from ..sparql.algebra import SelectQuery, TriplePattern, Variable
-from ..sparql.parser import parse_sparql
-from .plans import pattern_cardinality
+from .plans import CompiledBaseline, pattern_cardinality
 
 _VP_SCHEMA = TableSchema([ColumnSchema("s", "string"), ColumnSchema("o", "string")])
 
 
-class SparqlGx:
+class SparqlGx(CompiledBaseline):
     """VP-only, statistics-ordered, shuffle-join SPARQL processor."""
 
     name = "SPARQLGX"
+    # RDD joins have no broadcast strategy, and no Catalyst rewrites the
+    # compiled plan (no pushdown, no pruning).
+    join_hint = "shuffle"
+    run_optimizer = False
 
     #: RDD row throughput relative to Spark SQL's whole-stage codegen. The
     #: compiled Scala closures SPARQLGX emits process generic JVM objects,
@@ -57,8 +57,7 @@ class SparqlGx:
         )
         self.session = EngineSession(SimulatedCluster(cluster_config))
         self.statistics: GraphStatistics | None = None
-        self._tables: dict[str, str] = {}
-        self.last_query_report_: QueryExecutionReport | None = None
+        self._vp_tables: dict[str, str] = {}
 
     # -- loading ---------------------------------------------------------------
 
@@ -87,18 +86,18 @@ class SparqlGx:
             self.session.hdfs.write(path, payload)
             table_name = f"gx_{names[predicate.value]}"
             self.session.register_rows(table_name, _VP_SCHEMA, rows)
-            self._tables[predicate.value] = table_name
+            self._vp_tables[predicate.value] = table_name
         report = LoadReport(
             system=self.name,
             stored_bytes=text_bytes,
-            tables_written=len(self._tables),
+            tables_written=len(self._vp_tables),
             triples_loaded=len(graph),
             simulated_sec=estimate_load_seconds(
                 self.session,
                 text_bytes,
                 len(graph),
                 shuffles=1,
-                table_jobs=len(self._tables),
+                table_jobs=len(self._vp_tables),
                 # Loading is a plain text transform; the RDD query-side
                 # slowdown does not apply to it.
                 rows_per_sec=self.session.config.rows_per_sec * self.RDD_SLOWDOWN,
@@ -110,97 +109,19 @@ class SparqlGx:
 
     # -- querying ----------------------------------------------------------------
 
-    def _frame_for_pattern(self, pattern: TriplePattern) -> DataFrame:
-        if isinstance(pattern.predicate, Variable):
-            return unbound_predicate_frame(self.session, self._tables, pattern)
-        table = self._tables.get(pattern.predicate.value)
-        if table is None:
-            return shape_vp_frame(self.session, None, pattern)
-        return shape_vp_frame(self.session, self.session.table(table), pattern)
-
-    def dataframe(self, query: SelectQuery) -> DataFrame:
-        """Compile a query to a left-deep chain of shuffle joins, ordered by
-        SPARQLGX's own statistics (ascending estimated cardinality)."""
+    def _pattern_order(
+        self, query: SelectQuery
+    ) -> list[tuple[TriplePattern, str | None]]:
+        """SPARQLGX's own statistics: ascending estimated cardinality."""
         assert self.statistics is not None
         ordered = sorted(
             query.patterns,
             key=lambda pattern: pattern_cardinality(self.statistics, pattern),
         )
-        frame = self._frame_for_pattern(ordered[0])
-        pending = list(ordered[1:])
-        while pending:
-            # Next pattern sharing a variable with the accumulated columns
-            # (connected joins first; cartesian only when unavoidable).
-            index = next(
-                (
-                    i
-                    for i, pattern in enumerate(pending)
-                    if {v.name for v in pattern.variables} & set(frame.columns)
-                ),
-                0,
-            )
-            pattern = pending.pop(index)
-            right = self._frame_for_pattern(pattern)
-            shared = sorted(set(frame.columns) & set(right.columns))
-            if shared:
-                frame = frame.join(right, on=shared, hint="shuffle")
-            else:
-                frame = frame.join(right, on=(), how="cross")
-        for filter_expression in query.filters:
-            frame = frame.filter(SparqlCondition(filter_expression))
-        frame = frame.select(*[v.name for v in query.projection])
-        if query.distinct:
-            frame = frame.distinct()
-        return frame
-
-    def sparql(self, query: str | SelectQuery) -> ResultSet:
-        """Execute a SELECT query; see :class:`ResultSet`."""
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if parsed.optional_groups or parsed.is_union:
-            raise UnsupportedSparqlError(
-                "the SPARQLGX baseline evaluates plain basic graph patterns only"
-            )
-        started = time.perf_counter()
-        frame = self.dataframe(parsed)
-        # No Catalyst: the compiled plan runs as-is (no pushdown/pruning).
-        data, engine_report = frame.collect_data_with_report(run_optimizer=False)
-        rows = finalize_solutions(parsed, data)
-        report = QueryExecutionReport(
-            simulated_sec=engine_report.simulated_sec,
-            wall_clock_sec=time.perf_counter() - started,
-            join_tree=None,
-            engine_report=engine_report,
-        )
-        self.last_query_report_ = report
-        return ResultSet(tuple(v.name for v in parsed.projection), rows, report)
-
-    def explain(self, query: str | SelectQuery, analyze: bool = False) -> str:
-        """Plan-shape EXPLAIN of the compiled shuffle-join chain.
-
-        SPARQLGX has no Catalyst, so the *unoptimized* plan is exactly what
-        runs. With ``analyze``, the query executes under a tracer and the
-        plan gains per-operator actual row counts and shuffle bytes.
-        """
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if parsed.optional_groups or parsed.is_union:
-            raise UnsupportedSparqlError(
-                "the SPARQLGX baseline evaluates plain basic graph patterns only"
-            )
-        frame = self.dataframe(parsed)
-        if analyze:
-            from ..obs.tracer import Tracer
-
-            _, engine_report = frame.collect_with_report(
-                run_optimizer=False, tracer=Tracer()
-            )
-            return f"== Engine Plan ==\n{engine_report.explain()}"
-        return f"== Engine Plan ==\n{frame.explain(optimized=False)}"
-
-    def last_query_report(self) -> QueryExecutionReport | None:
-        return self.last_query_report_
+        return [(pattern, None) for pattern in ordered]
 
 
-class SparqlGxDirect:
+class SparqlGxDirect(CompiledBaseline):
     """SPARQLGX's *direct evaluator* (SDE): no preprocessing at all.
 
     The SPARQLGX paper ships a second mode that evaluates SPARQL straight
@@ -211,6 +132,8 @@ class SparqlGxDirect:
     """
 
     name = "SPARQLGX-SDE"
+    join_hint = SparqlGx.join_hint
+    run_optimizer = SparqlGx.run_optimizer
 
     _SCHEMA = TableSchema(
         [
@@ -230,7 +153,6 @@ class SparqlGxDirect:
             rows_per_sec=cluster_config.rows_per_sec / SparqlGx.RDD_SLOWDOWN,
         )
         self.session = EngineSession(SimulatedCluster(cluster_config))
-        self.last_query_report_: QueryExecutionReport | None = None
 
     def load(self, graph: Graph) -> LoadReport:
         """Copy the triple file to HDFS; no transformation, no statistics."""
@@ -264,43 +186,14 @@ class SparqlGxDirect:
         self.load_report = report
         return report
 
-    def dataframe(self, query: SelectQuery) -> DataFrame:
-        """Each pattern is a full scan of the triple file plus selections."""
-        frame: DataFrame | None = None
-        pending = list(query.patterns)
-        ordered: list[TriplePattern] = []
-        bound: set[str] = set()
-        while pending:  # connected patterns first, query order otherwise
-            index = next(
-                (
-                    i
-                    for i, pattern in enumerate(pending)
-                    if {v.name for v in pattern.variables} & bound
-                ),
-                0,
-            )
-            pattern = pending.pop(index)
-            ordered.append(pattern)
-            bound |= {v.name for v in pattern.variables}
-        for pattern in ordered:
-            right = self._pattern_frame(pattern)
-            if frame is None:
-                frame = right
-                continue
-            shared = sorted(set(frame.columns) & set(right.columns))
-            if shared:
-                frame = frame.join(right, on=shared, hint="shuffle")
-            else:
-                frame = frame.join(right, on=(), how="cross")
-        assert frame is not None
-        for filter_expression in query.filters:
-            frame = frame.filter(SparqlCondition(filter_expression))
-        frame = frame.select(*[v.name for v in query.projection])
-        if query.distinct:
-            frame = frame.distinct()
-        return frame
+    def _pattern_order(
+        self, query: SelectQuery
+    ) -> list[tuple[TriplePattern, str | None]]:
+        """No statistics: the query's own pattern order."""
+        return [(pattern, None) for pattern in query.patterns]
 
-    def _pattern_frame(self, pattern: TriplePattern) -> DataFrame:
+    def _pattern_frame(self, pattern: TriplePattern, table: str | None) -> DataFrame:
+        """Each pattern is a full scan of the triple file plus selections."""
         from ..engine.expressions import col, lit
 
         frame = self.session.table("sde_triples")
@@ -323,46 +216,3 @@ class SparqlGxDirect:
             return shape_vp_frame(self.session, renamed, pattern, keep=[name])
         frame = frame.filter(col("p") == lit(encode_term(pattern.predicate)))
         return shape_vp_frame(self.session, frame.select("s", "o"), pattern)
-
-    def sparql(self, query: str | SelectQuery) -> ResultSet:
-        """Execute a SELECT query; see :class:`ResultSet`."""
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if parsed.optional_groups or parsed.is_union:
-            raise UnsupportedSparqlError(
-                "the SPARQLGX-SDE baseline evaluates plain basic graph patterns only"
-            )
-        started = time.perf_counter()
-        frame = self.dataframe(parsed)
-        data, engine_report = frame.collect_data_with_report(run_optimizer=False)
-        rows = finalize_solutions(parsed, data)
-        report = QueryExecutionReport(
-            simulated_sec=engine_report.simulated_sec,
-            wall_clock_sec=time.perf_counter() - started,
-            engine_report=engine_report,
-        )
-        self.last_query_report_ = report
-        return ResultSet(tuple(v.name for v in parsed.projection), rows, report)
-
-    def explain(self, query: str | SelectQuery, analyze: bool = False) -> str:
-        """Plan-shape EXPLAIN: every pattern scans the whole triple file.
-
-        With ``analyze``, the query executes under a tracer and the plan
-        gains per-operator actual row counts and shuffle bytes.
-        """
-        parsed = parse_sparql(query) if isinstance(query, str) else query
-        if parsed.optional_groups or parsed.is_union:
-            raise UnsupportedSparqlError(
-                "the SPARQLGX-SDE baseline evaluates plain basic graph patterns only"
-            )
-        frame = self.dataframe(parsed)
-        if analyze:
-            from ..obs.tracer import Tracer
-
-            _, engine_report = frame.collect_with_report(
-                run_optimizer=False, tracer=Tracer()
-            )
-            return f"== Engine Plan ==\n{engine_report.explain()}"
-        return f"== Engine Plan ==\n{frame.explain(optimized=False)}"
-
-    def last_query_report(self) -> QueryExecutionReport | None:
-        return self.last_query_report_

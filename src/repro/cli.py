@@ -126,6 +126,28 @@ def _cmd_query(args: argparse.Namespace) -> int:
 #: Engines the ``explain`` subcommand can build, by ``--system`` name.
 EXPLAIN_SYSTEMS = ("prost", "s2rdf", "sparqlgx", "sparqlgx-sde", "rya")
 
+#: Engines the ``check`` subcommand can verify (Rya plans over a key-value
+#: store, not logical plans, so there is nothing for the verifier to check).
+CHECK_SYSTEMS = ("prost", "s2rdf", "sparqlgx", "sparqlgx-sde")
+
+
+def _system_engine(args: argparse.Namespace, cluster_config=None):
+    """A fresh, unloaded engine for ``--system`` (``explain`` and ``check``)."""
+    from .baselines import Rya, S2Rdf, SparqlGx, SparqlGxDirect
+
+    factories = {
+        "prost": lambda: ProstEngine(
+            num_workers=args.workers,
+            strategy=args.strategy,
+            cluster_config=cluster_config,
+        ),
+        "s2rdf": lambda: S2Rdf(num_workers=args.workers),
+        "sparqlgx": lambda: SparqlGx(num_workers=args.workers),
+        "sparqlgx-sde": lambda: SparqlGxDirect(num_workers=args.workers),
+        "rya": lambda: Rya(num_tablet_servers=args.workers),
+    }
+    return factories[args.system]()
+
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     query = _read_query(args)
@@ -139,31 +161,17 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         )
         return 2
 
-    graph = Graph.from_file(args.data)
-    if args.system == "prost":
-        engine = ProstEngine(
-            num_workers=args.workers,
-            strategy=args.strategy,
-            cluster_config=_governed_config(args),
-        )
-    elif args.memory_budget is not None or args.timeout is not None:
+    if args.system != "prost" and (
+        args.memory_budget is not None or args.timeout is not None
+    ):
         print(
             "error: --memory-budget/--timeout require --system prost",
             file=sys.stderr,
         )
         return 2
-    else:
-        from .baselines import Rya, S2Rdf, SparqlGx, SparqlGxDirect
 
-        if args.system == "rya":
-            engine = Rya(num_tablet_servers=args.workers)
-        else:
-            cls = {
-                "s2rdf": S2Rdf,
-                "sparqlgx": SparqlGx,
-                "sparqlgx-sde": SparqlGxDirect,
-            }[args.system]
-            engine = cls(num_workers=args.workers)
+    graph = Graph.from_file(args.data)
+    engine = _system_engine(args, _governed_config(args))
     load_report = engine.load(graph)
     print(f"# {load_report.summary()}", file=sys.stderr)
 
@@ -180,39 +188,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         tracer.write_json(args.trace_out)
         print(f"# wrote trace to {args.trace_out}", file=sys.stderr)
     return 0
-
-
-#: Engines the ``check`` subcommand can verify (Rya plans over a key-value
-#: store, not logical plans, so there is nothing for the verifier to check).
-CHECK_SYSTEMS = ("prost", "s2rdf", "sparqlgx", "sparqlgx-sde")
-
-
-def _check_engine(args: argparse.Namespace):
-    if args.system == "prost":
-        return ProstEngine(num_workers=args.workers, strategy=args.strategy)
-    from .baselines import S2Rdf, SparqlGx, SparqlGxDirect
-
-    cls = {
-        "s2rdf": S2Rdf,
-        "sparqlgx": SparqlGx,
-        "sparqlgx-sde": SparqlGxDirect,
-    }[args.system]
-    return cls(num_workers=args.workers)
-
-
-def _check_one(engine, query: str) -> list:
-    """Diagnostics for one query on one loaded engine."""
-    from .analysis import verify_logical_plan
-    from .sparql.parser import parse_sparql
-
-    if isinstance(engine, ProstEngine):
-        return engine.verify(query)
-    frame = engine.dataframe(parse_sparql(query))
-    if frame is None:  # provably empty (S2RDF's ExtVP pruning)
-        return []
-    return verify_logical_plan(
-        frame.plan, catalog=engine.session.catalog, config=engine.session.config
-    )
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -236,11 +211,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
         graph = Graph.from_file(args.data)
         queries = [("query", query)]
 
-    engine = _check_engine(args)
+    engine = _system_engine(args)
     engine.load(graph)
     failed = 0
     for name, text in queries:
-        diagnostics = _check_one(engine, text)
+        diagnostics = engine.verify(text)
         if diagnostics:
             failed += 1
             tree = None

@@ -20,8 +20,9 @@ from ..engine.expressions import Expression, col, lit
 from ..engine.session import EngineSession
 from ..errors import TranslationError
 from ..rdf.terms import IRI
-from ..sparql.algebra import TriplePattern, Variable
+from ..sparql.algebra import SelectQuery, TriplePattern, Variable
 from .encoding import encode_term
+from .filters import SparqlCondition
 from .join_tree import JoinTree, JoinTreeNode, ObjectPtNode, PtNode, VpNode
 from .loader import OBJECT_COLUMN, SUBJECT_COLUMN, ProstStore
 
@@ -43,14 +44,8 @@ class JoinTreeExecutor:
 
     def _result(self, node: JoinTreeNode) -> DataFrame:
         frame = self._node_plan(node)
-        # Selective children first: their small results drive cheap joins.
-        for child in sorted(node.children, key=lambda n: -n.priority):
-            child_frame = self._result(child)
-            shared = sorted(set(frame.columns) & set(child_frame.columns))
-            if shared:
-                frame = frame.join(child_frame, on=shared)
-            else:
-                frame = frame.join(child_frame, on=(), how="cross")
+        for child in node.fold_order():
+            frame = join_shared(frame, self._result(child))
         return frame
 
     # -- per-node plans ----------------------------------------------------------------
@@ -195,6 +190,42 @@ class JoinTreeExecutor:
         the group does not exist in the data, so the group matches nothing)."""
         names = sorted({variable.name for variable in node.variables})
         return _empty_frame(self.store.session, names, "empty-pt")
+
+
+# -- joins and the SELECT tail -------------------------------------------------
+#
+# Shared by the Join Tree fold and the engine-backed baselines' join chains.
+
+
+def join_shared(left: DataFrame, right: DataFrame, hint: str = "auto") -> DataFrame:
+    """Inner-join on the shared columns, or a cross join when none are."""
+    shared = sorted(set(left.columns) & set(right.columns))
+    if shared:
+        return left.join(right, on=shared, hint=hint)
+    return left.join(right, on=(), how="cross")
+
+
+def select_tail(frame: DataFrame, query: SelectQuery) -> DataFrame:
+    """Apply a query's FILTERs, GROUP BY / COUNT, projection and DISTINCT
+    to the frame of its graph pattern (ORDER BY / LIMIT / OFFSET are
+    applied to the decoded solutions by ``finalize_solutions``)."""
+    for filter_expression in query.filters:
+        frame = frame.filter(SparqlCondition(filter_expression))
+    if query.is_aggregate:
+        keys = [variable.name for variable in query.group_by]
+        aggregates = [
+            (
+                "count_distinct" if aggregate.distinct else "count",
+                aggregate.variable.name if aggregate.variable else None,
+                aggregate.alias.name,
+            )
+            for aggregate in query.aggregates
+        ]
+        frame = frame.group_aggregate(keys, aggregates)
+    frame = frame.select(*[variable.name for variable in query.projection])
+    if query.distinct:
+        frame = frame.distinct()
+    return frame
 
 
 # -- per-pattern frames over (s, o) tables ------------------------------------

@@ -105,6 +105,12 @@ class JoinTreeNode:
             lines.append(child.describe(indent + 1))
         return "\n".join(lines)
 
+    def fold_order(self) -> list["JoinTreeNode"]:
+        """The children in the order they are joined into this node:
+        descending priority, so selective children drive cheap joins first.
+        The executor, the verifier and EXPLAIN all fold in this order."""
+        return sorted(self.children, key=lambda n: -n.priority)
+
     def walk(self):
         """Yield this node and all descendants, preorder."""
         yield self

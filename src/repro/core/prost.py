@@ -26,8 +26,7 @@ from ..errors import LoaderError, UnsupportedSparqlError
 from ..rdf.graph import Graph
 from ..sparql.algebra import SelectQuery
 from ..sparql.parser import parse_sparql
-from .executor import JoinTreeExecutor
-from .filters import SparqlCondition
+from .executor import JoinTreeExecutor, select_tail
 from .join_tree import JoinTree
 from .loader import LoadReport, ProstStore, load_prost_store
 from .results import QueryExecutionReport, ResultSet, finalize_solutions
@@ -82,7 +81,6 @@ class ProstEngine:
         self.use_statistics = use_statistics
         self.store: ProstStore | None = None
         self._translator: JoinTreeTranslator | None = None
-        self.last_query_report_: QueryExecutionReport | None = None  # unguarded-ok: last-writer-wins diagnostic
         #: Monotonic load counter: every successful :meth:`load` bumps it,
         #: so anything keyed on :attr:`plan_epoch` (the serve layer's plan
         #: and result caches) is invalidated by a dataset reload.
@@ -241,24 +239,7 @@ class ProstEngine:
                 optional_trees.append(optional_tree)
                 description += f"\nOPTIONAL:\n{optional_tree.describe()}"
 
-        for filter_expression in parsed.filters:
-            frame = frame.filter(SparqlCondition(filter_expression))
-        if parsed.is_aggregate:
-            keys = [variable.name for variable in parsed.group_by]
-            aggregates = [
-                (
-                    "count_distinct" if aggregate.distinct else "count",
-                    aggregate.variable.name if aggregate.variable else None,
-                    aggregate.alias.name,
-                )
-                for aggregate in parsed.aggregates
-            ]
-            frame = frame.group_aggregate(keys, aggregates)
-        projection = [variable.name for variable in parsed.projection]
-        frame = frame.select(*projection)
-        if parsed.distinct:
-            frame = frame.distinct()
-        return _Plan(frame, description, trees, optional_trees)
+        return _Plan(select_tail(frame, parsed), description, trees, optional_trees)
 
     def _cache_plan(
         self,
@@ -430,7 +411,6 @@ class ProstEngine:
             trace=query_span,
             explain_text=explain_text,
         )
-        self.last_query_report_ = report
         variables = tuple(variable.name for variable in parsed.projection)
         return ResultSet(variables, rows, report)
 
@@ -523,7 +503,3 @@ class ProstEngine:
         text = result.report.explain_text
         assert text is not None
         return text
-
-    def last_query_report(self) -> QueryExecutionReport | None:
-        """The report of the most recent :meth:`sparql` call."""
-        return self.last_query_report_

@@ -2,7 +2,7 @@
 
 A :class:`DataFrame` is an immutable wrapper around a logical plan; every
 transformation returns a new DataFrame, and nothing executes until an action
-(:meth:`collect`, :meth:`count`, :meth:`to_dicts`) runs the plan through the
+(:meth:`collect`, :meth:`collect_data_with_report`) runs the plan through the
 session's optimizer and executor.
 """
 
@@ -137,15 +137,6 @@ class DataFrame:
         )
         return data.all_rows()
 
-    def collect_with_report(
-        self, run_optimizer: bool = True, tracer=None
-    ) -> tuple[list[tuple], QueryReport]:
-        """Execute and also return the :class:`QueryReport`."""
-        data, report = self.session.execute(
-            self.plan, run_optimizer=run_optimizer, tracer=tracer
-        )
-        return data.all_rows(), report
-
     def collect_data_with_report(
         self, run_optimizer: bool = True, tracer=None
     ) -> tuple[ColumnarData, QueryReport]:
@@ -158,16 +149,6 @@ class DataFrame:
         return self.session.execute(
             self.plan, run_optimizer=run_optimizer, tracer=tracer
         )
-
-    def count(self) -> int:
-        """Execute the plan and return its row count."""
-        data, _ = self.session.execute(self.plan)
-        return data.num_rows
-
-    def to_dicts(self) -> list[dict]:
-        """Collect as ``{column: value}`` dictionaries."""
-        names = self.columns
-        return [dict(zip(names, row)) for row in self.collect()]
 
     def explain(self, optimized: bool = True) -> str:
         """The plan as an indented string (optimized by default)."""

@@ -122,7 +122,7 @@ def _align_node(node: JoinTreeNode, span: Span, runtime: dict[int, NodeRuntime])
     """Recursively unwind the left-deep join fold for one node's subtree."""
     # Children are joined in descending priority; the *last* joined child is
     # the outermost Join span, so unwind in reverse.
-    order = sorted(node.children, key=lambda n: -n.priority)
+    order = node.fold_order()
     current: Span | None = span
     for child in reversed(order):
         current = _descend_to_join(current) if current is not None else None
@@ -281,7 +281,7 @@ def _render_node(
     # accumulating the estimated left-side cardinality.
     accumulated_est = est
     accumulated_width = _node_width(node)
-    order = sorted(node.children, key=lambda n: -n.priority)
+    order = node.fold_order()
     for child in order:
         child_info = runtime.get(id(child)) if runtime is not None else None
         child_edge = child_info.edge if child_info is not None else None

@@ -8,7 +8,6 @@ from .batch import (
     ColumnBatch,
     batch_bytes,
     estimate_batch_bytes,
-    pack_ints,
     row_bytes_vector,
 )
 
@@ -16,6 +15,5 @@ __all__ = [
     "ColumnBatch",
     "batch_bytes",
     "estimate_batch_bytes",
-    "pack_ints",
     "row_bytes_vector",
 ]

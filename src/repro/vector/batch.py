@@ -1,8 +1,7 @@
 """The column-batch abstraction: fixed layout, selection vectors, null masks.
 
 A :class:`ColumnBatch` is the executor's unit of data: a tuple of
-parallel cell vectors (Python lists, or ``array('q')`` for packed integer
-columns out of the columnar reader), a physical row count, and an optional
+parallel cell vectors (Python lists), a physical row count, and an optional
 **selection vector** — an ordered sequence of live row indices. Filters
 evaluate to selection vectors instead of copying rows; projections subset
 the column tuple without touching a single cell; only operators that truly
@@ -23,7 +22,6 @@ joins produce runs of ``None`` in the right-side columns).
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Sequence
 
 from ..rdf.dictionary import TERM_ID_BASE, default_dictionary
@@ -32,13 +30,8 @@ __all__ = [
     "ColumnBatch",
     "batch_bytes",
     "estimate_batch_bytes",
-    "pack_ints",
     "row_bytes_vector",
 ]
-
-#: Bounds of a signed 64-bit ``array('q')`` slot.
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
 
 
 class ColumnBatch:
@@ -123,21 +116,6 @@ class ColumnBatch:
         return [column[i] is None for i in self.live()]
 
 
-def pack_ints(values: list) -> "array | list":
-    """Pack an all-int, NULL-free vector into ``array('q')``.
-
-    The columnar reader calls this per decoded chunk: dictionary term IDs
-    and COUNT outputs are plain ints well inside the signed-64 range, so an
-    ID column stores as 8 machine bytes per cell instead of a boxed
-    ``int`` object. Vectors with NULLs, strings, or lists pass through
-    unchanged — ``array`` has no null slot.
-    """
-    for value in values:
-        if type(value) is not int or not (_INT64_MIN <= value <= _INT64_MAX):
-            return values
-    return array("q", values)
-
-
 def estimate_batch_bytes(columns: tuple[Sequence, ...], live: Sequence[int]) -> int:
     """Approximate serialized size of a batch's live rows (shuffle
     accounting): 8 bytes of framing per row plus each cell.
@@ -189,11 +167,6 @@ def row_bytes_vector(columns: tuple[Sequence, ...], length: int) -> list[int]:
     base = TERM_ID_BASE
     totals = [8] * length
     for column in columns:
-        if isinstance(column, array):
-            # Packed ID columns are all-int and NULL-free by construction.
-            for i, value in enumerate(column):
-                totals[i] += lengths[value - base] + 4 if value >= base else 8
-            continue
         for i, value in enumerate(column):
             if type(value) is int:
                 totals[i] += lengths[value - base] + 4 if value >= base else 8

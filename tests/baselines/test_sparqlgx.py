@@ -62,4 +62,3 @@ class TestQuerying:
     def test_report_has_no_join_tree(self, loaded):
         result = loaded.sparql("SELECT ?n WHERE { ?x <http://ex/name> ?n }")
         assert result.report.join_tree is None
-        assert loaded.last_query_report() is result.report

@@ -30,6 +30,12 @@ def graph():
     return Graph.from_ntriples(NT)
 
 
+def table_dicts(session, name):
+    """A catalog table's rows as ``{column: cell}`` dictionaries."""
+    frame = session.table(name)
+    return [dict(zip(frame.columns, row)) for row in frame.collect()]
+
+
 class TestTermCells:
     def test_cells_are_the_dictionary_ids(self, graph):
         cells = TermCells(graph)
@@ -101,7 +107,7 @@ class TestPropertyTable:
         session = EngineSession()
         stats = collect_statistics(graph)
         info = load_property_table(session, graph, stats)
-        rows = session.table(info.table_name).to_dicts()
+        rows = table_dicts(session, info.table_name)
         row_x = [r for r in rows if decode_term(r["s"]) == IRI("http://ex/x")][0]
         assert row_x[info.column("http://ex/likes")] is None
         assert decode_term(row_x[info.column("http://ex/title")]) == Literal("X")
@@ -118,7 +124,7 @@ class TestObjectPropertyTable:
         session = EngineSession()
         stats = collect_statistics(graph)
         info = load_object_property_table(session, graph, stats)
-        rows = session.table(info.table_name).to_dicts()
+        rows = table_dicts(session, info.table_name)
         row_x = [r for r in rows if decode_term(r["o"]) == IRI("http://ex/x")][0]
         likers = [decode_term(c) for c in row_x[info.column("http://ex/likes")]]
         assert sorted(likers, key=lambda t: t.value) == [

@@ -122,7 +122,6 @@ class TestReports:
         assert report.wall_clock_sec > 0
         assert "VP" in report.join_tree or "PT" in report.join_tree
         assert report.engine_report is not None
-        assert prost_mixed.last_query_report() is report
 
     def test_explain_contains_tree_and_plan(self, prost_mixed):
         text = prost_mixed.explain(

@@ -97,7 +97,7 @@ class TestCostAccounting:
         rows = [(f"k{i % 4}", str(i)) for i in range(1000)]
         session.register_rows("big", KV, rows)
         frame = session.table("big").group_aggregate(["k"], [("count", None, "n")])
-        _, report = frame.collect_with_report()
+        _, report = frame.collect_data_with_report()
         # At most partitions × groups partial states cross the network.
         assert report.metrics.shuffle_rows <= 6 * 4
         assert report.metrics.shuffle_rows < 1000

@@ -46,8 +46,8 @@ class TestClusterConfig:
         session.register_rows("l", KV, [("a", "1"), ("b", "2")])
         session.register_rows("r", KV.select(["k"]), [("a",), ("c",)])
         frame = session.table("l").join(session.table("r"), on=["k"])
-        rows, report = frame.collect_with_report()
-        assert rows == [("a", "1")]
+        data, report = frame.collect_data_with_report()
+        assert data.all_rows() == [("a", "1")]
         assert report.metrics.broadcast_count == 0
         assert report.metrics.shuffle_rows == 4
 

@@ -28,11 +28,13 @@ class TestBasics:
         assert session.last_report is not None
 
     def test_count(self):
-        assert make_session().table("t").count() == 2
+        data, _ = make_session().table("t").collect_data_with_report()
+        assert data.num_rows == 2
 
     def test_to_dicts(self):
-        session = make_session()
-        dicts = session.table("t").to_dicts()
+        """``columns`` names the cells of every collected row, in order."""
+        frame = make_session().table("t")
+        dicts = [dict(zip(frame.columns, row)) for row in frame.collect()]
         assert {"s": "a", "o": "1"} in dicts
 
     def test_select_requires_columns(self):
@@ -87,9 +89,9 @@ class TestChaining:
         rows = left.join(session.table("u"), on=["k"]).collect()
         assert rows == [("a", "1", "x")]
 
-    def test_collect_with_report_returns_both(self):
+    def test_collect_data_with_report_returns_both(self):
         session = make_session()
-        rows, report = session.table("t").collect_with_report()
-        assert len(rows) == 2
+        data, report = session.table("t").collect_data_with_report()
+        assert len(data.all_rows()) == 2
         assert report.metrics.rows_output == 2
         assert "TableScan" in report.optimized_plan

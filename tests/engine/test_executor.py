@@ -152,7 +152,7 @@ class TestJoins:
         # detects co-location even under a shuffle hint? No — the hint forces
         # a shuffle only when sides are NOT already colocated; colocation is
         # checked first.
-        _, report = frame.collect_with_report()
+        _, report = frame.collect_data_with_report()
         assert report.metrics.colocated_joins == 1
         assert report.metrics.shuffle_bytes == 0
 
@@ -162,7 +162,7 @@ class TestJoins:
         right = session.table("right").rename({"k": "a", "w": "b"})
         # Force differing partition layouts by filtering one side first.
         frame = left.filter(col("v").is_not_null()).join(right, on=["a"], hint="broadcast")
-        _, report = frame.collect_with_report()
+        _, report = frame.collect_data_with_report()
         assert report.metrics.broadcast_count >= 1
 
 
@@ -186,8 +186,8 @@ class TestMetrics:
         wide = TableSchema([ColumnSchema(f"c{i}", "string") for i in range(6)])
         rows = [tuple(f"row{r}col{i}" * 3 for i in range(6)) for r in range(50)]
         session.register_rows("w", wide, rows, persist_path="/w")
-        _, full = session.table("w").collect_with_report()
-        _, pruned = session.table("w").select("c0").collect_with_report()
+        _, full = session.table("w").collect_data_with_report()
+        _, pruned = session.table("w").select("c0").collect_data_with_report()
         assert pruned.metrics.bytes_scanned < full.metrics.bytes_scanned
 
     def test_shuffle_join_records_bytes(self):
@@ -198,21 +198,21 @@ class TestMetrics:
             [(str(i), "y") for i in range(100)],
         )
         frame = session.table("l").join(session.table("r"), on=["k"], hint="shuffle")
-        _, report = frame.collect_with_report()
+        _, report = frame.collect_data_with_report()
         assert report.metrics.shuffle_bytes > 0
         assert report.metrics.shuffle_rows == 200
 
     def test_cost_breakdown_positive(self):
         session = session_with_tables()
-        _, report = session.table("left").collect_with_report()
+        _, report = session.table("left").collect_data_with_report()
         assert report.cost.total_sec > 0
         assert report.simulated_sec == report.cost.total_sec
 
     def test_data_scale_multiplies_cost(self):
         slow = make_session(data_scale=1000.0)
         slow.register_rows("t", KV, [("a", "1")] * 50, persist_path="/t")
-        _, scaled = slow.table("t").collect_with_report()
+        _, scaled = slow.table("t").collect_data_with_report()
         fast = make_session()
         fast.register_rows("t", KV, [("a", "1")] * 50, persist_path="/t")
-        _, unscaled = fast.table("t").collect_with_report()
+        _, unscaled = fast.table("t").collect_data_with_report()
         assert scaled.cost.scan_sec > unscaled.cost.scan_sec * 100

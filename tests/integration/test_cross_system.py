@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.baselines import Rya, S2Rdf, SparqlGx
+from repro.baselines import Rya, S2Rdf, SparqlGx, SparqlGxDirect
 from repro.core import ProstEngine
-from repro.errors import UnsupportedSparqlError
+from repro.errors import LoaderError, UnsupportedSparqlError
 from repro.rdf import Graph, IRI, Triple
 from repro.rdf.reference import ReferenceEvaluator
 from repro.sparql import parse_sparql
@@ -59,6 +59,45 @@ def test_order_by_non_projected_variable_is_a_typed_error(system_name):
         system.sparql(query)
     with pytest.raises(UnsupportedSparqlError, match="non-projected"):
         system.explain(query)
+
+
+ALL_SYSTEMS = [ProstEngine, S2Rdf, SparqlGx, SparqlGxDirect, Rya]
+
+
+@pytest.mark.parametrize("factory", ALL_SYSTEMS, ids=lambda factory: factory.name)
+def test_query_before_load_is_a_loader_error(factory):
+    system = factory()
+    query = "SELECT ?s WHERE { ?s <http://r/p0> ?o }"
+    with pytest.raises(LoaderError):
+        system.sparql(query)
+    with pytest.raises(LoaderError):
+        system.explain(query)
+
+
+@pytest.mark.parametrize("factory", ALL_SYSTEMS, ids=lambda factory: factory.name)
+def test_aggregate_matches_prost_or_is_a_typed_error(factory):
+    """A grouped COUNT either returns PRoST's rows or is rejected with
+    ``UnsupportedSparqlError`` — never a raw ``PlanError`` or wrong rows."""
+    graph = Graph(
+        [
+            Triple(_SUBJECTS[0], _PREDICATES[0], _OBJECTS[1]),
+            Triple(_SUBJECTS[0], _PREDICATES[0], _OBJECTS[2]),
+        ]
+    )
+    query = "SELECT ?s (COUNT(?o) AS ?n) WHERE { ?s <http://r/p0> ?o } GROUP BY ?s"
+    prost = ProstEngine()
+    prost.load(graph)
+    want = prost.sparql(query).rows
+    assert len(want) == 1 and want[0][0] == _SUBJECTS[0]
+    system = factory()
+    system.load(graph)
+    try:
+        got = system.sparql(query).rows
+    except UnsupportedSparqlError:
+        with pytest.raises(UnsupportedSparqlError):
+            system.explain(query)
+        return
+    assert got == want
 
 
 # -- randomized graphs and queries ------------------------------------------------

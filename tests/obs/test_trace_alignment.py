@@ -41,8 +41,8 @@ class TestTraceMatchesMetrics:
     def test_root_span_deltas_equal_metrics_totals(self, prost_watdiv, watdiv_dataset):
         for query in _queries(watdiv_dataset):
             tracer = Tracer()
-            prost_watdiv.sparql(query.text, tracer=tracer)
-            engine_report = _engine_trace(prost_watdiv.last_query_report())
+            result = prost_watdiv.sparql(query.text, tracer=tracer)
+            engine_report = _engine_trace(result.report)
             totals = snapshot_execution_metrics(engine_report.metrics)
             root = engine_report.trace
             for name in ADDITIVE:
@@ -54,8 +54,8 @@ class TestTraceMatchesMetrics:
     def test_scan_spans_sum_to_scan_totals(self, prost_watdiv, watdiv_dataset):
         for query in _queries(watdiv_dataset):
             tracer = Tracer()
-            prost_watdiv.sparql(query.text, tracer=tracer)
-            engine_report = _engine_trace(prost_watdiv.last_query_report())
+            result = prost_watdiv.sparql(query.text, tracer=tracer)
+            engine_report = _engine_trace(result.report)
             metrics = engine_report.metrics
             scans = [
                 s for s in engine_report.trace.walk()
@@ -75,7 +75,7 @@ class TestTraceMatchesMetrics:
         for query in _queries(watdiv_dataset):
             tracer = Tracer()
             result = prost_watdiv.sparql(query.text, tracer=tracer)
-            engine_report = _engine_trace(prost_watdiv.last_query_report())
+            engine_report = _engine_trace(result.report)
             root = engine_report.trace
             assert root.attrs["rows_out"] == engine_report.metrics.rows_output
             query_span = tracer.roots[0]
@@ -85,8 +85,8 @@ class TestTraceMatchesMetrics:
     def test_every_operator_span_is_tagged(self, prost_watdiv, watdiv_dataset):
         query = _queries(watdiv_dataset)[0]
         tracer = Tracer()
-        prost_watdiv.sparql(query.text, tracer=tracer)
-        engine_report = _engine_trace(prost_watdiv.last_query_report())
+        result = prost_watdiv.sparql(query.text, tracer=tracer)
+        engine_report = _engine_trace(result.report)
         for span in engine_report.trace.walk():
             assert "op" in span.attrs, f"untagged span {span.name}"
             assert "rows_out" in span.attrs
@@ -95,8 +95,7 @@ class TestTraceMatchesMetrics:
 
     def test_untraced_run_records_nothing(self, prost_watdiv, watdiv_dataset):
         query = _queries(watdiv_dataset)[0]
-        prost_watdiv.sparql(query.text)
-        report = prost_watdiv.last_query_report()
+        report = prost_watdiv.sparql(query.text).report
         assert report.trace is None
         assert report.engine_report.trace is None
 

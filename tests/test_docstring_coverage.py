@@ -24,6 +24,7 @@ LINTED_PACKAGES = (
     "src/repro/serve",
     "src/repro/vector",
     "src/repro/analysis",
+    "src/repro/baselines",
 )
 
 

@@ -1,15 +1,12 @@
 """ColumnBatch unit tests: selection-vector edges, byte accounting."""
 
-from array import array
-
 import pytest
 
-from repro.rdf.dictionary import TERM_ID_BASE, default_dictionary
+from repro.rdf.dictionary import default_dictionary
 from repro.vector import (
     ColumnBatch,
     batch_bytes,
     estimate_batch_bytes,
-    pack_ints,
     row_bytes_vector,
 )
 
@@ -75,22 +72,6 @@ class TestSelectionVectorEdges:
         assert batch.live() == range(2)
 
 
-class TestPackInts:
-    def test_packs_plain_ints(self):
-        packed = pack_ints([1, 2, TERM_ID_BASE])
-        assert isinstance(packed, array)
-        assert list(packed) == [1, 2, TERM_ID_BASE]
-
-    def test_refuses_nulls_strings_and_bools(self):
-        assert pack_ints([1, None, 3]) == [1, None, 3]
-        assert pack_ints(["a", 1]) == ["a", 1]
-        assert pack_ints([True, 1]) == [True, 1]
-
-    def test_refuses_out_of_range(self):
-        huge = [1 << 70]
-        assert pack_ints(huge) is huge
-
-
 class TestByteAccounting:
     """batch_bytes == estimate_batch_bytes == summed per-row prices."""
 
@@ -102,7 +83,7 @@ class TestByteAccounting:
     def make_batch(self, interned_ids, sel=None):
         a, b, c = interned_ids
         columns = (
-            pack_ints([a, b, c, a]),
+            [a, b, c, a],
             [None, "lit", [a, "s"], 7],
         )
         return ColumnBatch(columns, 4, sel=sel)
