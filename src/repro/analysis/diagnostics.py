@@ -22,12 +22,9 @@ CODES: dict[str, str] = {
     "PV104": "a property-table node contains an unbound predicate",
     "PV105": "a node's priority disagrees with the statistics-based score",
     "PV106": "the root is not the minimum-priority node",
-    "PV108": "a node's declared partitioning disagrees with its storage layout",
     "PV109": "the tree's patterns do not cover the query's basic graph pattern",
     "PV110": "a node's pattern count is invalid for its kind",
     "PV201": "join key columns have inconsistent types across the two sides",
-    "PV202": "a join declared colocated is not co-partitioned on its keys",
-    "PV203": "a table scan's declared partitioning disagrees with the catalog",
     "PV204": "a broadcast-hinted join's build side exceeds the size threshold",
     "PV205": "a shuffle hint discards existing co-partitioning on the join keys",
     "PV301": "a broadcast join's build side exceeds the memory budget (will degrade to a shuffle join)",

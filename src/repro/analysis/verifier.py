@@ -4,14 +4,14 @@ Verification happens at the two plan layers the system has:
 
 - :func:`verify_join_tree` checks one PRoST Join Tree against the paper's
   structural invariants (§3.2–3.3): node kinds and pattern grouping, the
-  statistics-based priority ordering, declared partitioning versus the
-  storage layout, and join connectivity (no needless cartesian products).
+  statistics-based priority ordering, and join connectivity (no needless
+  cartesian products).
 - :func:`verify_logical_plan` walks an engine logical plan bottom-up,
-  deriving each operator's ground-truth partitioning from the catalog's
-  actual table layout, and rejects plans whose *declared* partitioning
-  (:attr:`repro.engine.logical.LogicalPlan.partitioning`) disagrees — the
-  static analogue of a colocated join silently reading shuffled data — plus
-  broadcast hints whose build side cannot fit under the threshold.
+  deriving each operator's partitioning from the catalog's actual table
+  layout through the executor's own narrow rules
+  (:func:`repro.engine.data.pruned_key` and its siblings), and rejects
+  shuffle hints that discard co-partitioning, broadcast hints whose build
+  side cannot fit under the threshold, and joins on mistyped keys.
 
 Both return :class:`~repro.analysis.diagnostics.Diagnostic` lists;
 :func:`check_query` bundles them for the engine's pre-execution gate and
@@ -32,6 +32,7 @@ from ..engine.cluster import (
     broadcast_threshold,
     relation_bytes,
 )
+from ..engine.data import distinct_key, exploded_key, pruned_key, renamed_key
 from ..engine.logical import (
     Aggregate,
     Distinct,
@@ -84,7 +85,6 @@ def verify_join_tree(
     for node in tree.nodes:
         path = paths[id(node)]
         diagnostics.extend(_check_node_structure(node, path, min_group_size))
-        diagnostics.extend(_check_node_partitioning(node, path))
         if translator is not None and translator.use_statistics:
             diagnostics.extend(_check_node_priority(node, path, translator))
     diagnostics.extend(_check_root_priority(tree, paths))
@@ -169,25 +169,6 @@ def _check_node_structure(
                 )
             )
     return found
-
-
-def _check_node_partitioning(node: JoinTreeNode, path: str) -> list[Diagnostic]:
-    """Declared partitioning must match the storage layout (PV108)."""
-    declared = node.declared_partitioning
-    if declared is None:
-        return []
-    natural = node.natural_partitioning()
-    if declared == natural:
-        return []
-    return [
-        Diagnostic(
-            "PV108",
-            f"declared partitioning {list(declared)} disagrees with the "
-            f"storage-derived partitioning {list(natural)}",
-            path,
-            node.label(),
-        )
-    ]
 
 
 def _check_node_priority(
@@ -400,7 +381,6 @@ class _Derived:
     """Catalog-grounded facts about one operator's output."""
 
     partitioning: tuple[str, ...] | None
-    num_partitions: int | None
     est_rows: int | None
 
 
@@ -411,11 +391,12 @@ def verify_logical_plan(
 ) -> list[Diagnostic]:
     """All engine-plan invariant violations (empty list = plan is good).
 
-    With a ``catalog``, each scan's declared ``partition_columns`` is checked
-    against the table's actual layout (PV203) and partitioning is derived
-    from ground truth; with a ``config``, broadcast hints are checked against
-    the size threshold (PV204) and shuffle hints against discarded
-    co-partitioning (PV205).
+    Join keys are checked for matching types (PV201) and shuffle hints
+    against co-partitioning they would discard (PV205). With a ``catalog``,
+    scans start from each table's stored partitioning and row count
+    (without one, scans are unplaced and unsized); with a ``config``,
+    broadcast hints are checked against the size threshold (PV204) and
+    build sides against the memory budget (PV301, PV302).
     """
     diagnostics: list[Diagnostic] = []
     _derive(plan, "plan", catalog, config, diagnostics)
@@ -430,35 +411,16 @@ def _derive(
     out: list[Diagnostic],
 ) -> _Derived:
     if isinstance(plan, TableScan):
-        return _derive_scan(plan, path, catalog, out)
+        if catalog is None:
+            return _Derived(None, None)
+        stored = catalog.get(plan.table_name)
+        partitioner = stored.data.partitioner
+        key = partitioner.columns if partitioner is not None else None
+        return _Derived(pruned_key(key, plan.schema.names), stored.row_count)
     if isinstance(plan, InMemoryRelation):
-        return _Derived(None, None, len(plan.rows))
-    if isinstance(plan, (Filter, Distinct)):
-        child = _derive(plan.child, f"{path}.child", catalog, config, out)
-        if isinstance(plan, Filter):
-            return _Derived(child.partitioning, child.num_partitions, child.est_rows)
-        all_columns = tuple(plan.schema.names)
-        if child.partitioning == all_columns:
-            partitions = child.num_partitions
-        else:
-            partitions = config.default_partitions if config else None
-        return _Derived(all_columns, partitions, child.est_rows)
-    if isinstance(plan, Project):
-        child = _derive(plan.child, f"{path}.child", catalog, config, out)
-        return _Derived(
-            _rename_partitioning(plan, child.partitioning),
-            child.num_partitions,
-            child.est_rows,
-        )
-    if isinstance(plan, Explode):
-        child = _derive(plan.child, f"{path}.child", catalog, config, out)
-        partitioning = child.partitioning
-        if partitioning is not None and plan.column in partitioning:
-            partitioning = None
-        return _Derived(partitioning, child.num_partitions, child.est_rows)
-    if isinstance(plan, Aggregate):
-        child = _derive(plan.child, f"{path}.child", catalog, config, out)
-        return _Derived(plan.keys or None, None, child.est_rows)
+        return _Derived(None, len(plan.rows))
+    if isinstance(plan, Join):
+        return _derive_join(plan, path, catalog, config, out)
     if isinstance(plan, Union):
         rows: int | None = 0
         for index, branch in enumerate(plan.inputs):
@@ -467,37 +429,19 @@ def _derive(
                 rows += derived.est_rows
             else:
                 rows = None
-        return _Derived(None, None, rows)
-    if isinstance(plan, Join):
-        return _derive_join(plan, path, catalog, config, out)
-    return _Derived(None, None, None)
-
-
-def _derive_scan(
-    plan: TableScan, path: str, catalog: "Catalog | None", out: list[Diagnostic]
-) -> _Derived:
-    if catalog is None:
-        return _Derived(plan.partitioning, None, None)
-    stored = catalog.get(plan.table_name)
-    partitioner = stored.data.partitioner
-    actual = partitioner.columns if partitioner is not None else None
-    if plan.partition_columns != actual:
-        out.append(
-            Diagnostic(
-                "PV203",
-                f"scan of {plan.table_name!r} declares partitioning "
-                f"{list(plan.partition_columns) if plan.partition_columns else None}, "
-                f"but the catalog stores the table partitioned on "
-                f"{list(actual) if actual else None}",
-                path,
-                plan._describe_line(),
-            )
-        )
-    derived = actual
-    if derived is not None and plan.columns is not None:
-        if not set(derived) <= set(plan.columns):
-            derived = None
-    return _Derived(derived, stored.data.num_partitions, stored.row_count)
+        return _Derived(None, rows)
+    child = _derive(plan.child, f"{path}.child", catalog, config, out)
+    if isinstance(plan, Filter):
+        return child
+    if isinstance(plan, Distinct):
+        return _Derived(distinct_key(plan.schema.names), child.est_rows)
+    if isinstance(plan, Project):
+        return _Derived(renamed_key(child.partitioning, plan.outputs), child.est_rows)
+    if isinstance(plan, Explode):
+        return _Derived(exploded_key(child.partitioning, plan.column), child.est_rows)
+    if isinstance(plan, Aggregate):
+        return _Derived(plan.keys or None, child.est_rows)
+    return _Derived(None, None)
 
 
 def _derive_join(
@@ -531,7 +475,7 @@ def _derive_join(
         else None
     )
     if plan.how == "cross":
-        return _Derived(None, None, rows)
+        return _Derived(None, rows)
 
     right_bytes = _estimated_bytes(right, plan.right)
     build_bytes = _broadcast_build_bytes(
@@ -543,58 +487,19 @@ def _derive_join(
     co_partitioned = (
         left.partitioning == plan.on and right.partitioning == plan.on
     )
-    declared_colocated = (
-        plan.left.partitioning == plan.on and plan.right.partitioning == plan.on
-    )
-    if declared_colocated and not co_partitioned and catalog is not None:
+    if plan.hint == "shuffle" and co_partitioned:
         out.append(
             Diagnostic(
-                "PV202",
-                f"declared colocated on {list(plan.on)}, but the catalog-"
-                f"derived partitionings are left={_fmt(left.partitioning)} "
-                f"right={_fmt(right.partitioning)}",
+                "PV205",
+                f"shuffle hint forces a repartition although both sides "
+                f"are already co-partitioned on {list(plan.on)}",
                 path,
                 label,
             )
         )
-    if (
-        co_partitioned
-        and left.num_partitions is not None
-        and right.num_partitions is not None
-        and left.num_partitions != right.num_partitions
-    ):
-        out.append(
-            Diagnostic(
-                "PV202",
-                f"both sides are partitioned on {list(plan.on)} but with "
-                f"{left.num_partitions} vs {right.num_partitions} partitions; "
-                "the colocated join silently degrades",
-                path,
-                label,
-            )
-        )
-    if plan.hint == "shuffle" and co_partitioned and catalog is not None:
-        if left.num_partitions == right.num_partitions:
-            out.append(
-                Diagnostic(
-                    "PV205",
-                    f"shuffle hint forces a repartition although both sides "
-                    f"are already co-partitioned on {list(plan.on)}",
-                    path,
-                    label,
-                )
-            )
     if plan.hint == "broadcast" and config is not None:
         out.extend(_check_broadcast(build_bytes, path, label, config))
-
-    if co_partitioned:
-        partitions = (
-            left.num_partitions
-            if left.num_partitions == right.num_partitions
-            else None
-        )
-        return _Derived(plan.on, partitions, rows)
-    return _Derived(None, None, rows)
+    return _Derived(plan.on if co_partitioned else None, rows)
 
 
 def _estimated_bytes(side: _Derived, plan: LogicalPlan) -> int | None:
@@ -680,28 +585,6 @@ def _check_budget(
             )
         )
     return found
-
-
-def _rename_partitioning(
-    plan: Project, partitioning: tuple[str, ...] | None
-) -> tuple[str, ...] | None:
-    """Ground-truth twin of ``Project.partitioning`` over derived facts."""
-    if partitioning is None:
-        return None
-    from ..engine.expressions import ColumnRef
-
-    rename: dict[str, str] = {}
-    for out_name, expression in plan.outputs:
-        if isinstance(expression, ColumnRef):
-            rename.setdefault(expression.name, out_name)
-    try:
-        return tuple(rename[name] for name in partitioning)
-    except KeyError:
-        return None
-
-
-def _fmt(partitioning: tuple[str, ...] | None) -> str:
-    return str(list(partitioning)) if partitioning is not None else "None"
 
 
 # -- the engine's pre-execution gate ------------------------------------------

@@ -245,8 +245,12 @@ class S2Rdf(CompiledBaseline):
     ) -> list[tuple[TriplePattern, str | None, float, bool]]:
         """``(pattern, table, estimated_rows, provably_empty)`` per pattern.
 
-        No reduction can apply to an unbound predicate: it is estimated as
-        the whole dataset and answered from the VP union (no table).
+        The estimate is the chosen table's rows scaled by the pattern's
+        constant-slot selectivity (``pattern_cardinality`` over the VP
+        table's rows): the number the join order sorts by and EXPLAIN
+        prints. No reduction can apply to an unbound predicate: it is
+        estimated as the whole dataset and answered from the VP union (no
+        table).
         """
         assert self.statistics is not None
         patterns = list(query.patterns)
@@ -257,7 +261,10 @@ class S2Rdf(CompiledBaseline):
                 choices.append((pattern, None, total, False))
                 continue
             others = [p for p in patterns if p is not pattern]
-            choices.append((pattern, *self._table_choice(pattern, others)))
+            table, rows, provably_empty = self._table_choice(pattern, others)
+            vp_rows = self.statistics.for_predicate(pattern.predicate.value).triple_count
+            rows *= pattern_cardinality(self.statistics, pattern) / max(1.0, float(vp_rows))
+            choices.append((pattern, table, rows, provably_empty))
         return choices
 
     def _pattern_order(
@@ -265,14 +272,10 @@ class S2Rdf(CompiledBaseline):
     ) -> list[tuple[TriplePattern, str | None]] | None:
         """Each pattern with its chosen table, smallest estimate first;
         ``None`` when an empty reduction proves the result empty."""
-        assert self.statistics is not None
         estimated: list[tuple[TriplePattern, str | None, float]] = []
         for pattern, table, rows, provably_empty in self._table_choices(query):
             if provably_empty:
                 return None
-            if not isinstance(pattern.predicate, Variable):
-                vp_rows = self.statistics.for_predicate(pattern.predicate.value).triple_count
-                rows *= pattern_cardinality(self.statistics, pattern) / max(1.0, float(vp_rows))
             estimated.append((pattern, table, rows))
         estimated.sort(key=lambda item: item[2])
         return [(pattern, table) for pattern, table, _ in estimated]
@@ -286,7 +289,7 @@ class S2Rdf(CompiledBaseline):
             elif provably_empty:
                 lines.append(f"{pattern}  ->  empty reduction (query provably empty)")
             else:
-                lines.append(f"{pattern}  ->  {table}  est={round(rows)} rows")
+                lines.append(f"{pattern}  ->  {table}  est={rows:.2f} rows")
         return lines
 
     def extvp_entries(self) -> list[ExtVpEntry]:

@@ -23,25 +23,11 @@ from ..sparql.algebra import TriplePattern, Variable
 
 @dataclass
 class JoinTreeNode:
-    """Base node: patterns it answers, its priority, and its children.
-
-    Besides the tree shape, every node carries two *declared* properties the
-    static plan verifier (:mod:`repro.analysis`) checks before execution:
-    its output variables (:meth:`output_variables`, derived from the
-    patterns) and its partitioning (``declared_partitioning``, stamped by the
-    translator from :meth:`natural_partitioning`). A declaration of ``None``
-    means "undeclared" — trees built by hand stay verifiable — while a
-    mismatch between a declaration and the derivable ground truth is
-    rejected as a corrupted plan.
-    """
+    """Base node: patterns it answers, its priority, and its children."""
 
     patterns: tuple[TriplePattern, ...]
     priority: float = 0.0
     children: list["JoinTreeNode"] = field(default_factory=list)
-    #: Variable columns the node's sub-query result is hash-partitioned on,
-    #: as declared by the translator (``None`` = not declared; ``()`` = the
-    #: result carries no keyed partitioning).
-    declared_partitioning: tuple[str, ...] | None = None
 
     @property
     def variables(self) -> set[Variable]:
@@ -59,35 +45,6 @@ class JoinTreeNode:
         column instead, which never joins and is not listed here).
         """
         return tuple(sorted(variable.name for variable in self.variables))
-
-    def natural_partitioning(self) -> tuple[str, ...]:
-        """The partitioning this node's sub-query has by construction.
-
-        Derived from the storage layout (paper §3.1): VP and PT tables are
-        hash-partitioned on the subject, the object-keyed PT on the object.
-        Reading a node therefore leaves its result partitioned on the key
-        variable — unless the key slot is a constant (the key column is
-        filtered and dropped) or the predicate is unbound (a VP union loses
-        keyed placement).
-        """
-        key = self._key_slot()
-        if not isinstance(key, Variable):
-            return ()
-        if any(isinstance(p.predicate, Variable) for p in self.patterns):
-            return ()
-        return (key.name,)
-
-    def _key_slot(self):
-        """The pattern slot holding the node's storage key (subject here;
-        :class:`ObjectPtNode` overrides with the object)."""
-        return self.patterns[0].subject
-
-    @property
-    def partitioning(self) -> tuple[str, ...]:
-        """Effective partitioning: the declaration, else the natural one."""
-        if self.declared_partitioning is not None:
-            return self.declared_partitioning
-        return self.natural_partitioning()
 
     @property
     def kind(self) -> str:
@@ -149,9 +106,6 @@ class PtNode(JoinTreeNode):
 @dataclass
 class ObjectPtNode(JoinTreeNode):
     """A same-object pattern group answered from the object-keyed PT (§5)."""
-
-    def _key_slot(self):
-        return self.patterns[0].object
 
     @property
     def kind(self) -> str:

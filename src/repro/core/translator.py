@@ -84,11 +84,8 @@ class JoinTreeTranslator:
     def translate_bgp(self, patterns) -> JoinTree:
         """Translate one conjunction of triple patterns into a Join Tree."""
         nodes = self._build_nodes(list(patterns))
-        for node in nodes:
-            # Declared properties the static plan verifier checks against
-            # the derivable ground truth (repro.analysis.verifier).
-            node.declared_partitioning = node.natural_partitioning()
-            if self.use_statistics:
+        if self.use_statistics:
+            for node in nodes:
                 node.priority = self.score(node)
         return self._assemble(nodes)
 

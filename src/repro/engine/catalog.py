@@ -14,7 +14,7 @@ from ..columnar.schema import TableSchema
 from ..columnar.table_file import FileStatistics
 from ..errors import CatalogError
 from ..vector import ColumnBatch
-from .data import ColumnarData
+from .data import ColumnarData, carry, pruned_key
 
 
 @dataclass
@@ -65,9 +65,7 @@ class StoredTable:
                 ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length)
                 for batch in self.data.batches
             ]
-            partitioner = self.data.partitioner
-            if partitioner is not None and not set(partitioner.columns) <= set(columns):
-                partitioner = None
+            partitioner = carry(self.data.partitioner, pruned_key, columns)
             view = ColumnarData(self.schema.select(list(columns)), batches, partitioner)
             self.column_views[columns] = view
         return view

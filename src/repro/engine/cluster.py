@@ -225,7 +225,6 @@ class ExecutionMetrics:
     rows_output: int = 0
     vector_batches: int = 0
     rows_late_materialized: int = 0
-    operator_log: list[str] = field(default_factory=list)
     # -- fault tolerance -------------------------------------------------------
     task_retries: int = 0
     fetch_retries: int = 0
@@ -256,12 +255,11 @@ class ExecutionMetrics:
         Stage boundaries are also the governor's cooperative poll points:
         an expired deadline or a requested cancellation raises here,
         *before* fault injection, with this metrics object attached so
-        EXPLAIN ANALYZE can render the partial work.
+        EXPLAIN ANALYZE can render the partial work. ``note`` names the
+        stage to the fault injector; nothing else keeps it.
         """
         self.stages += 1
         self.tasks += tasks
-        if note:
-            self.operator_log.append(note)
         if self.governor is not None:
             self.governor.on_stage(self)
         if self.fault_injector is not None:
@@ -293,7 +291,6 @@ class ExecutionMetrics:
         self.rows_output += other.rows_output
         self.vector_batches += other.vector_batches
         self.rows_late_materialized += other.rows_late_materialized
-        self.operator_log.extend(other.operator_log)
         self.task_retries += other.task_retries
         self.fetch_retries += other.fetch_retries
         self.speculative_tasks += other.speculative_tasks

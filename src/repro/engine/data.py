@@ -12,6 +12,9 @@ shuffled dataset and a table hash-partitioned on the same keys agree on
 every row's partition. That agreement lets the join operator skip the
 shuffle when both sides are already partitioned on the join keys with the
 same partition count — the engine-level analogue of co-located joins.
+The narrow operators' partitioning rules (:func:`pruned_key`,
+:func:`renamed_key`, :func:`exploded_key`, :func:`distinct_key`) live here
+too, the one statement of each that execution and verification share.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from dataclasses import dataclass
 from ..columnar.schema import TableSchema
 from ..errors import PlanError
 from ..vector import ColumnBatch, batch_bytes
+from .expressions import ColumnRef, Expression
 
 
 @dataclass(frozen=True)
@@ -59,6 +63,62 @@ class HashPartitioner:
             key = tuple(column[i] for column in key_columns)
             out[stable_hash(key) % num_partitions].append(i)
         return out
+
+
+# -- partitioning lineage -------------------------------------------------------
+#
+# How each narrow operator carries its input's hash placement to its output,
+# stated once over the key columns: catalog scans, the physical executor and
+# the plan verifier's static derivation all call these rules, so the
+# placement a plan is verified against is the placement it runs with. Joins
+# are not narrow: the executor follows the strategy it picked at run time.
+
+
+def pruned_key(
+    key: tuple[str, ...] | None, columns: Sequence[str]
+) -> tuple[str, ...] | None:
+    """A column subset keeps the placement only while it reads every key."""
+    if key is None or not set(key) <= set(columns):
+        return None
+    return key
+
+
+def renamed_key(
+    key: tuple[str, ...] | None, outputs: Sequence[tuple[str, Expression]]
+) -> tuple[str, ...] | None:
+    """A projection keeps the placement when it re-emits every key column as
+    a bare reference, under the first name it gives that column."""
+    if key is None:
+        return None
+    rename: dict[str, str] = {}
+    for out_name, expression in outputs:
+        if isinstance(expression, ColumnRef):
+            rename.setdefault(expression.name, out_name)
+    try:
+        return tuple(rename[name] for name in key)
+    except KeyError:
+        return None
+
+
+def exploded_key(key: tuple[str, ...] | None, column: str) -> tuple[str, ...] | None:
+    """Exploding a key column scatters its elements; any other keeps the key."""
+    if key is None or column in key:
+        return None
+    return key
+
+
+def distinct_key(columns: Sequence[str]) -> tuple[str, ...]:
+    """DISTINCT dedups per partition, so rows are placed by the whole row."""
+    return tuple(columns)
+
+
+def carry(partitioner: HashPartitioner | None, rule, *args) -> HashPartitioner | None:
+    """``partitioner`` after a narrow rule: the key columns go through
+    ``rule(columns, *args)``, the partition count stays."""
+    if partitioner is None:
+        return None
+    key = rule(partitioner.columns, *args)
+    return None if key is None else HashPartitioner(key, partitioner.num_partitions)
 
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF

@@ -43,7 +43,14 @@ from .cluster import (
     broadcast_build,
     broadcast_threshold,
 )
-from .data import ColumnarData, HashPartitioner
+from .data import (
+    ColumnarData,
+    HashPartitioner,
+    carry,
+    distinct_key,
+    exploded_key,
+    renamed_key,
+)
 from .expressions import ColumnRef
 from .logical import (
     Aggregate,
@@ -229,7 +236,7 @@ class PhysicalExecutor:
                     for _, expression in plan.outputs
                 )
                 batches.append(ColumnBatch(out_columns, length))
-        partitioner = _project_partitioner(plan, child.partitioner)
+        partitioner = carry(child.partitioner, renamed_key, plan.outputs)
         return ColumnarData(plan.schema, batches, partitioner)
 
     def _explode(self, plan: Explode, metrics: ExecutionMetrics, tracer) -> ColumnarData:
@@ -278,9 +285,7 @@ class PhysicalExecutor:
             if batch.sel is None:
                 batch.bytes_cache[memo_key] = out
             batches.append(out)
-        partitioner = child.partitioner
-        if partitioner is not None and plan.column in partitioner.columns:
-            partitioner = None
+        partitioner = carry(child.partitioner, exploded_key, plan.column)
         return ColumnarData(plan.schema, batches, partitioner)
 
     # -- joins ---------------------------------------------------------------------
@@ -456,7 +461,7 @@ class PhysicalExecutor:
         child = self._run(plan.child, metrics, tracer)
         if metrics.governor is not None:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
-        all_columns = tuple(child.schema.names)
+        all_columns = distinct_key(child.schema.names)
         if child.is_partitioned_on(all_columns):
             batches = child.batches
             partitioner = child.partitioner
@@ -699,21 +704,6 @@ def _probe_batch(
         else:
             columns.append([column[i] for i in out_right])
     return ColumnBatch(tuple(columns), len(out_left))
-
-
-def _project_partitioner(plan: Project, partitioner: HashPartitioner | None):
-    """Survive the partitioner through a rename-only projection."""
-    if partitioner is None:
-        return None
-    rename: dict[str, str] = {}
-    for out_name, expression in plan.outputs:
-        if isinstance(expression, ColumnRef):
-            rename.setdefault(expression.name, out_name)
-    try:
-        new_columns = tuple(rename[name] for name in partitioner.columns)
-    except KeyError:
-        return None
-    return HashPartitioner(columns=new_columns, num_partitions=partitioner.num_partitions)
 
 
 def _freeze_row(row: tuple) -> tuple:

@@ -40,19 +40,6 @@ class LogicalPlan:
         """Input plans, left to right (empty for leaves)."""
         raise NotImplementedError
 
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        """Columns the output is hash-partitioned on, or ``None``.
-
-        The static half of the executor's partitioner lineage: each operator
-        declares how it transforms its children's partitioning, mirroring the
-        physical rules in :mod:`repro.engine.executor`. The plan verifier
-        (:mod:`repro.analysis`) checks these declarations against the catalog's
-        actual table layout, so a plan cannot silently claim a colocated join
-        the storage layout does not support.
-        """
-        raise NotImplementedError
-
     def describe(self, indent: int = 0) -> str:
         """Render the subtree as an indented explain string."""
         pad = "  " * indent
@@ -70,10 +57,6 @@ class TableScan(LogicalPlan):
     table_name: str
     table_schema: TableSchema
     columns: tuple[str, ...] | None = None
-    #: The stored table's hash-partitioning columns, as registered in the
-    #: catalog (threaded through by ``EngineSession.table``). ``None`` means
-    #: the table was registered without a keyed partitioner.
-    partition_columns: tuple[str, ...] | None = None
 
     @cached_property
     def schema(self) -> TableSchema:
@@ -84,16 +67,6 @@ class TableScan(LogicalPlan):
     @property
     def children(self) -> tuple[LogicalPlan, ...]:
         return ()
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        if self.partition_columns is None:
-            return None
-        if self.columns is not None and not set(self.partition_columns) <= set(
-            self.columns
-        ):
-            return None  # pruning dropped a key column (executor does the same)
-        return self.partition_columns
 
     def _describe_line(self) -> str:
         pruned = f" columns={list(self.columns)}" if self.columns is not None else ""
@@ -115,10 +88,6 @@ class InMemoryRelation(LogicalPlan):
     @property
     def children(self) -> tuple[LogicalPlan, ...]:
         return ()
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        return None  # local rows are spread round-robin, never keyed
 
     def _describe_line(self) -> str:
         return f"InMemoryRelation({self.label}, {len(self.rows)} rows)"
@@ -144,10 +113,6 @@ class Filter(LogicalPlan):
     @property
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        return self.child.partitioning  # row-preserving placement
 
     def _describe_line(self) -> str:
         return f"Filter({self.condition.describe()})"
@@ -194,23 +159,6 @@ class Project(LogicalPlan):
     def is_rename_only(self) -> bool:
         """True when every output is a bare column reference."""
         return all(isinstance(e, ColumnRef) for _, e in self.outputs)
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        # Mirror of the executor's ``_project_partitioner``: a partitioning
-        # survives only when every key column is re-emitted as a bare
-        # reference (possibly renamed).
-        source = self.child.partitioning
-        if source is None:
-            return None
-        rename: dict[str, str] = {}
-        for out_name, expression in self.outputs:
-            if isinstance(expression, ColumnRef):
-                rename.setdefault(expression.name, out_name)
-        try:
-            return tuple(rename[name] for name in source)
-        except KeyError:
-            return None
 
     def _describe_line(self) -> str:
         parts = ", ".join(
@@ -263,19 +211,6 @@ class Join(LogicalPlan):
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.left, self.right)
 
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        # A keyed join is declared partitioned on the keys when both inputs
-        # already are — the colocated and shuffle outcomes; the executor's
-        # broadcast fallback for mismatched partition counts is the one case
-        # this optimistic declaration papers over (the verifier grounds it
-        # via the catalog).
-        if self.how == "cross":
-            return None
-        if self.left.partitioning == self.on and self.right.partitioning == self.on:
-            return self.on
-        return None
-
     def _describe_line(self) -> str:
         hint = f", hint={self.hint}" if self.hint != "auto" else ""
         return f"Join(on={list(self.on)}, how={self.how}{hint})"
@@ -313,13 +248,6 @@ class Explode(LogicalPlan):
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)
 
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        source = self.child.partitioning
-        if source is not None and self.column in source:
-            return None  # exploding a key column scatters its values
-        return source
-
     def _describe_line(self) -> str:
         return f"Explode({self.column} AS {self.output_name or self.column})"
 
@@ -337,12 +265,6 @@ class Distinct(LogicalPlan):
     @property
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        # The executor dedups per-partition after hash-placing rows by the
-        # full row, so the output is always partitioned on every column.
-        return tuple(self.schema.names)
 
     def _describe_line(self) -> str:
         return "Distinct"
@@ -404,10 +326,6 @@ class Aggregate(LogicalPlan):
     def children(self) -> tuple[LogicalPlan, ...]:
         return (self.child,)
 
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        return self.keys or None  # reduce side shuffles by the group keys
-
     def _describe_line(self) -> str:
         rendered = ", ".join(
             f"{spec.op}({spec.input_column or '*'}) AS {spec.output}"
@@ -439,10 +357,6 @@ class Union(LogicalPlan):
     @property
     def children(self) -> tuple[LogicalPlan, ...]:
         return self.inputs
-
-    @property
-    def partitioning(self) -> tuple[str, ...] | None:
-        return None  # concatenated partition lists lose any keyed placement
 
     def _describe_line(self) -> str:
         return f"Union({len(self.inputs)} inputs)"

@@ -213,12 +213,7 @@ def prune_columns(plan: LogicalPlan, required: set[str]) -> LogicalPlan:
             ordered = (plan.table_schema.names[0],)
         if plan.columns is not None and set(plan.columns) == set(ordered):
             return plan
-        return TableScan(
-            plan.table_name,
-            plan.table_schema,
-            columns=ordered,
-            partition_columns=plan.partition_columns,
-        )
+        return TableScan(plan.table_name, plan.table_schema, columns=ordered)
 
     if isinstance(plan, InMemoryRelation):
         return plan

@@ -26,8 +26,8 @@ from .optimizer import optimize
 class QueryReport:
     """Everything measured about one executed plan."""
 
-    logical_plan: str
-    optimized_plan: str
+    #: The plan the executor ran (after the optimizer, when it ran).
+    optimized_plan: LogicalPlan
     metrics: ExecutionMetrics
     cost: CostBreakdown
     wall_clock_sec: float
@@ -46,7 +46,7 @@ class QueryReport:
         traced (``EXPLAIN`` vs ``EXPLAIN ANALYZE`` at the engine level).
         """
         if self.trace is None:
-            return self.optimized_plan
+            return self.optimized_plan.describe()
         from ..obs.explain import render_span_tree
 
         return render_span_tree(self.trace)
@@ -91,7 +91,6 @@ class EngineSession:
         self.hdfs = hdfs or SimulatedHdfs(num_datanodes=config.num_workers)
         self.catalog = Catalog()
         self._executor = PhysicalExecutor(self.catalog, config)
-        self.last_report: QueryReport | None = None
 
     @property
     def config(self) -> ClusterConfig:
@@ -153,16 +152,7 @@ class EngineSession:
         from .dataframe import DataFrame
         from .logical import TableScan
 
-        stored = self.catalog.get(name)
-        partitioner = stored.data.partitioner
-        return DataFrame(
-            self,
-            TableScan(
-                name,
-                stored.schema,
-                partition_columns=partitioner.columns if partitioner else None,
-            ),
-        )
+        return DataFrame(self, TableScan(name, self.catalog.get(name).schema))
 
     def create_dataframe(self, schema: TableSchema, rows: list[tuple], label: str = "local") -> "DataFrame":
         """A DataFrame over caller-provided rows (not registered)."""
@@ -208,12 +198,10 @@ class EngineSession:
         if trace_container is not None and len(trace_container) > spans_before:
             trace_root = trace_container[spans_before]
         report = QueryReport(
-            logical_plan=plan.describe(),
-            optimized_plan=optimized.describe(),
+            optimized_plan=optimized,
             metrics=metrics,
             cost=cost,
             wall_clock_sec=wall,
             trace=trace_root,
         )
-        self.last_report = report
         return result, report

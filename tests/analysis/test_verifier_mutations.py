@@ -57,17 +57,6 @@ def test_misattached_node_is_cartesian_pv102():
     assert diagnostics[0].node_path == "root.children[0].children[0]"
 
 
-def test_dropped_partitioning_pv108(prost_mixed):
-    tree = prost_mixed.translate(CHAIN)
-    assert verify_join_tree(tree) == []
-    victim = tree.root.children[0]
-    assert victim.natural_partitioning()  # the node is keyed by construction
-    victim.declared_partitioning = ()  # mutation: declare it unpartitioned
-    diagnostics = verify_join_tree(tree)
-    assert codes(diagnostics) == ["PV108"]
-    assert diagnostics[0].node_path == "root.children[0]"
-
-
 def test_split_pt_group_pv103(prost_mixed):
     tree = prost_mixed.translate(STAR)
     (pt_node,) = tree.nodes
@@ -75,7 +64,6 @@ def test_split_pt_group_pv103(prost_mixed):
     other = parse_sparql(CHAIN).patterns[0]  # subject ?x — same; use ?y one
     foreign = parse_sparql(CHAIN).patterns[1]  # subject ?y
     pt_node.patterns = (pt_node.patterns[0], foreign)
-    pt_node.declared_partitioning = None  # isolate the grouping violation
     diagnostics = verify_join_tree(tree)
     assert "PV103" in codes(diagnostics)
     assert all(d.node_path == "root" for d in diagnostics)
@@ -166,33 +154,13 @@ def _register(session, name, rows, partition_columns=None, value_column="o"):
     return schema
 
 
-def test_scan_partitioning_lie_pv203(session):
-    schema = _register(session, "vp_t", [("a", "1"), ("b", "2")])
-    scan = TableScan("vp_t", schema, partition_columns=("s",))  # catalog: None
-    diagnostics = verify_logical_plan(scan, catalog=session.catalog)
-    assert codes(diagnostics) == ["PV203"]
-    assert diagnostics[0].node_path == "plan"
-
-
-def test_declared_colocated_join_not_copartitioned_pv202(session):
-    left_schema = _register(session, "left_t", [("a", "1")])
-    right_schema = _register(session, "right_t", [("a", "2")], value_column="o2")
-    # Both scans *claim* subject partitioning; the catalog has neither.
-    left = TableScan("left_t", left_schema, partition_columns=("s",))
-    right = TableScan("right_t", right_schema, partition_columns=("s",))
-    plan = Join(left=left, right=right, on=("s",))
-    diagnostics = verify_logical_plan(plan, catalog=session.catalog)
-    assert "PV202" in codes(diagnostics)
-    assert any(d.code == "PV202" and d.node_path == "plan" for d in diagnostics)
-
-
 def test_shuffle_hint_discards_copartitioning_pv205(session):
     left_schema = _register(session, "lp", [("a", "1")], partition_columns=("s",))
     right_schema = _register(
         session, "rp", [("a", "2")], partition_columns=("s",), value_column="o2"
     )
-    left = TableScan("lp", left_schema, partition_columns=("s",))
-    right = TableScan("rp", right_schema, partition_columns=("s",))
+    left = TableScan("lp", left_schema)
+    right = TableScan("rp", right_schema)
     plan = Join(left=left, right=right, on=("s",), hint="shuffle")
     diagnostics = verify_logical_plan(plan, catalog=session.catalog)
     assert codes(diagnostics) == ["PV205"]

@@ -3,8 +3,10 @@
 One sha256 per system (S2RDF, SPARQLGX, SPARQLGX-SDE) over ``explain()``
 for the twenty WatDiv templates at scale 400 and the 200 queries of the
 fixed fuzz corpus (their BGPs plus FILTER / DISTINCT tails). The digests
-were recorded before the three systems shared one query lifecycle; a
-digest that moves means a table choice, a join order, a join hint or the
+were recorded before the three systems shared one query lifecycle, and
+S2RDF's again when its ``est=`` began printing the selectivity-scaled
+estimate its join order sorts by (every plan line unchanged); a digest that
+moves means a table choice, an estimate, a join order, a join hint or the
 optimizer setting moved. Two process-global numberings are normalised
 first, since they depend on what ran before: ``__exists<N>`` marker names,
 and dictionary term IDs (a constant absent from the data is interned when a
@@ -25,7 +27,7 @@ from repro.watdiv.generator import generate_watdiv
 from repro.watdiv.queries import basic_query_set
 
 GOLDEN = {
-    "s2rdf": "f5c7cdf653470b8c4c306ed1c3ffd9b21a7a14e9957bebe67bf7cee7bc63d7b9",
+    "s2rdf": "1670dfeceb6bc041313204ce9a2735df0984eac237b2431823705ca92b7db0fd",
     "sparqlgx": "bb1507ca0bc3c9fc9a3bb5198bbf8d4d5d5edeb6e01037eb4a214cb98eea2e06",
     "sparqlgx-sde": "a7b9fead5f30e359614b5eb7d21885118c1f352fc07632802f2837b4ed72356d",
 }

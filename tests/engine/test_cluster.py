@@ -106,7 +106,6 @@ class TestMetrics:
         metrics.record_stage(tasks=4, note="Scan t")
         assert metrics.stages == 1
         assert metrics.tasks == 4
-        assert metrics.operator_log == ["Scan t"]
 
     def test_merge_folds_counters(self):
         a = ExecutionMetrics(bytes_scanned=10, shuffle_bytes=5, stages=1)

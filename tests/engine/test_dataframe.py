@@ -23,9 +23,9 @@ class TestBasics:
     def test_transformations_are_lazy(self):
         session = make_session()
         frame = session.table("t").filter(col("s") == lit("a"))
-        assert session.last_report is None  # nothing executed yet
+        assert session.cluster.session_metrics.stages == 0  # nothing executed yet
         frame.collect()
-        assert session.last_report is not None
+        assert session.cluster.session_metrics.stages > 0
 
     def test_count(self):
         data, _ = make_session().table("t").collect_data_with_report()
@@ -94,4 +94,4 @@ class TestChaining:
         data, report = session.table("t").collect_data_with_report()
         assert len(data.all_rows()) == 2
         assert report.metrics.rows_output == 2
-        assert "TableScan" in report.optimized_plan
+        assert "TableScan" in report.explain()

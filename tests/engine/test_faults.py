@@ -51,8 +51,8 @@ def make_session(fault_plan=None, **config_overrides) -> EngineSession:
 
 def run_join(session: EngineSession):
     frame = session.table("left").join(session.table("right"), on=["s"], how="inner")
-    rows = frame.collect()
-    return rows, session.last_report
+    data, report = frame.collect_data_with_report()
+    return data.all_rows(), report
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +218,8 @@ class TestFetchRetry:
             .join(session.table("right"), on=["s"], how="inner")
             .join(session.table("extra"), on=["s"], how="inner")
         )
-        frame.collect()
-        metrics = session.last_report.metrics
+        _, report = frame.collect_data_with_report()
+        metrics = report.metrics
         assert metrics.fetch_retries > 0
         assert metrics.recomputed_tasks > 0
         assert metrics.retry_backoff_sec > 0

@@ -28,7 +28,7 @@ class TestCompleteness:
         for spec_field in dataclasses.fields(ExecutionMetrics):
             value = getattr(metrics, spec_field.name)
             if not isinstance(value, (int, float)):
-                continue  # operator_log / fault_events / fault_injector
+                continue  # fault_events / fault_injector / governor
             assert (
                 f"engine.{spec_field.name}" in REGISTRY
                 or f"faults.{spec_field.name}" in REGISTRY
