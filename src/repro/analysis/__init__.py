@@ -7,8 +7,8 @@ Two layers, both free of third-party dependencies:
   checker that rejects plans violating the paper's invariants before they
   run: unbound variable references, PT nodes grouping patterns that do not
   share a subject, priorities inconsistent with the loading-time statistics,
-  colocated joins without co-partitioning on the join key, and broadcast
-  hints whose build side exceeds the configured threshold. The
+  join keys typed differently on the two sides, and shuffle hints that
+  discard co-partitioning on the join key. The
   :class:`~repro.core.prost.ProstEngine` runs it before every query it
   plans (there is no opt-out); ``prost-repro check`` runs it standalone
   with EXPLAIN-style diagnostics.

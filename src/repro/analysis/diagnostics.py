@@ -2,11 +2,11 @@
 
 Every violated invariant becomes one :class:`Diagnostic` carrying a stable
 code (the ``PV1xx`` range covers Join-Tree invariants, ``PV2xx`` engine-plan
-invariants, ``PV3xx`` advisory resource-governance forecasts that never fail
-the gate, ``PV4xx`` cached-plan lineage — see :mod:`repro.analysis.lineage`),
-a human-readable message, and a *node path* — the location of
-the offending node inside its tree, in the same shape the EXPLAIN renderers
-use — so a failing check points at the exact plan node, not just the query.
+invariants, ``PV4xx`` cached-plan lineage — see
+:mod:`repro.analysis.lineage`), a human-readable message, and a *node
+path* — the location of the offending node inside its tree, in the same
+shape the EXPLAIN renderers use — so a failing check points at the exact
+plan node, not just the query.
 """
 
 from __future__ import annotations
@@ -25,18 +25,9 @@ CODES: dict[str, str] = {
     "PV109": "the tree's patterns do not cover the query's basic graph pattern",
     "PV110": "a node's pattern count is invalid for its kind",
     "PV201": "join key columns have inconsistent types across the two sides",
-    "PV204": "a broadcast-hinted join's build side exceeds the size threshold",
     "PV205": "a shuffle hint discards existing co-partitioning on the join keys",
-    "PV301": "a broadcast join's build side exceeds the memory budget (will degrade to a shuffle join)",
-    "PV302": "a hash join's build side exceeds the memory budget (will spill to disk)",
     "PV401": "a cached plan's lineage epoch does not match the engine's current plan epoch",
 }
-
-#: Advisory codes: the plan is degraded-but-valid — the governor handles the
-#: condition at runtime (degradation ladder / spill), so these inform EXPLAIN
-#: and ``prost-repro check`` output but never fail the pre-execution gate.
-ADVISORY_CODES: frozenset[str] = frozenset({"PV301", "PV302"})
-
 
 @dataclass(frozen=True)
 class Diagnostic:

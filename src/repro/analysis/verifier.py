@@ -10,8 +10,9 @@ Verification happens at the two plan layers the system has:
   deriving each operator's partitioning from the catalog's actual table
   layout through the executor's own narrow rules
   (:func:`repro.engine.data.pruned_key` and its siblings), and rejects
-  shuffle hints that discard co-partitioning, broadcast hints whose build
-  side cannot fit under the threshold, and joins on mistyped keys.
+  shuffle hints that discard co-partitioning and joins on mistyped keys.
+  It predicts no sizes: the executor picks join strategies, broadcasts,
+  degradations and spills from the actual sizes at run time.
 
 Both return :class:`~repro.analysis.diagnostics.Diagnostic` lists;
 :func:`check_query` bundles them for the engine's pre-execution gate and
@@ -21,17 +22,9 @@ raises :class:`~repro.errors.PlanVerificationError` on any finding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..core.estimate import join_rows
 from ..core.join_tree import JoinTree, JoinTreeNode, ObjectPtNode, PtNode, VpNode
-from ..engine.cluster import (
-    ClusterConfig,
-    broadcast_build,
-    broadcast_threshold,
-    relation_bytes,
-)
 from ..engine.data import distinct_key, exploded_key, pruned_key, renamed_key
 from ..engine.logical import (
     Aggregate,
@@ -47,7 +40,7 @@ from ..engine.logical import (
 )
 from ..errors import PlanVerificationError
 from ..sparql.algebra import SelectQuery, Variable
-from .diagnostics import ADVISORY_CODES, Diagnostic, render_diagnostics
+from .diagnostics import Diagnostic, render_diagnostics
 
 if TYPE_CHECKING:
     from ..core.translator import JoinTreeTranslator
@@ -376,30 +369,18 @@ def _check_bound_variables(
 # -- logical-plan verification ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Derived:
-    """Catalog-grounded facts about one operator's output."""
-
-    partitioning: tuple[str, ...] | None
-    est_rows: int | None
-
-
 def verify_logical_plan(
-    plan: LogicalPlan,
-    catalog: "Catalog | None" = None,
-    config: "ClusterConfig | None" = None,
+    plan: LogicalPlan, catalog: "Catalog | None" = None
 ) -> list[Diagnostic]:
     """All engine-plan invariant violations (empty list = plan is good).
 
     Join keys are checked for matching types (PV201) and shuffle hints
     against co-partitioning they would discard (PV205). With a ``catalog``,
-    scans start from each table's stored partitioning and row count
-    (without one, scans are unplaced and unsized); with a ``config``,
-    broadcast hints are checked against the size threshold (PV204) and
-    build sides against the memory budget (PV301, PV302).
+    scans start from each table's stored partitioning (without one, scans
+    are unplaced).
     """
     diagnostics: list[Diagnostic] = []
-    _derive(plan, "plan", catalog, config, diagnostics)
+    _derive(plan, "plan", catalog, diagnostics)
     return diagnostics
 
 
@@ -407,52 +388,45 @@ def _derive(
     plan: LogicalPlan,
     path: str,
     catalog: "Catalog | None",
-    config: "ClusterConfig | None",
     out: list[Diagnostic],
-) -> _Derived:
+) -> tuple[str, ...] | None:
+    """The catalog-grounded partitioning of one operator's output."""
     if isinstance(plan, TableScan):
         if catalog is None:
-            return _Derived(None, None)
-        stored = catalog.get(plan.table_name)
-        partitioner = stored.data.partitioner
+            return None
+        partitioner = catalog.get(plan.table_name).data.partitioner
         key = partitioner.columns if partitioner is not None else None
-        return _Derived(pruned_key(key, plan.schema.names), stored.row_count)
+        return pruned_key(key, plan.schema.names)
     if isinstance(plan, InMemoryRelation):
-        return _Derived(None, len(plan.rows))
+        return None
     if isinstance(plan, Join):
-        return _derive_join(plan, path, catalog, config, out)
+        return _derive_join(plan, path, catalog, out)
     if isinstance(plan, Union):
-        rows: int | None = 0
         for index, branch in enumerate(plan.inputs):
-            derived = _derive(branch, f"{path}.inputs[{index}]", catalog, config, out)
-            if rows is not None and derived.est_rows is not None:
-                rows += derived.est_rows
-            else:
-                rows = None
-        return _Derived(None, rows)
-    child = _derive(plan.child, f"{path}.child", catalog, config, out)
+            _derive(branch, f"{path}.inputs[{index}]", catalog, out)
+        return None
+    child = _derive(plan.child, f"{path}.child", catalog, out)
     if isinstance(plan, Filter):
         return child
     if isinstance(plan, Distinct):
-        return _Derived(distinct_key(plan.schema.names), child.est_rows)
+        return distinct_key(plan.schema.names)
     if isinstance(plan, Project):
-        return _Derived(renamed_key(child.partitioning, plan.outputs), child.est_rows)
+        return renamed_key(child, plan.outputs)
     if isinstance(plan, Explode):
-        return _Derived(exploded_key(child.partitioning, plan.column), child.est_rows)
+        return exploded_key(child, plan.column)
     if isinstance(plan, Aggregate):
-        return _Derived(plan.keys or None, child.est_rows)
-    return _Derived(None, None)
+        return plan.keys or None
+    return None
 
 
 def _derive_join(
     plan: Join,
     path: str,
     catalog: "Catalog | None",
-    config: "ClusterConfig | None",
     out: list[Diagnostic],
-) -> _Derived:
-    left = _derive(plan.left, f"{path}.left", catalog, config, out)
-    right = _derive(plan.right, f"{path}.right", catalog, config, out)
+) -> tuple[str, ...] | None:
+    left = _derive(plan.left, f"{path}.left", catalog, out)
+    right = _derive(plan.right, f"{path}.right", catalog, out)
     label = plan._describe_line()
 
     for key in plan.on:
@@ -469,24 +443,9 @@ def _derive_join(
                 )
             )
 
-    rows = (
-        join_rows(left.est_rows, right.est_rows, keyed=plan.how != "cross")
-        if left.est_rows is not None and right.est_rows is not None
-        else None
-    )
     if plan.how == "cross":
-        return _Derived(None, rows)
-
-    right_bytes = _estimated_bytes(right, plan.right)
-    build_bytes = _broadcast_build_bytes(
-        plan, _estimated_bytes(left, plan.left), right_bytes
-    )
-    if config is not None:
-        out.extend(_check_budget(plan, build_bytes, right_bytes, path, label, config))
-
-    co_partitioned = (
-        left.partitioning == plan.on and right.partitioning == plan.on
-    )
+        return None
+    co_partitioned = left == plan.on and right == plan.on
     if plan.hint == "shuffle" and co_partitioned:
         out.append(
             Diagnostic(
@@ -497,94 +456,7 @@ def _derive_join(
                 label,
             )
         )
-    if plan.hint == "broadcast" and config is not None:
-        out.extend(_check_broadcast(build_bytes, path, label, config))
-    return _Derived(plan.on if co_partitioned else None, rows)
-
-
-def _estimated_bytes(side: _Derived, plan: LogicalPlan) -> int | None:
-    """Estimated size of one join input, or ``None`` when its rows are unknown."""
-    if side.est_rows is None:
-        return None
-    return relation_bytes(side.est_rows, len(plan.schema.names))
-
-
-def _broadcast_build_bytes(
-    plan: Join, left_bytes: int | None, right_bytes: int | None
-) -> int | None:
-    """Estimated size of the side a broadcast of ``plan`` replicates (the
-    executor's rule, :func:`~repro.engine.cluster.broadcast_build`), or
-    ``None`` when the sizes that decide it are unknown."""
-    if left_bytes is None or right_bytes is None:
-        return right_bytes if plan.how != "inner" else None
-    return broadcast_build(left_bytes, right_bytes, plan.how)[1]
-
-
-def _check_broadcast(
-    build_bytes: int | None, path: str, label: str, config: "ClusterConfig"
-) -> list[Diagnostic]:
-    """A broadcast hint must have a build side under the threshold (PV204)."""
-    if build_bytes is None:
-        return []
-    threshold = broadcast_threshold(config)
-    if build_bytes <= threshold:
-        return []
-    return [
-        Diagnostic(
-            "PV204",
-            f"broadcast hint with an estimated build side of {build_bytes} "
-            f"bytes, above the {threshold:.0f}-byte threshold",
-            path,
-            label,
-        )
-    ]
-
-
-def _check_budget(
-    plan: Join,
-    build_bytes: int | None,
-    right_bytes: int | None,
-    path: str,
-    label: str,
-    config: "ClusterConfig",
-) -> list[Diagnostic]:
-    """Advisory degradation forecast under a memory budget (PV301, PV302).
-
-    Mirrors the runtime governor's decisions over *estimated* sizes: a
-    broadcast build side over the budget will be demoted to a shuffle join,
-    and a keyed hash build (always the right side) over the budget will run
-    as a partitioned grace-hash spill. Both are degraded-but-valid plans, so
-    these codes are advisory
-    (:data:`~repro.analysis.diagnostics.ADVISORY_CODES`) — they never fail
-    the pre-execution gate.
-    """
-    budget = config.memory_budget_bytes
-    if budget is None:
-        return []
-    found: list[Diagnostic] = []
-    if plan.hint == "broadcast" and build_bytes is not None and build_bytes > budget:
-        found.append(
-            Diagnostic(
-                "PV301",
-                f"broadcast build side estimated at {build_bytes} bytes "
-                f"exceeds the {budget}-byte memory budget; the governor "
-                "will degrade it to a shuffle join",
-                path,
-                label,
-            )
-        )
-    if right_bytes is not None and right_bytes > budget:
-        found.append(
-            Diagnostic(
-                "PV302",
-                f"hash-join build side estimated at {right_bytes} bytes "
-                f"exceeds the {budget}-byte memory budget; the governor will "
-                "run it as a partitioned grace-hash spill",
-                path,
-                label,
-            )
-        )
-    return found
+    return plan.on if co_partitioned else None
 
 
 # -- the engine's pre-execution gate ------------------------------------------
@@ -597,7 +469,6 @@ def check_query(
     plan: LogicalPlan,
     translator: "JoinTreeTranslator | None" = None,
     catalog: "Catalog | None" = None,
-    config: "ClusterConfig | None" = None,
 ) -> None:
     """Verify a fully-planned query; raise on any violated invariant.
 
@@ -609,13 +480,10 @@ def check_query(
     diagnostics = verify_query(
         query, trees, optional_trees, translator=translator
     )
-    diagnostics.extend(verify_logical_plan(plan, catalog=catalog, config=config))
-    # Advisory (PV3xx) findings describe degraded-but-valid plans the
-    # governor handles at runtime; only genuine violations block execution.
-    blocking = [d for d in diagnostics if d.code not in ADVISORY_CODES]
-    if not blocking:
+    diagnostics.extend(verify_logical_plan(plan, catalog=catalog))
+    if not diagnostics:
         return
     tree_text = "\n".join(tree.describe() for tree in list(trees) + list(optional_trees))
     raise PlanVerificationError(
-        render_diagnostics(blocking, tree_text), diagnostics=tuple(blocking)
+        render_diagnostics(diagnostics, tree_text), diagnostics=tuple(diagnostics)
     )

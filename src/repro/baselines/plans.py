@@ -21,6 +21,7 @@ from ..core.executor import (
     shape_vp_frame,
     unbound_predicate_frame,
 )
+from ..core.join_tree import connected_first
 from ..core.loader import LoadReport
 from ..core.results import QueryExecutionReport, ResultSet, finalize_solutions
 from ..engine.cluster import TASK_OVERHEAD_SEC
@@ -112,18 +113,13 @@ class CompiledBaseline:
         order = self._pattern_order(parsed)
         if order is None:
             return None
-        (pattern, table), *pending = order
-        frame = self._pattern_frame(pattern, table)
-        while pending:
-            index = next(
-                (
-                    i
-                    for i, (pattern, _) in enumerate(pending)
-                    if {v.name for v in pattern.variables} & set(frame.columns)
-                ),
-                0,
-            )
-            pattern, table = pending.pop(index)
+        (first, table), *pending = order
+        frame = self._pattern_frame(first, table)
+        for pattern, table in connected_first(
+            pending,
+            lambda item: {v.name for v in item[0].variables},
+            {v.name for v in first.variables},
+        ):
             right = self._pattern_frame(pattern, table)
             frame = join_shared(frame, right, hint=self.join_hint)
         return select_tail(frame, parsed)
@@ -188,6 +184,4 @@ class CompiledBaseline:
         frame = self.dataframe(query)
         if frame is None:
             return []
-        return verify_logical_plan(
-            frame.plan, catalog=self.session.catalog, config=self.session.config
-        )
+        return verify_logical_plan(frame.plan, catalog=self.session.catalog)

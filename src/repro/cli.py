@@ -508,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the static plan verifier: translate a query, infer "
         "every plan node's schema and partitioning, and report violated "
         "invariants (unbound variables, mis-grouped property-table nodes, "
-        "priorities inconsistent with the statistics, shuffle hints that "
-        "discard co-partitioning, oversized broadcasts) as EXPLAIN-style "
+        "priorities inconsistent with the statistics, mistyped join keys, "
+        "shuffle hints that discard co-partitioning) as EXPLAIN-style "
         "diagnostics pointing at the offending tree node. Exits non-zero "
         "when any plan is rejected. The same checks run before every query "
         "the engine plans.",

@@ -17,8 +17,11 @@ shape and hence the join order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from ..sparql.algebra import TriplePattern, Variable
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -63,16 +66,44 @@ class JoinTreeNode:
         return "\n".join(lines)
 
     def fold_order(self) -> list["JoinTreeNode"]:
-        """The children in the order they are joined into this node:
-        descending priority, so selective children drive cheap joins first.
-        The executor, the verifier and EXPLAIN all fold in this order."""
-        return sorted(self.children, key=lambda n: -n.priority)
+        """The children in the order they are joined into this node.
+
+        Descending priority, so selective children drive cheap joins first,
+        but connected first: a child sharing no variable with what is
+        folded so far waits until no keyed join is left. The executor, the
+        verifier and EXPLAIN all fold in this order."""
+        if len(self.children) < 2:
+            return list(self.children)
+        return list(
+            connected_first(
+                sorted(self.children, key=lambda n: -n.priority),
+                lambda child: {v.name for node in child.walk() for v in node.variables},
+                {variable.name for variable in self.variables},
+            )
+        )
 
     def walk(self):
         """Yield this node and all descendants, preorder."""
         yield self
         for child in self.children:
             yield from child.walk()
+
+
+def connected_first(
+    items: Iterable[T], names_of: Callable[[T], set[str]], bound: set[str]
+) -> Iterator[T]:
+    """``items`` in their order, except that the next one is always the
+    first sharing a variable name with ``bound`` (grown by the names of
+    every item yielded), or the first of all when none does. A join chain
+    built in this order runs a cartesian product only when no keyed join is
+    left."""
+    pending = [(item, names_of(item)) for item in items]
+    bound = set(bound)
+    while pending:
+        index = next((i for i, (_, names) in enumerate(pending) if names & bound), 0)
+        item, names = pending.pop(index)
+        bound |= names
+        yield item
 
 
 @dataclass

@@ -210,7 +210,6 @@ class ProstEngine:
             plan.frame.plan,
             translator=translator,
             catalog=self.session.catalog,
-            config=self.session.config,
         )
         if text is not None:
             self._cache_plan(text, planned_version, plan.frame, plan.description)
@@ -435,11 +434,7 @@ class ProstEngine:
             parsed, plan.trees, plan.optional_trees, translator=translator
         )
         diagnostics.extend(
-            verify_logical_plan(
-                plan.frame.plan,
-                catalog=self.session.catalog,
-                config=self.session.config,
-            )
+            verify_logical_plan(plan.frame.plan, catalog=self.session.catalog)
         )
         return diagnostics
 

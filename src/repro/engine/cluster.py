@@ -21,6 +21,8 @@ at a slower one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from typing import Callable
+
 from ..errors import ValidationError
 
 #: Per-node network bandwidth (Gigabit Ethernet ≈ 125 MB/s).
@@ -249,21 +251,22 @@ class ExecutionMetrics:
     peak_memory_bytes: int = 0
     governor: object | None = field(default=None, repr=False, compare=False)
 
-    def record_stage(self, tasks: int, note: str = "") -> None:
+    def record_stage(self, tasks: int, note: Callable[[], str]) -> None:
         """Register one stage (a wave of parallel tasks).
 
         Stage boundaries are also the governor's cooperative poll points:
         an expired deadline or a requested cancellation raises here,
         *before* fault injection, with this metrics object attached so
-        EXPLAIN ANALYZE can render the partial work. ``note`` names the
-        stage to the fault injector; nothing else keeps it.
+        EXPLAIN ANALYZE can render the partial work. ``note`` builds the
+        stage's name for the fault injector, and is called only when one is
+        attached; nothing else reads it.
         """
         self.stages += 1
         self.tasks += tasks
         if self.governor is not None:
             self.governor.on_stage(self)
         if self.fault_injector is not None:
-            self.fault_injector.on_stage(self, tasks, note)
+            self.fault_injector.on_stage(self, tasks, note())
 
     @property
     def recovered_faults(self) -> int:

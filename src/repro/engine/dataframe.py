@@ -85,9 +85,8 @@ class DataFrame:
 
         Args:
             how: ``inner`` or ``left``.
-            hint: ``auto`` (size-based strategy), ``broadcast``, or
-                ``shuffle`` (disables broadcast, as SPARQLGX's compiled plans
-                effectively do).
+            hint: ``auto`` (size-based strategy) or ``shuffle`` (disables
+                broadcast, as SPARQLGX's compiled plans effectively do).
         """
         if other.session is not self.session:
             raise PlanError("cannot join DataFrames from different sessions")

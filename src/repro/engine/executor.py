@@ -171,12 +171,12 @@ class PhysicalExecutor:
         metrics.rows_scanned += table.row_count
         metrics.record_stage(
             tasks=table.data.num_partitions,
-            note=f"Scan {plan.table_name} cols={list(columns) if columns else '*'}",
+            note=lambda: f"Scan {plan.table_name} cols={list(columns) if columns else '*'}",
         )
         return table.scan(columns)
 
     def _local(self, plan: InMemoryRelation, metrics: ExecutionMetrics) -> ColumnarData:
-        metrics.record_stage(tasks=1, note=f"LocalRelation {plan.label}")
+        metrics.record_stage(tasks=1, note=lambda: f"LocalRelation {plan.label}")
         return ColumnarData.from_rows(
             plan.relation_schema, list(plan.rows), self.config.default_partitions
         )
@@ -188,7 +188,7 @@ class PhysicalExecutor:
         predicate = plan.condition.bind_vector(child.schema)
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(
-            tasks=child.num_partitions, note=f"Filter {plan.condition.describe()}"
+            tasks=child.num_partitions, note=lambda: f"Filter {plan.condition.describe()}"
         )
         # The selection produced over an unselected batch is a pure function of
         # (columns, condition); prepared-statement plans reuse their condition
@@ -213,7 +213,7 @@ class PhysicalExecutor:
     def _project(self, plan: Project, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
         metrics.narrow_rows_processed += child.num_rows
-        metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
+        metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line)
         if plan.is_rename_only:
             # Pure column shuffles share the underlying vectors and the
             # selection — no cells are touched at all.
@@ -245,7 +245,7 @@ class PhysicalExecutor:
         if metrics.governor is not None:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
         metrics.narrow_rows_processed += child.num_rows
-        metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
+        metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line)
         # An explode of an unselected batch is a pure function of (columns,
         # column index); persistent scan batches keep their exploded form (and
         # its size memos) across queries.
@@ -360,7 +360,7 @@ class PhysicalExecutor:
         if strategy == "colocated":
             metrics.colocated_joins += 1
             metrics.record_stage(
-                tasks=left.num_partitions, note=f"ColocatedJoin on={list(keys)}"
+                tasks=left.num_partitions, note=lambda: f"ColocatedJoin on={list(keys)}"
             )
             partitioner = left.partitioner
             pairs = zip(left.batches, right.batches)
@@ -372,7 +372,7 @@ class PhysicalExecutor:
             metrics.broadcast_count += 1
             metrics.record_stage(
                 tasks=(left if small_is_right else right).num_partitions,
-                note=f"BroadcastHashJoin on={list(keys)} build={build}",
+                note=lambda: f"BroadcastHashJoin on={list(keys)} build={build}",
             )
             if small_is_right:
                 # The replicated build side is one unselected batch, so its
@@ -394,7 +394,7 @@ class PhysicalExecutor:
             metrics.shuffle_bytes += left_bytes + right_bytes
             metrics.shuffle_rows += left.num_rows + right.num_rows
             metrics.record_stage(
-                tasks=num_partitions, note=f"ShuffleHashJoin on={list(keys)}"
+                tasks=num_partitions, note=lambda: f"ShuffleHashJoin on={list(keys)}"
             )
             pairs = zip(
                 _repartition(left, left_key_idx, partitioner),
@@ -419,7 +419,7 @@ class PhysicalExecutor:
         big = left if small_is_right else right
         small = (right if small_is_right else left).concat()
         small_rows = small.length
-        metrics.record_stage(tasks=big.num_partitions, note="CartesianProduct")
+        metrics.record_stage(tasks=big.num_partitions, note=lambda: "CartesianProduct")
         batches: list[ColumnBatch] = []
         for batch in big.batches:
             compacted = batch.compact()
@@ -441,8 +441,6 @@ class PhysicalExecutor:
         build_bytes: int,
         keys: tuple[str, ...],
     ) -> str:
-        if plan.hint == "broadcast":
-            return "broadcast"
         if (
             left.is_partitioned_on(keys)
             and right.is_partitioned_on(keys)
@@ -473,7 +471,7 @@ class PhysicalExecutor:
             key_idx = list(range(len(all_columns)))
             batches = _repartition(child, key_idx, partitioner)
         metrics.rows_processed += child.num_rows
-        metrics.record_stage(tasks=len(batches), note="Distinct")
+        metrics.record_stage(tasks=len(batches), note=lambda: "Distinct")
         deduped = []
         for batch in batches:
             columns = batch.columns
@@ -538,7 +536,7 @@ class PhysicalExecutor:
         partial_groups = sum(len(local) for local in partials)
         metrics.shuffle_rows += partial_groups
         metrics.shuffle_bytes += partial_groups * (16 + 8 * len(plan.aggregates))
-        metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line())
+        metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line)
 
         merged: dict[tuple, list] = {}
         for local in partials:
@@ -573,7 +571,7 @@ class PhysicalExecutor:
 
     def _union(self, plan: Union, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         results = [self._run(child, metrics, tracer) for child in plan.inputs]
-        metrics.record_stage(tasks=len(results), note="Union")
+        metrics.record_stage(tasks=len(results), note=lambda: "Union")
         batches: list[ColumnBatch] = []
         for result in results:
             batches.extend(result.batches)

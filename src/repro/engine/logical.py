@@ -18,7 +18,7 @@ from .expressions import ColumnRef, Expression, LiteralValue, require_predicate
 JOIN_TYPES = ("inner", "left", "cross")
 
 #: Join strategy hints (set by optimizer or caller).
-JOIN_HINTS = ("auto", "broadcast", "shuffle")
+JOIN_HINTS = ("auto", "shuffle")
 
 
 class LogicalPlan:

@@ -12,7 +12,7 @@ Two halves:
   strategy, shuffled/broadcast bytes, and recovery charges (``EXPLAIN
   ANALYZE``). Alignment leans on two invariants: the optimizer never
   reorders joins, and :class:`~repro.core.executor.JoinTreeExecutor` folds
-  children left-deep in descending priority order.
+  children left-deep in :meth:`~repro.core.join_tree.JoinTreeNode.fold_order`.
 
 :func:`render_join_tree` draws the annotated tree in plain ASCII, one node
 block per Join-Tree node with its patterns, priority, estimated vs actual
@@ -120,7 +120,7 @@ def align_spans(tree: JoinTree, root_span: Span) -> dict[int, NodeRuntime] | Non
 
 def _align_node(node: JoinTreeNode, span: Span, runtime: dict[int, NodeRuntime]) -> bool:
     """Recursively unwind the left-deep join fold for one node's subtree."""
-    # Children are joined in descending priority; the *last* joined child is
+    # Children are joined in fold order; the *last* joined child is
     # the outermost Join span, so unwind in reverse.
     order = node.fold_order()
     current: Span | None = span
@@ -277,7 +277,7 @@ def _render_node(
     for pattern in node.patterns:
         lines.append(f"{pad} |  {pattern}")
 
-    # Fold the children exactly as the executor will: descending priority,
+    # Fold the children exactly as the executor will (fold order),
     # accumulating the estimated left-side cardinality.
     accumulated_est = est
     accumulated_width = _node_width(node)

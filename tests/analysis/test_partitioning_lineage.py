@@ -52,16 +52,16 @@ def check_engine(engine, queries) -> tuple[int, int]:
         if getattr(engine, "run_optimizer", True):
             plan = optimize(plan)
         for sub in sub_plans(plan):
-            derived = _derive(sub, "plan", session.catalog, session.config, [])
+            derived = _derive(sub, "plan", session.catalog, [])
             data, _ = session.execute(sub, run_optimizer=False)
             checked += 1
-            if derived.partitioning is None:
+            if derived is None:
                 continue
             named += 1
             runtime = data.partitioner
-            assert runtime is not None and runtime.columns == derived.partitioning, (
+            assert runtime is not None and runtime.columns == derived, (
                 f"{engine.name}: {query}\n{sub.describe()}\nderived "
-                f"{derived.partitioning}, runtime "
+                f"{derived}, runtime "
                 f"{runtime.columns if runtime is not None else None}"
             )
     return checked, named

@@ -167,25 +167,6 @@ def test_shuffle_hint_discards_copartitioning_pv205(session):
     assert diagnostics[0].node_path == "plan"
 
 
-def test_inflated_broadcast_side_pv204(session):
-    rows = [(f"s{i}", f"o{i}") for i in range(500)]
-    left_schema = _register(session, "big", rows)
-    right_schema = _register(session, "big2", rows, value_column="o2")
-    left = TableScan("big", left_schema)
-    right = TableScan("big2", right_schema)
-    config = ClusterConfig(num_workers=2, broadcast_threshold_bytes=64)
-    plan = Join(left=left, right=right, on=("s",), hint="broadcast")
-    diagnostics = verify_logical_plan(
-        plan, catalog=session.catalog, config=config
-    )
-    assert codes(diagnostics) == ["PV204"]
-    assert "threshold" in diagnostics[0].message
-    # Under the default 10 MB threshold the same plan is fine.
-    assert verify_logical_plan(
-        plan, catalog=session.catalog, config=ClusterConfig(num_workers=2)
-    ) == []
-
-
 def test_join_key_type_mismatch_pv201():
     left = InMemoryRelation(
         TableSchema([ColumnSchema("k", "string"), ColumnSchema("a", "string")]),

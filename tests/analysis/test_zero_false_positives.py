@@ -46,11 +46,7 @@ def test_watdiv_sweep_baselines(watdiv, system):
         frame = engine.dataframe(parse_sparql(query.text))
         if frame is None:  # S2RDF proves the result empty at plan time
             continue
-        diagnostics = verify_logical_plan(
-            frame.plan,
-            catalog=engine.session.catalog,
-            config=engine.session.config,
-        )
+        diagnostics = verify_logical_plan(frame.plan, catalog=engine.session.catalog)
         assert diagnostics == [], (
             f"{query.name} ({engine.name}): "
             + "; ".join(d.format() for d in diagnostics)

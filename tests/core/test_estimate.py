@@ -2,7 +2,7 @@
 
 - EXPLAIN prints, for every node, the number the translator ordered by;
 - the estimate depends on each constant's kind, never its value;
-- EXPLAIN and the plan verifier combine a cartesian join the same way.
+- EXPLAIN prices a cartesian join at the product of its sides.
 """
 
 import re
@@ -11,7 +11,6 @@ from functools import lru_cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.verifier import _derive
 from repro.core import ProstEngine
 from repro.core.estimate import join_rows, node_rows
 from repro.core.executor import JoinTreeExecutor
@@ -172,10 +171,10 @@ _DISCONNECTED = """
 """
 
 
-def test_explain_and_verifier_agree_on_a_cartesian_estimate():
+def test_explain_prices_a_cartesian_join_at_the_product():
     """A disconnected BGP joins its two VP nodes as a cartesian product:
-    EXPLAIN's subtree estimate and the verifier's derived rows are both
-    the product of the two tables' sizes (3 × 2)."""
+    EXPLAIN's subtree estimate is the product of the two tables' sizes
+    (3 × 2), which is exactly the rows the product returns."""
     engine = ProstEngine()
     engine.load(Graph.from_ntriples(_DISCONNECTED))
     patterns = parse_sparql(
@@ -184,6 +183,5 @@ def test_explain_and_verifier_agree_on_a_cartesian_estimate():
     tree = engine._translator.translate_bgp(patterns)
     assert len(tree.root.children) == 1
     explained = _render_node(tree.root, engine.store.statistics, None, None, [], 0)
-    plan = JoinTreeExecutor(engine.store).build(tree).plan
-    derived = _derive(plan, "plan", engine.session.catalog, None, [])
-    assert explained == derived.est_rows == 6
+    rows = JoinTreeExecutor(engine.store).build(tree).collect()
+    assert explained == join_rows(3, 2, keyed=False) == len(rows) == 6

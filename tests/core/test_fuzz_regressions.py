@@ -93,3 +93,24 @@ class TestRepeatedPredicateVariable:
             "SELECT ?s ?p ?o WHERE { ?s ?p ?p . ?p ?p ?o }",
             engine_name,
         )
+
+
+def test_seed_17_folds_the_keyed_child_before_the_cartesian_one():
+    """Fuzz seed 17, query #1 (mixed): under the root ``?v1 makesPurchase
+    ?v0``, the fully bound VP node ``Entity4 friendOf Entity4`` outranks the
+    PT node ``{?v0 subscribes "gamma" . ?v0 friendOf Entity8}`` (priority
+    999 999.5 against 999 999.0) but shares no variable with the root. The
+    fold joins the keyed PT child first and runs the cartesian product last;
+    descending priority alone ran the product first."""
+    from repro.core.executor import JoinTreeExecutor
+    from repro.testing import DifferentialRunner
+
+    graph, queries = DifferentialRunner(queries_per_graph=2).generate_case(17)
+    engine = ProstEngine(num_workers=3, strategy="mixed")
+    engine.load(graph)
+    tree = engine.translate(queries[1])
+    assert [child.kind for child in tree.root.children] == ["PT", "VP"]
+    assert [child.priority for child in tree.root.children] == [999_999.0, 999_999.5]
+    assert [child.kind for child in tree.root.fold_order()] == ["PT", "VP"]
+    plan = JoinTreeExecutor(engine.store).build(tree).plan
+    assert (plan.how, plan.left.how, plan.left.on) == ("cross", "inner", ("v0",))

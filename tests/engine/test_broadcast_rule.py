@@ -1,15 +1,13 @@
-"""One broadcast rule, four readers.
+"""One broadcast rule, two readers.
 
 The build-side rule and the scaled threshold live in
-:mod:`repro.engine.cluster`; the executor's strategy and build side, the
-plan verifier's PV204 / PV301 and EXPLAIN's ``(est)`` prediction must all
-agree on every cell of inner/left × right side smaller/equal/larger ×
-threshold below/at/above the build side.
+:mod:`repro.engine.cluster`; the executor's strategy and build side and
+EXPLAIN's ``(est)`` prediction must agree on every cell of inner/left ×
+right side smaller/equal/larger × threshold below/at/above the build side.
 """
 
 import pytest
 
-from repro.analysis.verifier import verify_logical_plan
 from repro.columnar import ColumnSchema, TableSchema
 from repro.core.join_tree import JoinTree, VpNode
 from repro.engine import ClusterConfig, EngineSession, SimulatedCluster
@@ -48,18 +46,14 @@ def relation(name: str, rows: int) -> InMemoryRelation:
     return InMemoryRelation(schema, tuple((f"k{i:03d}", f"v{i:03d}") for i in range(rows)))
 
 
-def join(how: str, sizes: str, hint: str = "auto") -> Join:
+def join(how: str, sizes: str) -> Join:
     return Join(
-        relation("a", LEFT_ROWS),
-        relation("b", RIGHT_ROWS[sizes]),
-        on=("k",),
-        how=how,
-        hint=hint,
+        relation("a", LEFT_ROWS), relation("b", RIGHT_ROWS[sizes]), on=("k",), how=how
     )
 
 
-def config(threshold_bytes: int, **overrides) -> ClusterConfig:
-    return ClusterConfig(num_workers=3, broadcast_threshold_bytes=threshold_bytes, **overrides)
+def config(threshold_bytes: int) -> ClusterConfig:
+    return ClusterConfig(num_workers=3, broadcast_threshold_bytes=threshold_bytes)
 
 
 def run_join(plan: Join, threshold_bytes: int) -> tuple[str, str | None]:
@@ -88,24 +82,6 @@ def test_executor_follows_the_rule(how, sizes, threshold):
     want_strategy, want_build = expected(how, sizes, threshold)
     assert strategy == want_strategy
     assert build == (want_build if want_strategy == "broadcast" else None)
-
-
-@pytest.mark.parametrize("how,sizes,threshold", CASES)
-def test_verifier_follows_the_rule(how, sizes, threshold):
-    """PV204 (broadcast hint over the threshold) and PV301 (broadcast build
-    over a memory budget of the same size) fire exactly where the executor
-    would not broadcast, measured on the same side."""
-    plan = join(how, sizes, hint="broadcast")
-    want_strategy, want_build = expected(how, sizes, threshold)
-    build_rows = LEFT_ROWS if want_build == "left" else RIGHT_ROWS[sizes]
-    limit = relation_bytes(build_rows, 2) + THRESHOLD_OFFSET[threshold]
-    codes = {
-        d.code
-        for d in verify_logical_plan(plan, config=config(limit, memory_budget_bytes=limit))
-    }
-    fires = want_strategy == "shuffle"
-    assert ("PV204" in codes) == fires
-    assert ("PV301" in codes) == fires
 
 
 @pytest.mark.parametrize(

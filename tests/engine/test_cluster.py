@@ -103,7 +103,7 @@ class TestClusterConfig:
 class TestMetrics:
     def test_record_stage(self):
         metrics = ExecutionMetrics()
-        metrics.record_stage(tasks=4, note="Scan t")
+        metrics.record_stage(tasks=4, note=lambda: "Scan t")
         assert metrics.stages == 1
         assert metrics.tasks == 4
 

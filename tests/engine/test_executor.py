@@ -14,17 +14,17 @@ def make_session(**config_overrides) -> EngineSession:
     return EngineSession(SimulatedCluster(config))
 
 
-def session_with_tables() -> EngineSession:
+def session_with_tables(partition_columns=("k",)) -> EngineSession:
     session = make_session()
     session.register_rows(
         "left", KV, [("a", "1"), ("b", "2"), ("c", "3"), ("a", "9")],
-        partition_columns=("k",),
+        partition_columns=partition_columns,
     )
     session.register_rows(
         "right",
         TableSchema([ColumnSchema("k", "string"), ColumnSchema("w", "string")]),
         [("a", "x"), ("b", "y"), ("d", "z")],
-        partition_columns=("k",),
+        partition_columns=partition_columns,
     )
     return session
 
@@ -135,13 +135,19 @@ class TestJoins:
         assert rows == [("a", "2", "y")]
 
     def test_strategies_agree(self):
-        """Broadcast, shuffle, and colocated joins give identical results."""
+        """Broadcast, shuffle, and colocated joins give identical results.
+
+        The co-partitioned tables join colocated; unpartitioned, the small
+        sides broadcast under ``auto`` and repartition under ``shuffle``."""
         base = session_with_tables()
         expected = sorted(base.table("left").join(base.table("right"), on=["k"]).collect())
-        for hint in ("broadcast", "shuffle"):
-            session = session_with_tables()
-            got = session.table("left").join(session.table("right"), on=["k"], hint=hint)
-            assert sorted(got.collect()) == expected
+        for hint, counter in (("auto", "broadcast_count"), ("shuffle", "shuffle_rows")):
+            session = session_with_tables(partition_columns=None)
+            frame = session.table("left").join(session.table("right"), on=["k"], hint=hint)
+            assert sorted(frame.collect()) == expected
+            _, report = frame.collect_data_with_report()
+            assert getattr(report.metrics, counter) >= 1
+            assert report.metrics.colocated_joins == 0
 
     def test_colocated_join_avoids_shuffle(self):
         session = session_with_tables()
@@ -157,13 +163,22 @@ class TestJoins:
         assert report.metrics.shuffle_bytes == 0
 
     def test_broadcast_join_records_broadcast(self):
-        session = session_with_tables()
-        left = session.table("left").rename({"k": "a"})  # renaming kills partitioner? no: rename keeps
+        """Sides not partitioned on the key, far under the broadcast
+        threshold: the size rule broadcasts the build side."""
+        session = session_with_tables(partition_columns=None)
+        left = session.table("left").rename({"k": "a"})
         right = session.table("right").rename({"k": "a", "w": "b"})
-        # Force differing partition layouts by filtering one side first.
-        frame = left.filter(col("v").is_not_null()).join(right, on=["a"], hint="broadcast")
+        frame = left.filter(col("v").is_not_null()).join(right, on=["a"])
         _, report = frame.collect_data_with_report()
         assert report.metrics.broadcast_count >= 1
+        assert report.metrics.broadcast_bytes > 0
+
+    def test_broadcast_hint_is_rejected(self):
+        """Join hints are ``auto`` and ``shuffle``: broadcasting is the size
+        rule's decision, never a planner's."""
+        session = session_with_tables()
+        with pytest.raises(PlanError):
+            session.table("left").join(session.table("right"), on=["k"], hint="broadcast")
 
 
 class TestWideOperators:
