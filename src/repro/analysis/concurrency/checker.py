@@ -15,7 +15,8 @@ Diagnostics:
   *inference* finding — a field mutated from two or more public entry
   points with no declared guard at all);
 - **CC102** — ``# guarded-by`` names a lock attribute the class never
-  assigns a ``threading.Lock``/``RLock``/``Condition`` to;
+  assigns a ``threading.Lock``/``RLock``/``Condition`` (or
+  ``repro.governor.YieldingLock``) to;
 - **CC103** — two methods acquire the same pair of locks in opposite
   nesting orders: a static deadlock smell;
 - **CC104** — a guarded mutable container is returned or yielded by

@@ -16,7 +16,8 @@ or runtime cost for being analyzable):
   like); the multi-entry-point mutation inference skips it.
 
 :func:`build_class_model` extracts all three plus the class's lock
-attributes (``self.x = threading.Lock() / RLock() / Condition()``) into a
+attributes (``self.x = threading.Lock() / RLock() / Condition()`` or
+``YieldingLock()``, the serving path's lock) into a
 :class:`ClassModel`; :mod:`repro.analysis.concurrency.checker` consumes
 the model and emits the ``CC101``–``CC105`` diagnostics.
 """
@@ -28,7 +29,7 @@ import re
 from dataclasses import dataclass, field
 
 #: Constructor names recognized as lock-like when assigned in ``__init__``.
-LOCK_CONSTRUCTORS = ("Lock", "RLock", "Condition")
+LOCK_CONSTRUCTORS = ("Lock", "RLock", "Condition", "YieldingLock")
 
 _GUARDED_BY = re.compile(r"#\s*guarded-by:\s*([A-Za-z_][A-Za-z0-9_]*)")
 _REQUIRES_LOCK = re.compile(r"#\s*requires-lock:\s*([A-Za-z_][A-Za-z0-9_]*)")

@@ -13,7 +13,6 @@ Partitioning. ``strategy="vp"`` reproduces the VP-only baseline of Figure 2.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import nullcontext
 from typing import NamedTuple
@@ -21,7 +20,7 @@ from typing import NamedTuple
 from ..engine.cluster import ClusterConfig, SimulatedCluster
 from ..engine.dataframe import DataFrame
 from ..engine.session import EngineSession
-from ..governor import Governor
+from ..governor import Governor, YieldingLock
 from ..errors import LoaderError, UnsupportedSparqlError
 from ..rdf.graph import Graph
 from ..sparql.algebra import SelectQuery
@@ -93,7 +92,7 @@ class ProstEngine:
         # both dicts (and the store/version swap a reload performs) are
         # guarded — and a plan is published through _cache_plan, which
         # discards it when a reload raced the planning.
-        self._cache_lock = threading.Lock()
+        self._cache_lock = YieldingLock()
         self._parse_cache: dict[str, SelectQuery] = {}  # guarded-by: _cache_lock
         self._plan_cache: dict[str, tuple[DataFrame, str]] = {}  # guarded-by: _cache_lock
 

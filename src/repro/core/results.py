@@ -191,6 +191,11 @@ def finalize_solutions(
         order = order[query.offset :]
     if query.limit is not None:
         order = order[: query.limit]
+    if len(order) < batch.length:
+        # OFFSET/LIMIT dropped rows: gather the kept cells first, so only
+        # they decode, already in emission order.
+        columns = tuple(list(map(column.__getitem__, order)) for column in columns)
+        order = range(len(order))
 
     decoded_columns = []
     for column in columns:

@@ -11,7 +11,6 @@ from .cluster import (
 from .data import (
     ColumnarData,
     HashPartitioner,
-    partition_evenly,
     stable_hash,
 )
 from .dataframe import DataFrame
@@ -75,7 +74,6 @@ __all__ = [
     "estimate_cost",
     "lit",
     "optimize",
-    "partition_evenly",
     "prune_columns",
     "push_down_filters",
     "split_conjuncts",

@@ -1,8 +1,9 @@
 """Table catalog: registered, partitioned, storage-backed tables.
 
 A :class:`StoredTable` couples the :class:`ColumnarData` a loader
-registered — the one resident form of the table, read by scans as it is —
-with the columnar-file statistics used for IO accounting.
+registered — the one resident form of the table, one partition-major batch
+read by scans as it is — with the columnar-file statistics used for IO
+accounting.
 Loaders register tables here; scans resolve them by name.
 """
 
@@ -23,18 +24,20 @@ class StoredTable:
 
     Attributes:
         name: catalog-unique table name.
-        data: the stored batches, one per partition, every one unselected
-            (``sel is None``): the executor's cross-query memos (filter
-            selections, join build indexes, explode outputs, per-row byte
-            vectors) are kept on unselected batches only, so a stored
-            selection view would silently recompute them on every query.
+        data: the stored table: one unselected (``sel is None``) batch with
+            its rows partition-major, plus the partition bounds. The
+            executor's cross-query memos (filter selections, join build
+            indexes, explode outputs with their bounds, per-row byte
+            vectors) are kept on unselected batches only — one entry per
+            table — so a stored selection view would silently recompute
+            them on every query.
         file_stats: statistics of the backing columnar file, when the table
             was persisted; drives byte-accurate scan costs and Table 1 sizes.
         hdfs_path: backing file location, when persisted.
         column_views: zero-copy column subsets of ``data`` by projected
             column tuple. Catalog tables are immutable once registered, so
             repeated scans share one view — and the memos living on its
-            batches.
+            batch.
     """
 
     name: str
@@ -54,19 +57,20 @@ class StoredTable:
         return self.data.num_rows
 
     def scan(self, columns: tuple[str, ...] | None = None) -> ColumnarData:
-        """What a scan of ``columns`` reads: the stored batches themselves,
-        or the (cached) view sharing just those column vectors."""
+        """What a scan of ``columns`` reads: the stored data itself, or the
+        (cached) view sharing just those column vectors and the bounds."""
         if columns is None:
             return self.data
         view = self.column_views.get(columns)
         if view is None:
             indexes = [self.schema.index_of(name) for name in columns]
-            batches = [
-                ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length)
-                for batch in self.data.batches
-            ]
-            partitioner = carry(self.data.partitioner, pruned_key, columns)
-            view = ColumnarData(self.schema.select(list(columns)), batches, partitioner)
+            batch = self.data.batch
+            view = ColumnarData(
+                self.schema.select(list(columns)),
+                ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length),
+                self.data.bounds,
+                carry(self.data.partitioner, pruned_key, columns),
+            )
             self.column_views[columns] = view
         return view
 

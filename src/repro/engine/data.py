@@ -1,11 +1,14 @@
 """Partitioned in-memory datasets and the one hash-placement routine.
 
-:class:`ColumnarData` — a schema plus one :class:`~repro.vector.ColumnBatch`
-per partition — is the only dataset shape: the catalog stores it, every
-physical operator consumes and produces it, and row tuples exist only at
-the API edges (:meth:`ColumnarData.from_rows` in,
-:meth:`ColumnarData.all_rows` out). A dataset carries an optional
-:class:`HashPartitioner` describing how its rows were placed, and
+:class:`ColumnarData` — a schema, one :class:`~repro.vector.ColumnBatch`
+and the physical row offsets (``bounds``) of its partitions — is the only
+dataset shape: the catalog stores it, every physical operator consumes and
+produces it, and row tuples exist only at the API edges
+(:meth:`ColumnarData.from_rows` in, :meth:`ColumnarData.all_rows` out).
+Rows are stored partition-major, so a partition is a row range, not a
+physical copy: operators run each kernel once over the whole batch and
+derive their output bounds with :func:`rebound`. A dataset carries an
+optional :class:`HashPartitioner` describing how its rows were placed, and
 :meth:`HashPartitioner.place` is the single routine that does the placing
 — for table registration, shuffles and aggregate outputs alike — so a
 shuffled dataset and a table hash-partitioned on the same keys agree on
@@ -20,8 +23,10 @@ too, the one statement of each that execution and verification share.
 from __future__ import annotations
 
 import zlib
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from ..columnar.schema import TableSchema
 from ..errors import PlanError
@@ -154,32 +159,36 @@ def stable_hash(key: tuple) -> int:
 
 class ColumnarData:
     """Partitioned columnar dataset: one :class:`~repro.vector.ColumnBatch`
-    per partition — the runtime representation every operator works on.
+    plus ``bounds``, the P+1 physical row offsets of its P partitions — the
+    runtime representation every operator works on.
+
+    Rows are stored partition-major and every selection is ascending, so
+    partition ``p`` is the set of live rows in ``[bounds[p], bounds[p+1])``
+    and :meth:`all_rows` reads partitions in order. Kernels run once over the
+    whole batch; :meth:`partition` views one partition where the work really
+    is per partition (aggregate partials, the grace-hash spill join).
 
     Row tuples are only materialized at the edges (:meth:`all_rows`), which
     is where dictionary term IDs finally decode — late materialization.
     """
 
-    __slots__ = ("schema", "batches", "partitioner", "_num_rows", "_estimated_bytes")
+    __slots__ = ("schema", "batch", "bounds", "partitioner", "_estimated_bytes")
 
     def __init__(
         self,
         schema,
-        batches: list[ColumnBatch],
+        batch: ColumnBatch,
+        bounds: tuple[int, ...],
         partitioner: HashPartitioner | None = None,
     ):
-        if not batches:
-            batches = [ColumnBatch(tuple([] for _ in schema.names), 0)]
-        if partitioner is not None and partitioner.num_partitions != len(batches):
-            raise PlanError(
-                "partitioner partition count does not match the batch list"
-            )
+        if partitioner is not None and partitioner.num_partitions != len(bounds) - 1:
+            raise PlanError("partitioner partition count does not match the bounds")
         self.schema = schema
-        self.batches = batches
+        self.batch = batch
+        self.bounds = bounds
         self.partitioner = partitioner
-        # Batches are immutable after construction — operators always build
-        # fresh batch lists (or selection views) — so sizing is computed once.
-        self._num_rows: int | None = None
+        # The batch is immutable after construction — operators always build
+        # fresh batches (or selection views) — so sizing is computed once.
         self._estimated_bytes: int | None = None
 
     @classmethod
@@ -190,7 +199,8 @@ class ColumnarData:
         num_partitions: int,
         partition_columns: tuple[str, ...] | None = None,
     ) -> "ColumnarData":
-        """Partition row tuples into compacted (``sel is None``) batches.
+        """Place row tuples into partitions and transpose them once into a
+        compacted (``sel is None``) batch.
 
         With ``partition_columns`` the rows are hash-placed on them and the
         result carries the partitioner (loaders use it for e.g. the PT's
@@ -198,57 +208,68 @@ class ColumnarData:
         round-robin. Either way rows keep their input order inside each
         partition.
         """
-        width = len(schema.names)
-        if not partition_columns:
-            parts = partition_evenly(rows, num_partitions)
-            return cls(schema, [ColumnBatch.from_rows(width, part) for part in parts])
-        partitioner = HashPartitioner(tuple(partition_columns), num_partitions)
-        # Only the key columns are transposed to place the rows; each
-        # partition then transposes its own rows, one partition at a time.
-        key_indexes = [schema.index_of(name) for name in partition_columns]
-        key_columns = [[row[i] for row in rows] for i in key_indexes]
-        batches = [
-            ColumnBatch.from_rows(width, [rows[i] for i in sel])
-            for sel in partitioner.place(key_columns, range(len(rows)))
-        ]
-        return cls(schema, batches, partitioner)
+        if num_partitions <= 0:
+            raise PlanError("num_partitions must be positive")
+        partitioner = None
+        if partition_columns:
+            partitioner = HashPartitioner(tuple(partition_columns), num_partitions)
+            # Only the key columns are transposed to place the rows.
+            key_indexes = [schema.index_of(name) for name in partition_columns]
+            key_columns = [[row[i] for row in rows] for i in key_indexes]
+            sels = partitioner.place(key_columns, range(len(rows)))
+        else:
+            sels = [range(p, len(rows), num_partitions) for p in range(num_partitions)]
+        # One transpose, fed by a tuple of references in placement order
+        # (the argument tuple ``zip(*rows)`` builds anyway): no row is copied.
+        placed = tuple(map(rows.__getitem__, chain.from_iterable(sels)))
+        batch = ColumnBatch.from_rows(len(schema.names), placed)
+        return cls(schema, batch, _offsets(sels), partitioner)
 
     @property
     def num_partitions(self) -> int:
-        """How many batches (partitions) the data is split into."""
-        return len(self.batches)
+        """How many partitions the data is split into."""
+        return len(self.bounds) - 1
 
     @property
     def num_rows(self) -> int:
-        """Total live rows across all batches (cached)."""
-        if self._num_rows is None:
-            self._num_rows = sum(batch.num_rows for batch in self.batches)
-        return self._num_rows
+        """Total live rows."""
+        return self.batch.num_rows
+
+    def partition(self, index: int) -> ColumnBatch:
+        """Partition ``index`` as a selection view of the batch (sharing its
+        columns and ``bytes_cache``)."""
+        batch = self.batch
+        low, high = self.bounds[index], self.bounds[index + 1]
+        sel = batch.sel
+        if sel is None:
+            view = range(low, high)
+        else:
+            view = sel[bisect_left(sel, low) : bisect_left(sel, high)]
+        return ColumnBatch(batch.columns, batch.length, view, batch.bytes_cache)
+
+    def compact_bounds(self) -> tuple[int, ...]:
+        """The bounds of :meth:`concat`'s batch."""
+        sel = self.batch.sel
+        return self.bounds if sel is None else rebound(self.bounds, sel)
 
     def all_rows(self) -> list[tuple]:
         """Materialize every live row as a tuple (driver-side collect)."""
-        rows: list[tuple] = []
-        for batch in self.batches:
-            rows.extend(batch.rows())
-        return rows
+        return self.batch.rows()
 
     def concat(self) -> ColumnBatch:
         """All live rows as one compacted batch (driver-side gather)."""
-        if len(self.batches) == 1:
-            return self.batches[0].compact()
-        columns: list[list] = [[] for _ in self.schema.names]
-        total = 0
-        for batch in self.batches:
-            sel = batch.sel
-            if sel is None:
-                for j, column in enumerate(batch.columns):
-                    columns[j].extend(column)
-                total += batch.length
-            else:
-                for j, column in enumerate(batch.columns):
-                    columns[j].extend(column[i] for i in sel)
-                total += len(sel)
-        return ColumnBatch(tuple(columns), total)
+        return self.batch.compact()
+
+    def placed(self, key_indexes: list[int], partitioner: HashPartitioner) -> "ColumnarData":
+        """The shuffle: rows hash-placed by ``partitioner`` on the columns at
+        ``key_indexes``, gathered once into partition-major order."""
+        batch = self.batch
+        sels = partitioner.place([batch.columns[i] for i in key_indexes], batch.live())
+        order = list(chain.from_iterable(sels))
+        columns = tuple([column[i] for i in order] for column in batch.columns)
+        return ColumnarData(
+            self.schema, ColumnBatch(columns, len(order)), _offsets(sels), partitioner
+        )
 
     def is_partitioned_on(self, columns: tuple[str, ...]) -> bool:
         """Whether rows are hash-placed by exactly these columns."""
@@ -256,19 +277,33 @@ class ColumnarData:
 
     def estimated_bytes(self) -> int:
         """Rough in-flight size — what a shuffle of this dataset would move —
-        priced through each batch's cached per-row byte vector."""
+        priced through the batch's cached per-row byte vector."""
         if self._estimated_bytes is None:
-            self._estimated_bytes = sum(
-                batch_bytes(batch) for batch in self.batches
-            )
+            self._estimated_bytes = batch_bytes(self.batch)
         return self._estimated_bytes
 
 
-def partition_evenly(rows: list[tuple], num_partitions: int) -> list[list[tuple]]:
-    """Round-robin rows into ``num_partitions`` (a balanced, unkeyed layout)."""
-    if num_partitions <= 0:
-        raise PlanError("num_partitions must be positive")
-    output: list[list[tuple]] = [[] for _ in range(num_partitions)]
-    for index, row in enumerate(rows):
-        output[index % num_partitions].append(row)
-    return output
+def rebound(bounds: tuple[int, ...], rows: Sequence[int]) -> tuple[int, ...]:
+    """The bounds of an operator output whose row ``k`` came from source row
+    ``rows[k]``: ``rows`` ascends, so each source offset bisects into it."""
+    return tuple(bisect_left(rows, offset) for offset in bounds)
+
+
+def stack(schema, parts: Sequence[ColumnarData]) -> ColumnarData:
+    """``parts`` one after another, compacted, keeping every part's
+    partitions (unplaced: the parts need not share a placement)."""
+    columns: list[list] = [[] for _ in schema.names]
+    bounds = [0]
+    offset = 0
+    for part in parts:
+        batch = part.concat()
+        for target, column in zip(columns, batch.columns):
+            target.extend(column)
+        bounds.extend(offset + bound for bound in part.compact_bounds()[1:])
+        offset += batch.length
+    return ColumnarData(schema, ColumnBatch(tuple(columns), offset), tuple(bounds))
+
+
+def _offsets(sels: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Partition-major bounds of partitions holding ``len(sel)`` rows each."""
+    return (0, *accumulate(map(len, sels)))

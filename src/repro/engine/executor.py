@@ -2,26 +2,37 @@
 
 The executor walks a (previously optimized) logical plan bottom-up, producing
 :class:`~repro.engine.data.ColumnarData` — one
-:class:`~repro.vector.ColumnBatch` of dictionary-ID cells per partition — at
-every node and charging work to an :class:`ExecutionMetrics`. Scans hand out
-the catalog's stored batches (or a cached column-subset view of them)
+:class:`~repro.vector.ColumnBatch` of dictionary-ID cells whose rows are
+stored partition-major, plus the row offsets (``bounds``) of its partitions —
+at every node and charging work to an :class:`ExecutionMetrics`. Each
+operator runs its kernel once over the whole relation and derives its output
+bounds from the ascending source-row vector the kernel already emits
+(:func:`~repro.engine.data.rebound`); the partition count still sets tasks,
+stages and placement, so partitions are accounting, not copies. Scans hand
+out the catalog's stored batch (or a cached column-subset view of it)
 untouched; filters narrow a selection vector with one list comprehension per
-predicate; projections are zero-copy column-subset views; hash joins gather output columns from index lists
-through one build/probe kernel, which the over-budget grace-hash spill join
-(:mod:`repro.governor.spill`) runs bucket by bucket. Row tuples are only
-materialized at the edges (:meth:`ColumnarData.all_rows`), which is where
-term IDs finally decode — late materialization.
+predicate; projections are zero-copy column-subset views; hash joins gather
+output columns from index lists through one build/probe kernel. Only two
+sites still work partition by partition: the aggregate's map-side partial
+groups (their count is what shuffles) and the over-budget grace-hash spill
+join (:mod:`repro.governor.spill`), which runs over partition views bucket
+by bucket. Row tuples are only materialized at the edges
+(:meth:`ColumnarData.all_rows`), which is where term IDs finally decode —
+late materialization.
 
 Join strategy selection happens here, with the runtime sizes in hand,
 mirroring Spark's adaptive behaviour:
 
 - **colocated join** — both sides already hash-partitioned on the join keys
-  with equal partition counts: zip partitions, no network traffic;
+  with equal partition counts: every match of a key sits in one partition,
+  so one build and one probe equal the partition-wise join, with no network
+  traffic;
 - **broadcast hash join** — the smaller side fits under the cluster's
   broadcast threshold (Catalyst's ``autoBroadcastJoinThreshold``): ship the
   small side once, keep the big side in place;
-- **shuffle hash join** — otherwise: hash-repartition both sides on the keys
-  and join partition-wise, paying the full shuffle.
+- **shuffle hash join** — otherwise: hash-place both sides on the keys (one
+  gather each, in placement order) and join them as colocated, paying the
+  full shuffle.
 
 Every operator charges its counters *before* recording its stage: the seeded
 :class:`~repro.engine.faults.FaultInjector` attributes the counter delta
@@ -31,7 +42,8 @@ charges — not just their totals — is part of the contract.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from bisect import bisect_right
+from itertools import accumulate, chain, repeat
 
 from ..errors import ExecutionError, PlanError
 from ..governor.spill import grace_hash_join
@@ -49,7 +61,9 @@ from .data import (
     carry,
     distinct_key,
     exploded_key,
+    rebound,
     renamed_key,
+    stack,
 )
 from .expressions import ColumnRef
 from .logical import (
@@ -198,46 +212,46 @@ class PhysicalExecutor:
         # collide with a later condition the way a bare id() could). Selection
         # vectors are never mutated downstream, making the share safe.
         memo_key = ("filter", plan.condition)
-        batches = []
-        for batch in child.batches:
-            if batch.sel is None:
-                sel = batch.bytes_cache.get(memo_key)
-                if sel is None:
-                    sel = predicate(batch.columns, batch.live())
-                    batch.bytes_cache[memo_key] = sel
-            else:
+        batch = child.batch
+        if batch.sel is None:
+            sel = batch.bytes_cache.get(memo_key)
+            if sel is None:
                 sel = predicate(batch.columns, batch.live())
-            batches.append(ColumnBatch(batch.columns, batch.length, sel, batch.bytes_cache))
-        return ColumnarData(child.schema, batches, child.partitioner)
+                batch.bytes_cache[memo_key] = sel
+        else:
+            sel = predicate(batch.columns, batch.live())
+        # A selection keeps the physical rows, so the bounds stay.
+        view = ColumnBatch(batch.columns, batch.length, sel, batch.bytes_cache)
+        return ColumnarData(child.schema, view, child.bounds, child.partitioner)
 
     def _project(self, plan: Project, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line)
+        batch = child.batch
         if plan.is_rename_only:
             # Pure column shuffles share the underlying vectors and the
             # selection — no cells are touched at all.
             indexes = [child.schema.index_of(expr.name) for _, expr in plan.outputs]
-            batches = [
-                ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length, batch.sel)
-                for batch in child.batches
-            ]
+            out = ColumnBatch(tuple(batch.columns[i] for i in indexes), batch.length, batch.sel)
+            bounds = child.bounds
         else:
             # Constant outputs need value columns aligned with the live rows,
             # so compact first; the column outputs stay whole-column.
-            batches = []
-            for source in child.batches:
-                compacted = source.compact()
-                length = compacted.length
-                out_columns = tuple(
+            compacted = batch.compact()
+            length = compacted.length
+            out = ColumnBatch(
+                tuple(
                     compacted.columns[child.schema.index_of(expression.name)]
                     if isinstance(expression, ColumnRef)
                     else [expression.value] * length
                     for _, expression in plan.outputs
-                )
-                batches.append(ColumnBatch(out_columns, length))
+                ),
+                length,
+            )
+            bounds = child.compact_bounds()
         partitioner = carry(child.partitioner, renamed_key, plan.outputs)
-        return ColumnarData(plan.schema, batches, partitioner)
+        return ColumnarData(plan.schema, out, bounds, partitioner)
 
     def _explode(self, plan: Explode, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         child = self._run(plan.child, metrics, tracer)
@@ -246,47 +260,46 @@ class PhysicalExecutor:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
         metrics.narrow_rows_processed += child.num_rows
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line)
-        # An explode of an unselected batch is a pure function of (columns,
-        # column index); persistent scan batches keep their exploded form (and
-        # its size memos) across queries.
-        memo_key = ("explode", index)
-        batches = []
-        for batch in child.batches:
-            if batch.sel is None:
-                cached = batch.bytes_cache.get(memo_key)
-                if cached is not None:
-                    batches.append(cached)
-                    continue
-            source = batch.columns[index]
-            live = batch.live()
-            # C-speed flatten: empty/None cells contribute zero elements, and
-            # the gather list repeats each source row once per element.
-            if batch.sel is None:
-                cells = [cell or () for cell in source]
-            else:
-                cells = [source[i] or () for i in live]
-            lens = list(map(len, cells))
-            flat = list(chain.from_iterable(cells))
-            if batch.sel is None and lens and min(lens) == 1 == max(lens):
-                # Every cell holds exactly one element: the explode is a pure
-                # unwrap of the list column — all other columns pass through.
-                out_columns = tuple(
-                    flat if j == index else column
-                    for j, column in enumerate(batch.columns)
-                )
-                out = ColumnBatch(out_columns, batch.length)
-            else:
-                gather = list(chain.from_iterable(map(repeat, live, lens)))
-                out_columns = tuple(
-                    flat if j == index else [column[i] for i in gather]
-                    for j, column in enumerate(batch.columns)
-                )
-                out = ColumnBatch(out_columns, len(gather))
-            if batch.sel is None:
-                batch.bytes_cache[memo_key] = out
-            batches.append(out)
         partitioner = carry(child.partitioner, exploded_key, plan.column)
-        return ColumnarData(plan.schema, batches, partitioner)
+        # An explode of an unselected batch is a pure function of (columns,
+        # column index); persistent scan batches keep their exploded form, its
+        # bounds (and its size memos) across queries.
+        memo_key = ("explode", index)
+        batch = child.batch
+        if batch.sel is None:
+            cached = batch.bytes_cache.get(memo_key)
+            if cached is not None:
+                return ColumnarData(plan.schema, *cached, partitioner)
+        source = batch.columns[index]
+        live = batch.live()
+        # C-speed flatten: empty/None cells contribute zero elements, and
+        # the gather list repeats each source row once per element.
+        if batch.sel is None:
+            cells = [cell or () for cell in source]
+        else:
+            cells = [source[i] or () for i in live]
+        lens = list(map(len, cells))
+        flat = list(chain.from_iterable(cells))
+        if batch.sel is None and lens and min(lens) == 1 == max(lens):
+            # Every cell holds exactly one element: the explode is a pure
+            # unwrap of the list column — all other columns pass through.
+            out_columns = tuple(
+                flat if j == index else column
+                for j, column in enumerate(batch.columns)
+            )
+            out = ColumnBatch(out_columns, batch.length)
+            bounds = child.bounds
+        else:
+            gather = list(chain.from_iterable(map(repeat, live, lens)))
+            out_columns = tuple(
+                flat if j == index else [column[i] for i in gather]
+                for j, column in enumerate(batch.columns)
+            )
+            out = ColumnBatch(out_columns, len(gather))
+            bounds = rebound(child.bounds, gather)
+        if batch.sel is None:
+            batch.bytes_cache[memo_key] = (out, bounds)
+        return ColumnarData(plan.schema, out, bounds, partitioner)
 
     # -- joins ---------------------------------------------------------------------
 
@@ -323,25 +336,6 @@ class PhysicalExecutor:
                 strategy = "shuffle"
             spill_fanout = governor.plan_join_build(metrics, right_bytes, span)
 
-        def build_probe(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
-            build = _build_index(right_batch, right_key_idx)
-            return _probe_batch(
-                left_batch, right_batch, build, left_key_idx, right_keep_idx, plan.how
-            )
-
-        def join_pair(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
-            if spill_fanout:
-                return grace_hash_join(
-                    left_batch,
-                    right_batch,
-                    left_key_idx,
-                    right_key_idx,
-                    spill_fanout,
-                    governor.new_spill_store(metrics),
-                    build_probe,
-                )
-            return build_probe(left_batch, right_batch)
-
         if span is not None:
             span.set("on", list(keys))
             span.set("how", plan.how)
@@ -363,31 +357,18 @@ class PhysicalExecutor:
                 tasks=left.num_partitions, note=lambda: f"ColocatedJoin on={list(keys)}"
             )
             partitioner = left.partitioner
-            pairs = zip(left.batches, right.batches)
         elif strategy == "broadcast":
-            small_is_right = build == "right"
             if span is not None:
                 span.set("build", build)
             metrics.broadcast_bytes += build_bytes
             metrics.broadcast_count += 1
             metrics.record_stage(
-                tasks=(left if small_is_right else right).num_partitions,
+                tasks=(left if build == "right" else right).num_partitions,
                 note=lambda: f"BroadcastHashJoin on={list(keys)} build={build}",
             )
-            if small_is_right:
-                # The replicated build side is one unselected batch, so its
-                # index is built by the first probe and memoized on the
-                # batch for every further left batch.
-                right_batch = right.concat()
-                partitioner = left.partitioner
-                pairs = [(left_batch, right_batch) for left_batch in left.batches]
-            else:
-                # Inner join only: the small left side replicates to every
-                # right partition, so the build runs per right batch against
-                # the one concatenated probe side.
-                left_batch = left.concat()
-                partitioner = None
-                pairs = [(left_batch, right_batch) for right_batch in right.batches]
+            # A small left side replicates to every right partition, so the
+            # output is laid out by the right side's partitions.
+            partitioner = left.partitioner if build == "right" else None
         else:  # shuffle
             num_partitions = self.config.default_partitions
             partitioner = HashPartitioner(columns=keys, num_partitions=num_partitions)
@@ -396,14 +377,62 @@ class PhysicalExecutor:
             metrics.record_stage(
                 tasks=num_partitions, note=lambda: f"ShuffleHashJoin on={list(keys)}"
             )
-            pairs = zip(
-                _repartition(left, left_key_idx, partitioner),
-                _repartition(right, right_key_idx, partitioner),
+            left = left.placed(left_key_idx, partitioner)
+            right = right.placed(right_key_idx, partitioner)
+        regroup = strategy == "broadcast" and build == "left"
+
+        if spill_fanout:
+            # The governed path: the grace-hash join runs per partition pair,
+            # over partition views, and the outputs stack partition-major.
+            if regroup:
+                pairs = [(left.batch, right.partition(p)) for p in range(right.num_partitions)]
+            elif strategy == "broadcast":
+                pairs = [(left.partition(p), right.batch) for p in range(left.num_partitions)]
+            else:
+                pairs = [
+                    (left.partition(p), right.partition(p)) for p in range(left.num_partitions)
+                ]
+
+            def build_probe(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
+                return _hash_join(
+                    left_batch, right_batch, left_key_idx, right_key_idx, right_keep_idx,
+                    plan.how,
+                )
+
+            outputs = [
+                grace_hash_join(
+                    left_batch,
+                    right_batch,
+                    left_key_idx,
+                    right_key_idx,
+                    spill_fanout,
+                    governor.new_spill_store(metrics),
+                    build_probe,
+                )
+                for left_batch, right_batch in pairs
+            ]
+            bounds = (0, *accumulate(out.length for out in outputs))
+            columns = tuple(
+                list(chain.from_iterable(parts))
+                for parts in zip(*(out.columns for out in outputs))
             )
-        batches = [join_pair(left_batch, right_batch) for left_batch, right_batch in pairs]
-        if partitioner is not None and partitioner.num_partitions != len(batches):
-            partitioner = None
-        return ColumnarData(plan.schema, batches, partitioner)
+            out = ColumnBatch(columns, bounds[-1])
+            return ColumnarData(plan.schema, out, bounds, partitioner)
+
+        # Every match of a key sits in the partition the key hashes to (or,
+        # broadcast, in the one replicated side), so one build over the whole
+        # right side and one probe of the whole left side equal the
+        # partition-wise join; the output bounds follow the partitions.
+        build_index = _build_index(right.batch, right_key_idx)
+        out_left, out_right = _probe_batch(left.batch, build_index, left_key_idx, plan.how)
+        if regroup:
+            out_left, out_right, bounds = _regroup(out_left, out_right, right.bounds)
+        else:
+            bounds = rebound(left.bounds, out_left)
+        out = _gather_join(
+            left.batch, right.batch, out_left, out_right, right_keep_idx, plan.how
+        )
+        return ColumnarData(plan.schema, out, bounds, partitioner)
 
     def _cross_join(
         self, plan: Join, left: ColumnarData, right: ColumnarData, metrics: ExecutionMetrics
@@ -420,18 +449,18 @@ class PhysicalExecutor:
         small = (right if small_is_right else left).concat()
         small_rows = small.length
         metrics.record_stage(tasks=big.num_partitions, note=lambda: "CartesianProduct")
-        batches: list[ColumnBatch] = []
-        for batch in big.batches:
-            compacted = batch.compact()
-            big_rows = compacted.length
-            repeated = [
-                [value for value in column for _ in range(small_rows)]
-                for column in compacted.columns
-            ]
-            tiled = [list(column) * big_rows for column in small.columns]
-            columns = repeated + tiled if small_is_right else tiled + repeated
-            batches.append(ColumnBatch(tuple(columns), big_rows * small_rows))
-        return ColumnarData(plan.schema, batches)
+        compacted = big.concat()
+        big_rows = compacted.length
+        repeated = [
+            [value for value in column for _ in range(small_rows)]
+            for column in compacted.columns
+        ]
+        tiled = [list(column) * big_rows for column in small.columns]
+        columns = repeated + tiled if small_is_right else tiled + repeated
+        bounds = tuple(bound * small_rows for bound in big.compact_bounds())
+        return ColumnarData(
+            plan.schema, ColumnBatch(tuple(columns), big_rows * small_rows), bounds
+        )
 
     def _choose_strategy(
         self,
@@ -460,35 +489,33 @@ class PhysicalExecutor:
         if metrics.governor is not None:
             metrics.governor.charge_site(metrics, child.estimated_bytes())
         all_columns = distinct_key(child.schema.names)
-        if child.is_partitioned_on(all_columns):
-            batches = child.batches
-            partitioner = child.partitioner
-        else:
+        placed = child
+        if not child.is_partitioned_on(all_columns):
             num_partitions = self.config.default_partitions
             partitioner = HashPartitioner(columns=all_columns, num_partitions=num_partitions)
             metrics.shuffle_bytes += child.estimated_bytes()
             metrics.shuffle_rows += child.num_rows
-            key_idx = list(range(len(all_columns)))
-            batches = _repartition(child, key_idx, partitioner)
+            placed = child.placed(list(range(len(all_columns))), partitioner)
         metrics.rows_processed += child.num_rows
-        metrics.record_stage(tasks=len(batches), note=lambda: "Distinct")
-        deduped = []
-        for batch in batches:
-            columns = batch.columns
-            seen: set[tuple] = set()
-            keep: list[int] = []
-            for i in batch.live():
-                frozen = _freeze_row(tuple(column[i] for column in columns))
-                if frozen not in seen:
-                    seen.add(frozen)
-                    keep.append(i)
-            deduped.append(ColumnBatch(columns, batch.length, keep, batch.bytes_cache))
-        return ColumnarData(child.schema, deduped, partitioner)
+        metrics.record_stage(tasks=placed.num_partitions, note=lambda: "Distinct")
+        # Equal rows share a partition, so one pass keeping each row's first
+        # occurrence dedups every partition at once.
+        batch = placed.batch
+        columns = batch.columns
+        seen: set[tuple] = set()
+        keep: list[int] = []
+        for i in batch.live():
+            frozen = _freeze_row(tuple(column[i] for column in columns))
+            if frozen not in seen:
+                seen.add(frozen)
+                keep.append(i)
+        deduped = ColumnBatch(columns, batch.length, keep, batch.bytes_cache)
+        return ColumnarData(child.schema, deduped, placed.bounds, placed.partitioner)
 
     def _aggregate(self, plan: Aggregate, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         """Hash aggregation with map-side partial aggregation.
 
-        Each input batch pre-aggregates locally (Spark's partial aggregate),
+        Each partition pre-aggregates locally (Spark's partial aggregate),
         then only the per-group partial states shuffle — the reason
         COUNT-style queries are cheap even over big inputs.
         """
@@ -504,12 +531,13 @@ class PhysicalExecutor:
         ]
         metrics.rows_processed += child.num_rows
 
+        # Partial groups are per partition: their count is what shuffles.
+        columns = child.batch.columns
+        key_columns = [columns[i] for i in key_idx]
         partials: list[dict[tuple, list]] = []
-        for batch in child.batches:
-            columns = batch.columns
-            key_columns = [columns[i] for i in key_idx]
+        for index in range(child.num_partitions):
             local: dict[tuple, list] = {}
-            for i in batch.live():
+            for i in child.partition(index).live():
                 key = tuple(column[i] for column in key_columns)
                 state = local.get(key)
                 if state is None:
@@ -572,31 +600,10 @@ class PhysicalExecutor:
     def _union(self, plan: Union, metrics: ExecutionMetrics, tracer) -> ColumnarData:
         results = [self._run(child, metrics, tracer) for child in plan.inputs]
         metrics.record_stage(tasks=len(results), note=lambda: "Union")
-        batches: list[ColumnBatch] = []
-        for result in results:
-            batches.extend(result.batches)
-        return ColumnarData(plan.schema, batches)
+        return stack(plan.schema, results)
 
 
 # -- batch plumbing -----------------------------------------------------------
-
-
-def _repartition(
-    data: ColumnarData, key_indexes: list[int], partitioner: HashPartitioner
-) -> list[ColumnBatch]:
-    """Columnar shuffle: one concatenated batch, viewed per target partition.
-
-    The shuffle write is a single gather into one batch plus per-partition
-    selection vectors over it — target batches share the concatenated
-    columns instead of copying rows into per-partition lists.
-    """
-    combined = data.concat()
-    return [
-        ColumnBatch(combined.columns, combined.length, sel, combined.bytes_cache)
-        for sel in partitioner.place(
-            [combined.columns[i] for i in key_indexes], combined.live()
-        )
-    ]
 
 
 def _build_index(batch: ColumnBatch, key_indexes: list[int]) -> dict:
@@ -640,19 +647,28 @@ def _build_index(batch: ColumnBatch, key_indexes: list[int]) -> dict:
     return build
 
 
-def _probe_batch(
+def _hash_join(
     left: ColumnBatch,
     right: ColumnBatch,
-    build: dict,
     left_key_idx: list[int],
+    right_key_idx: list[int],
     right_keep_idx: list[int],
     how: str,
 ) -> ColumnBatch:
-    """Probe one left batch against a build index over ``right``.
+    """The build/probe kernel over one batch pair, as the grace-hash spill
+    join runs it per bucket pair."""
+    build = _build_index(right, right_key_idx)
+    out_left, out_right = _probe_batch(left, build, left_key_idx, how)
+    return _gather_join(left, right, out_left, out_right, right_keep_idx, how)
 
-    Emits left-major output in build insertion order, gathering per column
-    from index lists, with ``-1`` marking a left-join miss to fill NULLs on
-    the right side.
+
+def _probe_batch(
+    left: ColumnBatch, build: dict, left_key_idx: list[int], how: str
+) -> tuple[list[int], list[int]]:
+    """Probe the live rows of ``left`` against a build index.
+
+    Returns the matched (left row, right row) index pairs, left-major in
+    build insertion order, with right row ``-1`` marking a left-join miss.
     """
     single = len(left_key_idx) == 1
     if single:
@@ -677,7 +693,6 @@ def _probe_batch(
                 for m in matches:
                     out_left.append(i)
                     out_right.append(m)
-        misses = False
     elif how == "left":
         for i in left.live():
             matches = build_get(probe_key(i))
@@ -688,16 +703,42 @@ def _probe_batch(
             else:
                 out_left.append(i)
                 out_right.append(-1)
-        misses = True
     else:
         raise ExecutionError(f"unsupported join type {how!r}")
+    return out_left, out_right
 
+
+def _regroup(
+    out_left: list[int], out_right: list[int], right_bounds: tuple[int, ...]
+) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """Reorder matches stably by the right row's partition, and the bounds
+    of that order: a broadcast left side joins each right partition in
+    turn, so its output is laid out by them."""
+    groups: list[list[int]] = [[] for _ in range(len(right_bounds) - 1)]
+    for k, m in enumerate(out_right):
+        groups[bisect_right(right_bounds, m) - 1].append(k)
+    order = list(chain.from_iterable(groups))
+    bounds = (0, *accumulate(map(len, groups)))
+    return [out_left[k] for k in order], [out_right[k] for k in order], bounds
+
+
+def _gather_join(
+    left: ColumnBatch,
+    right: ColumnBatch,
+    out_left: list[int],
+    out_right: list[int],
+    right_keep_idx: list[int],
+    how: str,
+) -> ColumnBatch:
+    """The join output: every left column, then the kept right columns,
+    gathered per column from the matched index lists (``-1``, a left-join
+    miss, gathers NULL)."""
     columns: list[list] = [
         [column[i] for i in out_left] for column in left.columns
     ]
     for j in right_keep_idx:
         column = right.columns[j]
-        if misses:
+        if how == "left":
             columns.append([None if i < 0 else column[i] for i in out_right])
         else:
             columns.append([column[i] for i in out_right])

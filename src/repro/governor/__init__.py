@@ -26,7 +26,7 @@ first two.
 
 from __future__ import annotations
 
-from .admission import Governor
+from .admission import Governor, YieldingLock
 from .budget import MAX_SPILL_FANOUT, MIN_SPILL_FANOUT, MemoryBudget
 from .context import GovernorContext
 from .deadline import Deadline
@@ -40,6 +40,7 @@ __all__ = [
     "MIN_SPILL_FANOUT",
     "MemoryBudget",
     "SpillStore",
+    "YieldingLock",
     "grace_hash_join",
     "governor_context_for",
 ]

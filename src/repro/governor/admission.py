@@ -17,6 +17,7 @@ under live overload.
 from __future__ import annotations
 
 import threading
+import time
 from contextlib import contextmanager
 
 from ..errors import AdmissionRejectedError, ValidationError
@@ -26,6 +27,53 @@ DEFAULT_MAX_QUEUE_DEPTH = 16
 
 #: Default seconds a queued query waits for a slot before being shed.
 DEFAULT_QUEUE_TIMEOUT_SEC = 30.0
+
+
+class YieldingLock:
+    """A ``threading.Lock`` whose blocking acquire hands the GIL to the
+    holder instead of sleeping on the lock — the lock of every structure
+    the serving path shares between client threads (admission, the
+    server's stats and memos, the plan and result caches, the engine's
+    parse and plan memos).
+
+    Every request takes these locks, result-cache hits included. A CPython
+    thread that sleeps on a held lock wakes up owning it and only then
+    waits for the GIL, so the other thread blocks on its next acquire in
+    turn: two client threads convoy, and a 20 µs cache hit waits out the
+    other client's whole query. Retrying a non-blocking acquire after
+    ``time.sleep(0)`` never holds the lock while waiting for the GIL. The
+    locks guard a few statements each (``Condition.wait`` releases its
+    lock), so the retry loop is short.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
+        """``threading.Lock.acquire``, yielding between attempts."""
+        lock = self._lock
+        if lock.acquire(False):
+            return True
+        if not blocking:
+            return False
+        deadline = None if timeout < 0 else time.monotonic() + timeout
+        while not lock.acquire(False):
+            if deadline is not None and time.monotonic() >= deadline:
+                return False
+            time.sleep(0)
+        return True
+
+    def release(self) -> None:
+        """Release the lock."""
+        self._lock.release()
+
+    def __enter__(self) -> bool:
+        return self.acquire()
+
+    def __exit__(self, *exc_info) -> None:
+        self._lock.release()
 
 
 class Governor:
@@ -65,7 +113,7 @@ class Governor:
         self.max_queue_depth = max_queue_depth
         self.queue_timeout_sec = queue_timeout_sec
         self.max_queries_per_tenant = max_queries_per_tenant
-        self._condition = threading.Condition()
+        self._condition = threading.Condition(YieldingLock())
         self.admitted = 0  # guarded-by: _condition
         self.rejected = 0  # guarded-by: _condition
         self.peak_concurrent = 0  # guarded-by: _condition

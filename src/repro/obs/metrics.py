@@ -146,7 +146,7 @@ def _build_default_registry() -> MetricsRegistry:
         ("stages", "count", "Task waves launched (each pays the per-stage scheduling overhead)."),
         ("tasks", "count", "Tasks launched across all stages."),
         ("rows_output", "rows", "Rows in the final result of the physical plan."),
-        ("vector_batches", "count", "Column batches emitted by physical operators."),
+        ("vector_batches", "count", "Partitions emitted by physical operators."),
         ("rows_late_materialized", "rows", "Result rows whose decode from term IDs was deferred past execution to emission (late materialization)."),
     ]
     for name, unit, description in engine:

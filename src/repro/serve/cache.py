@@ -15,11 +15,11 @@ and must never observe a torn update.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Generic, Hashable, TypeVar
 
 from ..errors import ValidationError
+from ..governor import YieldingLock
 
 V = TypeVar("V")
 
@@ -40,7 +40,7 @@ class LruCache(Generic[V]):
         if capacity < 0:
             raise ValidationError("cache capacity must be non-negative")
         self.capacity = capacity
-        self._lock = threading.Lock()
+        self._lock = YieldingLock()
         self.hits = 0  # guarded-by: _lock
         self.misses = 0  # guarded-by: _lock
         self.evictions = 0  # guarded-by: _lock

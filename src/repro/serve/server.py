@@ -23,13 +23,13 @@ cached plan immediately before it executes as defense in depth.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, fields
 
 from ..core.prost import ProstEngine
 from ..core.results import ResultSet
 from ..engine.dataframe import DataFrame
 from ..errors import AdmissionRejectedError, ValidationError
+from ..governor import YieldingLock
 from ..sparql.algebra import SelectQuery
 from ..sparql.parser import parse_sparql
 from .cache import LruCache
@@ -115,7 +115,7 @@ class QueryServer:
         # LRU caches synchronize internally, and the engine's prepared-
         # statement caches are guarded by the engine's own _cache_lock —
         # so no path ever nests two of these locks (CC103 stays clean).
-        self._lock = threading.Lock()
+        self._lock = YieldingLock()
         self.stats = ServerStats()  # guarded-by: _lock
         self._plan_cache: LruCache[PlanEntry] = LruCache(plan_cache_size)
         self._result_cache: LruCache[ResultEntry] = LruCache(result_cache_size)

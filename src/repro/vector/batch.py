@@ -35,7 +35,8 @@ __all__ = [
 
 
 class ColumnBatch:
-    """One partition of columnar data: parallel cell vectors plus selection.
+    """Columnar data — a whole relation, or a view of one of its
+    partitions: parallel cell vectors plus selection.
 
     Attributes:
         columns: one sequence per schema column, each ``length`` cells long.
@@ -47,16 +48,18 @@ class ColumnBatch:
             when every physical row is live. Operators downstream must read
             rows through the selection; :meth:`compact` materializes it.
         bytes_cache: memo dict shared by every selection view over the
-            *same* ``columns`` tuple (filters, shuffled partitions).
+            *same* ``columns`` tuple (filters, DISTINCT, partition views).
             Holds the per-physical-row byte-cost
             vector (:func:`row_bytes_vector`) so size estimation prices a
             filtered view by summing cached per-row costs instead of
             re-walking every cell. Views over a different column subset
             must NOT share it — per-row costs depend on the columns. The
             executor keeps its cross-query operator memos here too (filter
-            selections, join build indexes, explode outputs), and only for
-            batches with ``sel is None`` — which is why the catalog stores
-            unselected batches and hands the same objects to every scan.
+            selections, join build indexes, explode outputs with their
+            partition bounds), and only for batches with ``sel is None`` —
+            which is why the catalog stores one unselected batch per table
+            and hands the same object to every scan, so each memo is one
+            entry per table.
     """
 
     __slots__ = ("columns", "length", "sel", "bytes_cache")
@@ -194,7 +197,7 @@ def batch_bytes(batch: ColumnBatch) -> int:
 
     Equal by construction to ``estimate_batch_bytes(batch.columns,
     batch.live())``, but the per-cell walk happens once per physical
-    columns tuple: filters and shuffled partitions share the source's
+    columns tuple: filters and partition views share the source's
     ``bytes_cache``, so re-pricing a view is one list
     index per live row. A view that arrives *without* a populated cache
     (a projection built fresh column tuples) is priced by walking only its

@@ -114,3 +114,38 @@ class TestPtNodePlans:
         node = PtNode(patterns=(pattern, pattern))
         with pytest.raises(TranslationError):
             JoinTreeExecutor(store).build(JoinTree(root=node))
+
+
+class TestLimitDecodesOnlyKeptRows:
+    QUERY = "SELECT ?s ?o WHERE { ?s wsdbm:follows ?o }"
+
+    def _decoded(self, engine, query, monkeypatch):
+        import repro.core.results as results_module
+
+        real = results_module.decode_term
+        calls = []
+
+        def counting(cell):
+            calls.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr(results_module, "decode_term", counting)
+        rows = engine.sparql(query).rows
+        monkeypatch.setattr(results_module, "decode_term", real)
+        return rows, len(calls)
+
+    def test_limit_decodes_only_the_kept_cells(self, monkeypatch):
+        from repro.watdiv.generator import generate_watdiv
+
+        prost = ProstEngine()
+        prost.load(generate_watdiv(scale=60).graph)
+        everything, all_calls = self._decoded(prost, self.QUERY, monkeypatch)
+        assert all_calls > 100  # the unsliced path decodes every distinct cell
+        first, calls = self._decoded(prost, self.QUERY + " LIMIT 1", monkeypatch)
+        assert first == everything[:1]
+        assert calls <= 2
+        window, calls = self._decoded(
+            prost, self.QUERY + " LIMIT 3 OFFSET 2", monkeypatch
+        )
+        assert window == everything[2:5]
+        assert calls <= 6

@@ -40,20 +40,20 @@ class TestStoredForm:
     def _memo_entries(catalog):
         """Every ``bytes_cache`` entry reachable from the catalog: the stored
         batches, their cached column-subset views, and any batch memoized
-        inside one of those caches (explode outputs)."""
+        inside one of those caches (explode outputs, kept with their
+        bounds)."""
         entries = set()
         pending = [
-            batch
+            data.batch
             for name in catalog.names()
             for data in (catalog.get(name).data, *catalog.get(name).column_views.values())
-            for batch in data.batches
         ]
         while pending:
             batch = pending.pop()
             for key, value in batch.bytes_cache.items():
                 entries.add((id(batch), key))
-                if isinstance(value, ColumnBatch):
-                    pending.append(value)
+                if isinstance(value, tuple) and value and isinstance(value[0], ColumnBatch):
+                    pending.append(value[0])
         return entries
 
     def test_stored_batches_are_unselected_and_memos_hit(self, social_graph):
@@ -63,7 +63,7 @@ class TestStoredForm:
         for name in catalog.names():
             data = catalog.get(name).data
             assert isinstance(data, ColumnarData), name
-            assert all(batch.sel is None for batch in data.batches), name
+            assert data.batch.sel is None, name
         first = engine.sparql(self.QUERY).rows
         assert first
         warm = self._memo_entries(catalog)

@@ -58,8 +58,11 @@ def stored_form_digest(engine: ProstEngine) -> str:
     for name in catalog.names():
         data = catalog.get(name).data
         feed(name, data.schema.names, data.partitioner)
-        for batch in data.batches:
-            feed(batch.length, batch.sel, [tuple(column) for column in batch.columns])
+        for index in range(data.num_partitions):
+            part = data.partition(index)
+            # Each partition as a compacted batch: (length, no selection, cells).
+            live = part.live()
+            feed(len(live), None, [tuple(column[i] for i in live) for column in part.columns])
     return digest.hexdigest()
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import repro.vector.batch as batch_module
 from repro.columnar import ColumnSchema, TableSchema
-from repro.engine import ColumnarData, EngineSession, partition_evenly, stable_hash
+from repro.engine import ColumnarData, EngineSession, stable_hash
 from repro.engine.data import HashPartitioner
 from repro.errors import PlanError
 from repro.rdf.dictionary import TERM_ID_BASE, default_dictionary
@@ -60,13 +60,9 @@ class TestStableHash:
 
 
 class TestPartitioning:
-    def test_partition_evenly_round_robins(self):
-        parts = partition_evenly([(i,) for i in range(7)], 3)
-        assert [len(p) for p in parts] == [3, 2, 2]
-
-    def test_partition_evenly_validates(self):
+    def test_from_rows_validates_partition_count(self):
         with pytest.raises(PlanError):
-            partition_evenly([], 0)
+            ColumnarData.from_rows(KV, [], 0)
 
     def test_partition_by_hash_groups_keys(self):
         rows = [("a", "1"), ("b", "2"), ("a", "3")]
@@ -75,14 +71,14 @@ class TestPartitioning:
         assert data.is_partitioned_on(("k",))
         assert not data.is_partitioned_on(("v",))
         # Same key always lands in the same partition, in input order, and
-        # the batches are compacted (memos only live on unselected batches).
-        assert all(batch.sel is None for batch in data.batches)
+        # the batch is compacted (memos only live on unselected batches).
+        assert data.batch.sel is None
         home = stable_hash(("a",)) % 4
-        assert [row for row in data.batches[home].rows() if row[0] == "a"] == [
+        assert [row for row in data.partition(home).rows() if row[0] == "a"] == [
             ("a", "1"),
             ("a", "3"),
         ]
-        assert ("b", "2") in data.batches[stable_hash(("b",)) % 4].rows()
+        assert ("b", "2") in data.partition(stable_hash(("b",)) % 4).rows()
         assert data.num_rows == 3
 
     def test_repartition_matches_partitioner(self):
@@ -95,13 +91,33 @@ class TestPartitioning:
     def test_partitioner_count_mismatch_rejected(self):
         empty = ColumnBatch.from_rows(2, [])
         with pytest.raises(PlanError):
-            ColumnarData(KV, [empty, empty], HashPartitioner(("k",), 3))
+            ColumnarData(KV, empty, (0, 0, 0), HashPartitioner(("k",), 3))
 
     def test_unkeyed_rows_spread_round_robin(self):
         data = ColumnarData.from_rows(KV, [(str(i), "v") for i in range(7)], 3)
         assert data.partitioner is None
-        assert [batch.num_rows for batch in data.batches] == [3, 2, 2]
-        assert all(batch.sel is None for batch in data.batches)
+        assert data.batch.sel is None
+        assert data.bounds == (0, 3, 5, 7)
+        assert [data.partition(p).rows() for p in range(3)] == [
+            [("0", "v"), ("3", "v"), ("6", "v")],
+            [("1", "v"), ("4", "v")],
+            [("2", "v"), ("5", "v")],
+        ]
+
+    def test_partition_views_follow_the_selection(self):
+        data = ColumnarData.from_rows(KV, [(str(i), "v") for i in range(7)], 3)
+        batch = data.batch
+        view = ColumnarData(
+            KV, ColumnBatch(batch.columns, batch.length, [0, 2, 5], batch.bytes_cache),
+            data.bounds,
+        )
+        assert [view.partition(p).rows() for p in range(3)] == [
+            [("0", "v"), ("6", "v")],
+            [],
+            [("2", "v")],
+        ]
+        assert view.partition(0).bytes_cache is batch.bytes_cache
+        assert view.compact_bounds() == (0, 2, 2, 3)
 
 
 def _one_row_bytes(*cells):
@@ -158,12 +174,15 @@ class TestSizingMemoization:
         first = data.estimated_bytes()
         assert data.estimated_bytes() == first
         assert data.estimated_bytes() == first
-        assert state["calls"] == data.num_partitions
+        assert state["calls"] == 1
 
-    def test_num_rows_memoized(self):
+    def test_num_rows_reads_the_live_count(self):
         data = ColumnarData.from_rows(KV, [("a", "1"), ("b", "2")], 2)
         assert data.num_rows == 2
-        assert data._num_rows == 2  # populated by the first access
+        filtered = ColumnarData(
+            KV, ColumnBatch(data.batch.columns, data.batch.length, [1]), data.bounds
+        )
+        assert filtered.num_rows == 1
 
     def test_three_join_plan_sizes_each_row_at_most_once(self, monkeypatch):
         """Regression: the join planner consults both sides of every join;
@@ -203,6 +222,9 @@ def test_property_hash_partitioning_preserves_rows(rows, num_partitions):
     data = ColumnarData.from_rows(KV, rows, num_partitions, ("k",))
     assert sorted(data.all_rows()) == sorted(rows)
     assert data.num_partitions == num_partitions
-    for index, batch in enumerate(data.batches):
-        assert batch.sel is None
-        assert all(stable_hash((key,)) % num_partitions == index for key in batch.columns[0])
+    assert data.batch.sel is None
+    for index in range(num_partitions):
+        assert all(
+            stable_hash((key,)) % num_partitions == index
+            for (key, _) in data.partition(index).rows()
+        )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.engine import ClusterConfig
 from repro.errors import AdmissionRejectedError, ValidationError
-from repro.governor import Governor
+from repro.governor import Governor, YieldingLock
 
 
 class TestValidation:
@@ -130,3 +130,47 @@ class TestFromConfig:
         engine.sparql("SELECT ?s WHERE { ?s <http://x/p> ?o }")
         assert engine.governor.admitted == 1
         assert engine.governor.active_queries == 0
+
+
+class TestYieldingLock:
+    """The serving path's lock keeps ``threading.Lock`` semantics."""
+
+    def test_non_blocking_and_timed_acquire_fail_while_held(self):
+        lock = YieldingLock()
+        assert lock.acquire()
+        assert not lock.acquire(blocking=False)
+        assert not lock.acquire(timeout=0.01)
+        lock.release()
+        with lock:
+            assert not lock.acquire(blocking=False)
+        assert lock.acquire(blocking=False)
+        lock.release()
+
+    def test_blocked_thread_gets_the_lock_once_released(self):
+        lock = YieldingLock()
+        lock.acquire()
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(lock.acquire(timeout=5)))
+        waiter.start()
+        waiter.join(timeout=0.05)
+        assert got == []
+        lock.release()
+        waiter.join(timeout=5)
+        assert not waiter.is_alive()
+        assert got == [True]
+
+    def test_condition_wait_and_notify(self):
+        condition = threading.Condition(YieldingLock())
+        ready = []
+
+        def produce():
+            with condition:
+                ready.append(1)
+                condition.notify_all()
+
+        with condition:
+            producer = threading.Thread(target=produce)
+            producer.start()
+            assert condition.wait_for(lambda: ready, timeout=5)
+        producer.join(timeout=5)
+        assert not producer.is_alive()

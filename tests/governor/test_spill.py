@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from repro.engine import ExecutionMetrics
-from repro.engine.executor import _build_index, _probe_batch
+from repro.engine.executor import _hash_join
 from repro.governor import SpillStore, grace_hash_join
 from repro.governor.spill import bucket_of
 from repro.vector import ColumnBatch, estimate_batch_bytes
@@ -46,8 +46,7 @@ def _kernel(left_keys, right_keys, right_keep, how):
     """The executor's build/probe over one batch pair."""
 
     def build_probe(left_batch, right_batch):
-        build = _build_index(right_batch, right_keys)
-        return _probe_batch(left_batch, right_batch, build, left_keys, right_keep, how)
+        return _hash_join(left_batch, right_batch, left_keys, right_keys, right_keep, how)
 
     return build_probe
 
