@@ -164,9 +164,9 @@ class ColumnarData:
 
     Rows are stored partition-major and every selection is ascending, so
     partition ``p`` is the set of live rows in ``[bounds[p], bounds[p+1])``
-    and :meth:`all_rows` reads partitions in order. Kernels run once over the
-    whole batch; :meth:`partition` views one partition where the work really
-    is per partition (aggregate partials, the grace-hash spill join).
+    and :meth:`all_rows` reads partitions in order. Every kernel runs once
+    over the whole batch; partitions only set tasks, placement and the
+    aggregate's partial-group count.
 
     Row tuples are only materialized at the edges (:meth:`all_rows`), which
     is where dictionary term IDs finally decode — late materialization.
@@ -234,18 +234,6 @@ class ColumnarData:
     def num_rows(self) -> int:
         """Total live rows."""
         return self.batch.num_rows
-
-    def partition(self, index: int) -> ColumnBatch:
-        """Partition ``index`` as a selection view of the batch (sharing its
-        columns and ``bytes_cache``)."""
-        batch = self.batch
-        low, high = self.bounds[index], self.bounds[index + 1]
-        sel = batch.sel
-        if sel is None:
-            view = range(low, high)
-        else:
-            view = sel[bisect_left(sel, low) : bisect_left(sel, high)]
-        return ColumnBatch(batch.columns, batch.length, view, batch.bytes_cache)
 
     def compact_bounds(self) -> tuple[int, ...]:
         """The bounds of :meth:`concat`'s batch."""

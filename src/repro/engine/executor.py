@@ -12,11 +12,11 @@ stages and placement, so partitions are accounting, not copies. Scans hand
 out the catalog's stored batch (or a cached column-subset view of it)
 untouched; filters narrow a selection vector with one list comprehension per
 predicate; projections are zero-copy column-subset views; hash joins gather
-output columns from index lists through one build/probe kernel. Only two
-sites still work partition by partition: the aggregate's map-side partial
-groups (their count is what shuffles) and the over-budget grace-hash spill
-join (:mod:`repro.governor.spill`), which runs over partition views bucket
-by bucket. Row tuples are only materialized at the edges
+output columns from index lists through one build/probe kernel, which the
+over-budget grace-hash spill join (:mod:`repro.governor.spill`) runs bucket
+by bucket over the whole relations. No operator loops over partitions: the
+aggregate counts its map-side partial groups (what it shuffles) in its one
+pass over the rows. Row tuples are only materialized at the edges
 (:meth:`ColumnarData.all_rows`), which is where term IDs finally decode —
 late materialization.
 
@@ -381,50 +381,34 @@ class PhysicalExecutor:
             right = right.placed(right_key_idx, partitioner)
         regroup = strategy == "broadcast" and build == "left"
 
-        if spill_fanout:
-            # The governed path: the grace-hash join runs per partition pair,
-            # over partition views, and the outputs stack partition-major.
-            if regroup:
-                pairs = [(left.batch, right.partition(p)) for p in range(right.num_partitions)]
-            elif strategy == "broadcast":
-                pairs = [(left.partition(p), right.batch) for p in range(left.num_partitions)]
-            else:
-                pairs = [
-                    (left.partition(p), right.partition(p)) for p in range(left.num_partitions)
-                ]
-
-            def build_probe(left_batch: ColumnBatch, right_batch: ColumnBatch) -> ColumnBatch:
-                return _hash_join(
-                    left_batch, right_batch, left_key_idx, right_key_idx, right_keep_idx,
-                    plan.how,
-                )
-
-            outputs = [
-                grace_hash_join(
-                    left_batch,
-                    right_batch,
-                    left_key_idx,
-                    right_key_idx,
-                    spill_fanout,
-                    governor.new_spill_store(metrics),
-                    build_probe,
-                )
-                for left_batch, right_batch in pairs
-            ]
-            bounds = (0, *accumulate(out.length for out in outputs))
-            columns = tuple(
-                list(chain.from_iterable(parts))
-                for parts in zip(*(out.columns for out in outputs))
-            )
-            out = ColumnBatch(columns, bounds[-1])
-            return ColumnarData(plan.schema, out, bounds, partitioner)
-
         # Every match of a key sits in the partition the key hashes to (or,
         # broadcast, in the one replicated side), so one build over the whole
         # right side and one probe of the whole left side equal the
         # partition-wise join; the output bounds follow the partitions.
-        build_index = _build_index(right.batch, right_key_idx)
-        out_left, out_right = _probe_batch(left.batch, build_index, left_key_idx, plan.how)
+        if spill_fanout:
+            # Each task holding a copy of a side spills it: a broadcast side
+            # once per partition of the other, anything else once.
+            left_copies = right.num_partitions if regroup else 1
+            right_copies = left.num_partitions if strategy == "broadcast" and not regroup else 1
+            metrics.spill_bytes += left_bytes * left_copies + right_bytes * right_copies
+            bucket_keys = list(range(len(keys)))
+
+            def join_bucket(left_bucket: ColumnBatch, right_bucket: ColumnBatch):
+                build_index = _build_index(right_bucket, bucket_keys)
+                return _probe_batch(left_bucket, build_index, bucket_keys, plan.how)
+
+            out_left, out_right = grace_hash_join(
+                left.batch,
+                right.batch,
+                left_key_idx,
+                right_key_idx,
+                spill_fanout,
+                governor.new_spill_store(),
+                join_bucket,
+            )
+        else:
+            build_index = _build_index(right.batch, right_key_idx)
+            out_left, out_right = _probe_batch(left.batch, build_index, left_key_idx, plan.how)
         if regroup:
             out_left, out_right, bounds = _regroup(out_left, out_right, right.bounds)
         else:
@@ -517,7 +501,9 @@ class PhysicalExecutor:
 
         Each partition pre-aggregates locally (Spark's partial aggregate),
         then only the per-group partial states shuffle — the reason
-        COUNT-style queries are cheap even over big inputs.
+        COUNT-style queries are cheap even over big inputs. One pass over
+        the whole relation builds the merged states and counts the
+        partials, one per (partition, group) pair.
         """
         child = self._run(plan.child, metrics, tracer)
         if metrics.governor is not None:
@@ -531,53 +517,46 @@ class PhysicalExecutor:
         ]
         metrics.rows_processed += child.num_rows
 
-        # Partial groups are per partition: their count is what shuffles.
+        # One merged state per group over the whole relation. Rows are
+        # partition-major, so a key's first row in a partition is one
+        # map-side partial group: their count is what shuffles.
         columns = child.batch.columns
         key_columns = [columns[i] for i in key_idx]
-        partials: list[dict[tuple, list]] = []
-        for index in range(child.num_partitions):
-            local: dict[tuple, list] = {}
-            for i in child.partition(index).live():
-                key = tuple(column[i] for column in key_columns)
-                state = local.get(key)
-                if state is None:
-                    state = [
-                        set() if spec.op == "count_distinct" else 0
-                        for spec in plan.aggregates
-                    ]
-                    local[key] = state
-                for position, (spec, column) in enumerate(zip(plan.aggregates, input_idx)):
-                    if column is not None:
-                        value = columns[column][i]
-                        if value is None:
-                            continue
-                    else:
-                        value = None
-                    if spec.op == "count_distinct":
-                        if column is None:
-                            value = tuple(col[i] for col in columns)
-                        state[position].add(_freeze_value(value))
-                    else:
-                        state[position] += 1
-            partials.append(local)
+        bounds = child.bounds
+        merged: dict[tuple, list] = {}
+        last_partition: dict[tuple, int] = {}
+        partial_groups = 0
+        for i in child.batch.live():
+            key = tuple(column[i] for column in key_columns)
+            partition = bisect_right(bounds, i) - 1
+            if last_partition.get(key) != partition:
+                last_partition[key] = partition
+                partial_groups += 1
+            state = merged.get(key)
+            if state is None:
+                state = [
+                    set() if spec.op == "count_distinct" else 0
+                    for spec in plan.aggregates
+                ]
+                merged[key] = state
+            for position, (spec, column) in enumerate(zip(plan.aggregates, input_idx)):
+                if column is not None:
+                    value = columns[column][i]
+                    if value is None:
+                        continue
+                else:
+                    value = None
+                if spec.op == "count_distinct":
+                    if column is None:
+                        value = tuple(col[i] for col in columns)
+                    state[position].add(_freeze_value(value))
+                else:
+                    state[position] += 1
 
-        partial_groups = sum(len(local) for local in partials)
         metrics.shuffle_rows += partial_groups
         metrics.shuffle_bytes += partial_groups * (16 + 8 * len(plan.aggregates))
         metrics.record_stage(tasks=child.num_partitions, note=plan._describe_line)
 
-        merged: dict[tuple, list] = {}
-        for local in partials:
-            for key, state in local.items():
-                target = merged.get(key)
-                if target is None:
-                    merged[key] = state
-                    continue
-                for position, spec in enumerate(plan.aggregates):
-                    if spec.op == "count_distinct":
-                        target[position] |= state[position]
-                    else:
-                        target[position] += state[position]
         if not plan.keys and not merged:
             merged[()] = [
                 set() if spec.op == "count_distinct" else 0 for spec in plan.aggregates
@@ -645,21 +624,6 @@ def _build_index(batch: ColumnBatch, key_indexes: list[int]) -> dict:
     if cache_key is not None:
         batch.bytes_cache[cache_key] = build
     return build
-
-
-def _hash_join(
-    left: ColumnBatch,
-    right: ColumnBatch,
-    left_key_idx: list[int],
-    right_key_idx: list[int],
-    right_keep_idx: list[int],
-    how: str,
-) -> ColumnBatch:
-    """The build/probe kernel over one batch pair, as the grace-hash spill
-    join runs it per bucket pair."""
-    build = _build_index(right, right_key_idx)
-    out_left, out_right = _probe_batch(left, build, left_key_idx, how)
-    return _gather_join(left, right, out_left, out_right, right_keep_idx, how)
 
 
 def _probe_batch(

@@ -161,8 +161,8 @@ class GovernorContext:
 
     # -- spill-file lifecycle --------------------------------------------------
 
-    def new_spill_store(self, metrics) -> SpillStore:
-        """A fresh bucket directory for one grace-hash kernel invocation.
+    def new_spill_store(self) -> SpillStore:
+        """A fresh bucket directory for one spilled join.
 
         Directories are numbered in execution order (``spill-0000``, …),
         which is deterministic per query plan, so reruns write the same
@@ -175,7 +175,7 @@ class GovernorContext:
         directory = os.path.join(self._query_spill_dir, f"spill-{self._spill_seq:04d}")
         self._spill_seq += 1
         os.makedirs(directory, exist_ok=True)
-        store = SpillStore(directory, metrics)
+        store = SpillStore(directory)
         self.spill_stores.append(store)
         return store
 

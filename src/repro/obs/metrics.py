@@ -170,7 +170,7 @@ def _build_default_registry() -> MetricsRegistry:
         ("budget_trips", "count", "Operator sites whose estimated working set exceeded the effective memory budget."),
         ("spills", "count", "Hash joins degraded to partitioned grace-hash spill-to-disk builds."),
         ("spill_partitions", "count", "Disk partitions (buckets) written across all spilled joins."),
-        ("spill_bytes", "bytes", "Estimated bytes of rows written to spill files (charged once per spilled row)."),
+        ("spill_bytes", "bytes", "Estimated bytes of the spilled join sides' rows, charged once per task holding a copy of a side."),
         ("degraded_joins", "count", "Broadcast joins demoted to shuffle joins because the build side exceeded the budget."),
         ("memory_pressure_events", "count", "Injected memory-pressure faults that shrank the effective budget mid-query."),
         ("peak_memory_bytes", "bytes", "Largest single working-set charge seen by the budget (high-water mark, max-merged)."),

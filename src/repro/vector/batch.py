@@ -48,7 +48,7 @@ class ColumnBatch:
             when every physical row is live. Operators downstream must read
             rows through the selection; :meth:`compact` materializes it.
         bytes_cache: memo dict shared by every selection view over the
-            *same* ``columns`` tuple (filters, DISTINCT, partition views).
+            *same* ``columns`` tuple (filters, DISTINCT).
             Holds the per-physical-row byte-cost
             vector (:func:`row_bytes_vector`) so size estimation prices a
             filtered view by summing cached per-row costs instead of
@@ -197,7 +197,7 @@ def batch_bytes(batch: ColumnBatch) -> int:
 
     Equal by construction to ``estimate_batch_bytes(batch.columns,
     batch.live())``, but the per-cell walk happens once per physical
-    columns tuple: filters and partition views share the source's
+    columns tuple: filters and DISTINCT views share the source's
     ``bytes_cache``, so re-pricing a view is one list
     index per live row. A view that arrives *without* a populated cache
     (a projection built fresh column tuples) is priced by walking only its

@@ -58,11 +58,10 @@ def stored_form_digest(engine: ProstEngine) -> str:
     for name in catalog.names():
         data = catalog.get(name).data
         feed(name, data.schema.names, data.partitioner)
-        for index in range(data.num_partitions):
-            part = data.partition(index)
+        batch, bounds = data.concat(), data.compact_bounds()
+        for low, high in zip(bounds, bounds[1:]):
             # Each partition as a compacted batch: (length, no selection, cells).
-            live = part.live()
-            feed(len(live), None, [tuple(column[i] for i in live) for column in part.columns])
+            feed(high - low, None, [tuple(column[low:high]) for column in batch.columns])
     return digest.hexdigest()
 
 

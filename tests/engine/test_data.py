@@ -15,6 +15,12 @@ from repro.vector import ColumnBatch, estimate_batch_bytes
 KV = TableSchema([ColumnSchema("k", "string"), ColumnSchema("v", "string")])
 
 
+def partitions(data: ColumnarData) -> list[list[tuple]]:
+    """Each partition's live rows: ``all_rows()`` sliced by ``compact_bounds()``."""
+    rows, bounds = data.all_rows(), data.compact_bounds()
+    return [rows[low:high] for low, high in zip(bounds, bounds[1:])]
+
+
 class TestStableHash:
     def test_deterministic(self):
         assert stable_hash(("abc", "def")) == stable_hash(("abc", "def"))
@@ -74,11 +80,11 @@ class TestPartitioning:
         # the batch is compacted (memos only live on unselected batches).
         assert data.batch.sel is None
         home = stable_hash(("a",)) % 4
-        assert [row for row in data.partition(home).rows() if row[0] == "a"] == [
+        assert [row for row in partitions(data)[home] if row[0] == "a"] == [
             ("a", "1"),
             ("a", "3"),
         ]
-        assert ("b", "2") in data.partition(stable_hash(("b",)) % 4).rows()
+        assert ("b", "2") in partitions(data)[stable_hash(("b",)) % 4]
         assert data.num_rows == 3
 
     def test_repartition_matches_partitioner(self):
@@ -98,7 +104,7 @@ class TestPartitioning:
         assert data.partitioner is None
         assert data.batch.sel is None
         assert data.bounds == (0, 3, 5, 7)
-        assert [data.partition(p).rows() for p in range(3)] == [
+        assert partitions(data) == [
             [("0", "v"), ("3", "v"), ("6", "v")],
             [("1", "v"), ("4", "v")],
             [("2", "v"), ("5", "v")],
@@ -111,12 +117,11 @@ class TestPartitioning:
             KV, ColumnBatch(batch.columns, batch.length, [0, 2, 5], batch.bytes_cache),
             data.bounds,
         )
-        assert [view.partition(p).rows() for p in range(3)] == [
+        assert partitions(view) == [
             [("0", "v"), ("6", "v")],
             [],
             [("2", "v")],
         ]
-        assert view.partition(0).bytes_cache is batch.bytes_cache
         assert view.compact_bounds() == (0, 2, 2, 3)
 
 
@@ -226,5 +231,5 @@ def test_property_hash_partitioning_preserves_rows(rows, num_partitions):
     for index in range(num_partitions):
         assert all(
             stable_hash((key,)) % num_partitions == index
-            for (key, _) in data.partition(index).rows()
+            for (key, _) in partitions(data)[index]
         )

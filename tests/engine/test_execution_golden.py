@@ -5,7 +5,9 @@ emission order (cells decoded to their N-Triples text), every
 ``ExecutionMetrics`` counter (fault events, spill bytes and degraded joins
 included) and the ``CostBreakdown``; a query that aborts feeds its
 exception type instead. The queries are the twenty WatDiv templates at
-scale 120 and the first 100 fixed fuzz queries (seeds 0-9, ten per graph).
+scale 120 and the 200 fixed fuzz queries of seeds 0-19 (ten per graph):
+``GOLDEN`` digests the templates with seeds 0-9, ``GOLDEN_WIDE`` seeds
+10-19 on their own, so each digest stays as it was recorded.
 
 The configs reach the paths perfbench never runs: ``no-broadcast`` makes
 every join shuffle or colocate, ``faults`` runs the seeded fault injector,
@@ -42,6 +44,7 @@ CONFIGS = {
 }
 
 FUZZ_SEEDS = range(10)
+WIDE_FUZZ_SEEDS = range(10, 20)
 
 GOLDEN = {
     "prost-mixed/budget": "c8a7e593443e5a5308639868d49cac458ca82808e0b5e1d62efb7818a20442bf",
@@ -62,23 +65,53 @@ GOLDEN = {
     "sparqlgx/no-broadcast": "75acdb80a748795a4a54be809fccc4ef08fc15390982143457842e973a05d56c",
 }
 
+GOLDEN_WIDE = {
+    "prost-mixed/budget": "bd70aa426ab7692427612dcf26c5dafa31b6650dcc2d79abc44cbb381efdb2cf",
+    "prost-mixed/default": "788e7624680a8c6c6672cf77c46bc1100fa4ddc882d00e5cd07496966f79e8e2",
+    "prost-mixed/faults": "d00adc45fec5ec12414951f580840dff6014ebf396091816c809c55e8a00a5f5",
+    "prost-mixed/no-broadcast": "89655bcba43d2288be8245324c5c6ce44b6aae7606950218c998e50045b1beea",
+    "prost-vp/budget": "361e522bd3914674cce894e8d2626a46842f3fe1232c4e1693a32097fe5d60f2",
+    "prost-vp/default": "c686d741b67da01cc08d0e2ffec5991bc0e2a27e640b7ecddc1afc02299765c7",
+    "prost-vp/faults": "557c833ffdb5b6f64f6341312717b8bcd094c5a500dae5db157ac7a3a7ea7829",
+    "prost-vp/no-broadcast": "fef426b944f930d9626ee976119b2086b525dd8d6be10c13b97286915e2b8200",
+    "s2rdf/budget": "9160b754fe70d851759abfdc72cd3aede7f7fe39dbef08a599f277b8a8db06a5",
+    "s2rdf/default": "4d94469f349d0a2b209c2b5572c5be846dd118540002e93c5f49581aa034dcc2",
+    "s2rdf/faults": "c78e2b36cc3fd2063e2a4b40da1518ea106f48129d5edb251a6fd86dba4d9ad3",
+    "s2rdf/no-broadcast": "1b23879619ebbd5ddd5d4534855d09307add4d9f3f6afd107f652d432a8cdcae",
+    "sparqlgx/budget": "dfa6c4b1a62fd96ff70ee366d617c57d2a1d6b0582b9edbc56153eb72ebdf7ba",
+    "sparqlgx/default": "380f8ad4edb900ee7ac8afb47e8da734955fb9286c6abdc1c9592419c94b1c6c",
+    "sparqlgx/faults": "27601886d5e4f143a2d695f83ac868a08a150c73e98a67fb8cc3bff518465e8e",
+    "sparqlgx/no-broadcast": "380f8ad4edb900ee7ac8afb47e8da734955fb9286c6abdc1c9592419c94b1c6c",
+}
+
 #: Every counter of ``ExecutionMetrics`` (the injector and governor
 #: side-channels are not counters).
 METRIC_FIELDS = tuple(spec.name for spec in fields(ExecutionMetrics) if spec.compare)
 
 
-@pytest.fixture(scope="module")
-def corpus():
-    """(graph, query texts) per case: the WatDiv templates, then each fuzz
-    seed's graph and queries. Graphs hold terms, not IDs, so they are shared
-    across the fresh dictionaries of the digest cases."""
-    dataset = generate_watdiv(scale=120)
-    cases = [(dataset.graph, [query.text for query in basic_query_set(dataset)])]
+def fuzz_cases(seeds) -> list:
+    """(graph, query texts) per fuzz seed. Graphs hold terms, not IDs, so
+    they are shared across the fresh dictionaries of the digest cases."""
     runner = DifferentialRunner(queries_per_graph=10)
-    for seed in FUZZ_SEEDS:
+    cases = []
+    for seed in seeds:
         graph, queries = runner.generate_case(seed)
         cases.append((graph, [serialize_query(query) for query in queries]))
     return cases
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The WatDiv templates, then the cases of ``FUZZ_SEEDS``."""
+    dataset = generate_watdiv(scale=120)
+    templates = (dataset.graph, [query.text for query in basic_query_set(dataset)])
+    return [templates, *fuzz_cases(FUZZ_SEEDS)]
+
+
+@pytest.fixture(scope="module")
+def wide_corpus():
+    """The cases of ``WIDE_FUZZ_SEEDS``."""
+    return fuzz_cases(WIDE_FUZZ_SEEDS)
 
 
 def _cell_text(cell):
@@ -133,3 +166,11 @@ def test_execution_matches_golden(system_name, config_name, corpus, monkeypatch)
     monkeypatch.setattr(dictionary_module, "_DEFAULT", TermDictionary())
     digest = execution_digest(system_name, CONFIGS[config_name], corpus, monkeypatch)
     assert digest == GOLDEN.get(f"{system_name}/{config_name}"), digest
+
+
+@pytest.mark.parametrize("config_name", sorted(CONFIGS))
+@pytest.mark.parametrize("system_name", SYSTEMS)
+def test_wide_fuzz_matches_golden(system_name, config_name, wide_corpus, monkeypatch):
+    monkeypatch.setattr(dictionary_module, "_DEFAULT", TermDictionary())
+    digest = execution_digest(system_name, CONFIGS[config_name], wide_corpus, monkeypatch)
+    assert digest == GOLDEN_WIDE.get(f"{system_name}/{config_name}"), digest

@@ -5,8 +5,8 @@ Spill files are per-query scratch state. The contract exercised here:
 - a budgeted query that spills writes its bucket files under the
   configured ``spill_dir`` (system temp dir when unset);
 - the per-query directory is removed when the query finishes — on
-  success, on timeout, and on a mid-query executor failure alike
-  (the session's ``finally`` owns this);
+  success, on timeout, on a mid-query executor failure and on a failed
+  bucket read alike (the session's ``finally`` owns this);
 - relative spill paths and file bytes are identical across reruns of
   the same query, which is what makes governed chaos runs replayable;
 - governance off means no per-query governor state at all.
@@ -19,8 +19,8 @@ import pytest
 from repro.core.prost import ProstEngine
 from repro.engine import ClusterConfig, ExecutionMetrics
 from repro.engine.cluster import SimulatedCluster
-from repro.errors import ExecutionError, QueryTimeoutError
-from repro.governor import GovernorContext, governor_context_for
+from repro.errors import ExecutionError, QueryTimeoutError, ReproError
+from repro.governor import GovernorContext, SpillStore, governor_context_for
 from repro.rdf.graph import Graph
 
 NTRIPLES = """\
@@ -110,7 +110,7 @@ class TestSpillDirectory:
 
         def failing(self, plan, metrics, tracer=None):
             governor = metrics.governor
-            store = governor.new_spill_store(metrics)
+            store = governor.new_spill_store()
             store.write("bucket-0000-left", [("orphan",)])
             assert os.path.exists(store.paths[0])
             raise ExecutionError("injected mid-query failure")
@@ -120,9 +120,35 @@ class TestSpillDirectory:
             engine.sparql(JOIN_QUERY)
         assert list(tmp_path.iterdir()) == []
 
+    def test_spill_files_are_removed_when_a_bucket_read_fails(
+        self, tmp_path, monkeypatch
+    ):
+        # The second read is the first bucket pair's right file: every
+        # bucket of the join is on disk when the I/O error strikes.
+        engine = _engine(memory_budget_bytes=64, spill_dir=str(tmp_path))
+        original = SpillStore.read
+        reads: list[str] = []
+
+        def failing_read(self, path):
+            reads.append(path)
+            if len(reads) == 2:
+                assert len(self.paths) > 2
+                raise OSError("injected bucket read failure")
+            return original(self, path)
+
+        monkeypatch.setattr(SpillStore, "read", failing_read)
+        # The raw ``OSError`` reaches the caller untranslated today; a typed
+        # ``repro.errors`` wrapper would have to keep it as its cause.
+        with pytest.raises((OSError, ReproError)) as info:
+            engine.sparql(JOIN_QUERY)
+        error = info.value
+        assert "injected bucket read failure" in str(error) + str(error.__cause__)
+        assert len(reads) == 2
+        assert list(tmp_path.iterdir()) == []
+
     def test_cleanup_is_idempotent(self, tmp_path):
         context = GovernorContext(budget_bytes=64, spill_root=str(tmp_path))
-        store = context.new_spill_store(ExecutionMetrics())
+        store = context.new_spill_store()
         store.write("bucket-0000-left", [("a",)])
         assert context.spill_paths
         context.cleanup()

@@ -1,11 +1,13 @@
 """The grace-hash spill join: exact equivalence with the in-memory join.
 
-The spilled join must be *invisible*: identical rows in identical order to
-the executor's build/probe run over the whole partition pair, for every
-join type, every fanout, and adversarial inputs (NULL keys, duplicate keys,
-empty sides). Bucket files must also be deterministic — byte-identical
-across reruns of the same inputs — which is what makes governed chaos runs
-replayable.
+The spilled join must be *invisible*: the match pairs it returns are the
+ones the executor's build/probe returns over the whole batches — same
+pairs, same order (left live order, then build insertion order, ``-1``
+for a left-join miss) — for every join type, every fanout, and adversarial
+inputs (NULL keys, duplicate keys, empty sides). Bucket files must also be
+deterministic — byte-identical across reruns of the same inputs — which is
+what makes governed chaos runs replayable. The spilled volume is charged
+once per task holding a copy of a side.
 """
 
 import os
@@ -14,16 +16,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import ExecutionMetrics
-from repro.engine.executor import _hash_join
+from repro.columnar import ColumnSchema, TableSchema
+from repro.engine import ClusterConfig, EngineSession
+from repro.engine.cluster import SimulatedCluster
+from repro.engine.executor import _build_index, _gather_join, _probe_batch
 from repro.governor import SpillStore, grace_hash_join
 from repro.governor.spill import bucket_of
 from repro.vector import ColumnBatch, estimate_batch_bytes
 
 
-def _store(tmp_path, metrics=None):
+def _store(tmp_path):
     os.makedirs(str(tmp_path), exist_ok=True)
-    return SpillStore(str(tmp_path), metrics or ExecutionMetrics())
+    return SpillStore(str(tmp_path))
 
 
 def _random_rows(rng, count, width, key_cardinality, null_rate=0.15):
@@ -42,34 +46,44 @@ def _random_rows(rng, count, width, key_cardinality, null_rate=0.15):
 HOWS = ("inner", "left")
 
 
-def _kernel(left_keys, right_keys, right_keep, how):
-    """The executor's build/probe over one batch pair."""
+def _bucket_kernel(width, how):
+    """The executor's build/probe over one bucket pair (keys first)."""
+    keys = list(range(width))
 
-    def build_probe(left_batch, right_batch):
-        return _hash_join(left_batch, right_batch, left_keys, right_keys, right_keep, how)
+    def join_bucket(left_bucket, right_bucket):
+        return _probe_batch(left_bucket, _build_index(right_bucket, keys), keys, how)
 
-    return build_probe
+    return join_bucket
 
 
-def _in_memory_join(left, right, widths, left_keys, right_keys, right_keep, how):
-    """The kernel over one whole partition pair, as rows."""
-    return _kernel(left_keys, right_keys, right_keep, how)(
-        ColumnBatch.from_rows(widths[0], left), ColumnBatch.from_rows(widths[1], right)
-    ).rows()
+def _in_memory_pairs(left, right, left_keys, right_keys, how):
+    """The match pairs of one build over all of ``right`` and one probe of
+    all of ``left``."""
+    return _probe_batch(left, _build_index(right, right_keys), left_keys, how)
+
+
+def _spilled_pairs(left, right, left_keys, right_keys, how, fanout, store):
+    """The same match pairs found through the grace-hash join."""
+    return grace_hash_join(
+        left, right, left_keys, right_keys, fanout, store,
+        _bucket_kernel(len(left_keys), how),
+    )
+
+
+def _batches(left, right, widths):
+    return ColumnBatch.from_rows(widths[0], left), ColumnBatch.from_rows(widths[1], right)
 
 
 def _spilled_join(
     left, right, widths, left_keys, right_keys, right_keep, how, fanout, store
 ):
-    """The same kernel run through the grace-hash join, as rows."""
-    return grace_hash_join(
-        ColumnBatch.from_rows(widths[0], left),
-        ColumnBatch.from_rows(widths[1], right),
-        left_keys,
-        right_keys,
-        fanout,
-        store,
-        _kernel(left_keys, right_keys, right_keep, how),
+    """The spilled join's output rows, gathered by the executor's tail."""
+    left_batch, right_batch = _batches(left, right, widths)
+    out_left, out_right = _spilled_pairs(
+        left_batch, right_batch, left_keys, right_keys, how, fanout, store
+    )
+    return _gather_join(
+        left_batch, right_batch, out_left, out_right, right_keep, how
     ).rows()
 
 
@@ -78,12 +92,15 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_single_key_matches_in_memory_kernel(self, tmp_path, how, seed):
         rng = random.Random(seed)
-        left = _random_rows(rng, rng.randrange(0, 40), 3, 5)
-        right = _random_rows(rng, rng.randrange(0, 40), 2, 5)
-        expected = _in_memory_join(left, right, (3, 2), [1], [0], [1], how)
+        left, right = _batches(
+            _random_rows(rng, rng.randrange(0, 40), 3, 5),
+            _random_rows(rng, rng.randrange(0, 40), 2, 5),
+            (3, 2),
+        )
+        expected = _in_memory_pairs(left, right, [1], [0], how)
         for fanout in (2, 4, 16):
-            actual = _spilled_join(
-                left, right, (3, 2), [1], [0], [1], how, fanout,
+            actual = _spilled_pairs(
+                left, right, [1], [0], how, fanout,
                 _store(tmp_path / f"{how}-{seed}-{fanout}"),
             )
             assert actual == expected, f"fanout={fanout}"
@@ -92,12 +109,14 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_multi_key_matches_in_memory_kernel(self, tmp_path, how, seed):
         rng = random.Random(1000 + seed)
-        left = _random_rows(rng, rng.randrange(0, 30), 4, 3)
-        right = _random_rows(rng, rng.randrange(0, 30), 3, 3)
-        expected = _in_memory_join(left, right, (4, 3), [0, 2], [0, 1], [2], how)
-        actual = _spilled_join(
-            left, right, (4, 3), [0, 2], [0, 1], [2], how, 4,
-            _store(tmp_path / f"{how}-{seed}"),
+        left, right = _batches(
+            _random_rows(rng, rng.randrange(0, 30), 4, 3),
+            _random_rows(rng, rng.randrange(0, 30), 3, 3),
+            (4, 3),
+        )
+        expected = _in_memory_pairs(left, right, [0, 2], [0, 1], how)
+        actual = _spilled_pairs(
+            left, right, [0, 2], [0, 1], how, 4, _store(tmp_path / f"{how}-{seed}")
         )
         assert actual == expected
 
@@ -112,15 +131,13 @@ class TestEquivalence:
 
     def test_selected_and_reordered_probe_side(self, tmp_path):
         """A probe batch read through a non-monotonic selection (a sorted
-        view) spills in live order, not physical order."""
+        view) spills in live order, and its pairs name physical rows."""
         left = ColumnBatch.from_rows(2, [("a", "0"), ("b", "1"), ("a", "2"), ("c", "3")])
         left = ColumnBatch(left.columns, left.length, sel=[3, 2, 0])
         right = ColumnBatch.from_rows(2, [("a", "x"), ("c", "y"), ("a", "z")])
-        kernel = _kernel([0], [0], [1], "left")
-        expected = kernel(left, right).rows()
-        actual = grace_hash_join(left, right, [0], [0], 4, _store(tmp_path), kernel)
-        assert actual.rows() == expected
-        assert actual.sel is None
+        expected = _in_memory_pairs(left, right, [0], [0], "left")
+        actual = _spilled_pairs(left, right, [0], [0], "left", 4, _store(tmp_path))
+        assert actual == expected == ([3, 2, 2, 0, 0], [1, 0, 2, 0, 2])
 
     def test_unsupported_join_type_rejected(self, tmp_path):
         from repro.errors import ExecutionError
@@ -179,19 +196,50 @@ class TestBuckets:
         )
 
 
+LEFT = TableSchema([ColumnSchema("k", "string"), ColumnSchema("a", "string")])
+RIGHT = TableSchema([ColumnSchema("k", "string"), ColumnSchema("b", "string")])
+
+
+def _governed_join(tmp_path, left_rows, right_rows, hint, budget):
+    """Run one budgeted join over three partitions; its metrics."""
+    config = ClusterConfig(
+        num_workers=1, partitions_per_worker=3, memory_budget_bytes=budget,
+        spill_dir=str(tmp_path),
+    )
+    session = EngineSession(SimulatedCluster(config))
+    session.register_rows("l", LEFT, left_rows)
+    session.register_rows("r", RIGHT, right_rows)
+    joined = session.table("l").join(session.table("r"), on=["k"], hint=hint)
+    _, report = joined.collect_data_with_report(run_optimizer=False)
+    assert report.metrics.spills == 1
+    return report.metrics
+
+
+def _rows_bytes(rows):
+    return estimate_batch_bytes(tuple(map(list, zip(*rows))), range(len(rows)))
+
+
 class TestAccounting:
     def test_spill_bytes_use_the_engine_row_estimate(self, tmp_path):
-        metrics = ExecutionMetrics()
+        # A shuffle join: each task holds one placed slice of each side,
+        # so each side is charged once.
         left = [("abc", "defg"), ("skipped", "row")]
-        right = [("abc", "x")]
-        # Only live rows spill, so only they are charged.
-        left_batch = ColumnBatch(ColumnBatch.from_rows(2, left).columns, 2, sel=[0])
-        right_batch = ColumnBatch.from_rows(2, right)
-        grace_hash_join(
-            left_batch, right_batch, [0], [0], 2, _store(tmp_path, metrics),
-            _kernel([0], [0], [1], "inner"),
+        right = [("abc", "x"), ("abc", "yy")]
+        metrics = _governed_join(tmp_path, left, right, "shuffle", budget=16)
+        assert metrics.broadcast_count == 0
+        expected = _rows_bytes(left) + _rows_bytes(right)
+        assert metrics.spill_bytes == expected == (8 + 7 + 8) + (8 + 11 + 7) + (
+            8 + 7 + 5
+        ) + (8 + 7 + 6)
+
+    def test_broadcast_side_is_charged_once_per_task(self, tmp_path):
+        # A small left side under the budget broadcasts to all three right
+        # partitions while the bigger right build spills: every task holds
+        # a copy of the left side, the right side is charged once.
+        left = [("k1", "a")]
+        right = [(f"k{i}", "b" * 20) for i in range(6)]
+        metrics = _governed_join(
+            tmp_path, left, right, "auto", budget=_rows_bytes(left)
         )
-        expected = estimate_batch_bytes(
-            left_batch.columns, [0]
-        ) + estimate_batch_bytes(right_batch.columns, range(1))
-        assert metrics.spill_bytes == expected == (8 + 7 + 8) + (8 + 7 + 5)
+        assert metrics.broadcast_count == 1
+        assert metrics.spill_bytes == 3 * _rows_bytes(left) + _rows_bytes(right)
