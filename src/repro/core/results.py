@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from ..engine.data import ColumnarData
 from ..engine.session import QueryReport
 from ..rdf.dictionary import TERM_ID_BASE, default_dictionary
 from ..rdf.terms import Term, term_sort_key
-from ..sparql.algebra import SelectQuery
+from ..sparql.algebra import SelectQuery, Variable
 from .encoding import decode_term
 
 
@@ -65,6 +67,8 @@ class ResultSet:
     Rows are tuples of terms (or ``None`` for unbound cells) ordered by the
     query's projection. Without an ORDER BY clause rows are sorted
     deterministically, so result sets compare exactly across systems.
+    Duplicate rows (bag semantics) may be one shared tuple object, listed
+    once per multiplicity; rows are immutable, so only identity shows it.
     """
 
     def __init__(
@@ -135,14 +139,20 @@ def finalize_solutions(
     intermediate row tuples.
 
     ORDER BY (or, without one, the deterministic whole-row order of
-    :func:`solution_sort_key`) runs as repeated stable sorts of an index
-    permutation over the encoded columns — the dictionary's sort keys are
-    exactly the decoded terms' :func:`term_sort_key` — OFFSET/LIMIT slice
-    that permutation, and only the surviving rows decode, column-wise.
-    Sort keys and decoded terms are computed once per *distinct* cell of
-    each column — result columns are low-cardinality, so this is where
-    late materialization pays, and rows dropped by LIMIT never materialize
-    at all.
+    :func:`solution_sort_key`) sorts an index permutation over the encoded
+    columns — the dictionary's sort keys are exactly the decoded terms'
+    :func:`term_sort_key` — OFFSET/LIMIT slice it, and only the surviving
+    rows decode, column-wise. Sort keys and decoded terms are computed once
+    per *distinct* cell (:func:`_per_distinct_cell`), so rows dropped by
+    LIMIT never materialize at all.
+
+    Without ORDER BY, a result whose solutions can repeat
+    (:func:`_solutions_can_repeat`) is counted first; when some
+    do repeat, it is handled as a multiset: each distinct solution is
+    sorted, sliced and decoded once, and its duplicates are emitted as the
+    *same* tuple object, once per multiplicity. Sort keys are injective on
+    terms, so this is the whole-row sort's output exactly. A result of one
+    row or none is not sorted at all.
     """
     batch = data.concat()
     columns = batch.columns
@@ -156,64 +166,118 @@ def finalize_solutions(
             return (-1, "")
         return term_sort_key(decode_term(cell))
 
-    def key_vector(column) -> list:
-        try:
-            distinct = dict.fromkeys(column)
-        except TypeError:  # unhashable cells: fall back to a linear cache
-            cache: dict = {}
-            out = []
-            for cell in column:
-                key = cache.get(id(cell))
-                if key is None:
-                    key = cell_key(cell)
-                    cache[id(cell)] = key
-                out.append(key)
-            return out
-        keys = {cell: cell_key(cell) for cell in distinct}
-        return list(map(keys.__getitem__, column))
-
     order = list(range(batch.length))
-    projection = list(query.projection)
     if query.order_by:
+        projection = list(query.projection)
         for condition in reversed(query.order_by):
-            position = projection.index(condition.variable)
-            keys = key_vector(columns[position])
+            keys = _key_vector(columns[projection.index(condition.variable)], cell_key)
             order.sort(key=keys.__getitem__, reverse=condition.descending)
-    elif len(columns) == 1:
-        keys = key_vector(columns[0])
-        order.sort(key=keys.__getitem__)
-    elif columns:
-        # Whole-row ordering: one composite key tuple per row via zip (the
-        # same lexicographic order as solution_sort_key's per-row lists).
-        keys = list(zip(*(key_vector(column) for column in columns)))
-        order.sort(key=keys.__getitem__)
+    elif len(order) > 1 and columns:
+        if _solutions_can_repeat(query):
+            counts = Counter(columns[0] if len(columns) == 1 else zip(*columns))
+            if len(counts) < len(order):
+                return _counted_solutions(query, counts, len(columns), cell_key)
+        order = _whole_row_order(columns, cell_key)
+    return _decoded_rows(columns, _sliced(order, query))
+
+
+def _solutions_can_repeat(query: SelectQuery) -> bool:
+    """Whether the result can hold equal solutions (bag semantics): the
+    WHERE is a UNION or the projection drops a pattern variable, and no
+    DISTINCT, GROUP BY or aggregate collapses them."""
+    if query.distinct or query.group_by or query.aggregates:
+        return False
+    if query.is_union:
+        return True
+    projected = {variable.name for variable in query.projection}
+    return any(
+        isinstance(slot, Variable) and slot.name not in projected
+        for pattern in query.all_patterns()
+        for slot in (pattern.subject, pattern.predicate, pattern.object)
+    )
+
+
+def _counted_solutions(
+    query: SelectQuery, counts: Counter, width: int, cell_key
+) -> list[tuple[Term | None, ...]]:
+    """Rows in whole-row order from ``counts`` (solution -> multiplicity; a
+    bare cell when ``width`` is 1): each distinct solution is sorted,
+    sliced and decoded once, then emitted as one shared tuple per
+    multiplicity."""
+    solutions = list(counts)
+    solution_columns = (solutions,) if width == 1 else tuple(zip(*solutions))
+    order = _whole_row_order(solution_columns, cell_key)
+    multiplicities = list(counts.values())
+    runs = [multiplicities[i] for i in order]
+    if query.offset or query.limit is not None:
+        order, runs = _sliced_runs(order, runs, query.offset or 0, query.limit)
+    rows = _decoded_rows(solution_columns, order)
+    return list(chain.from_iterable(map(repeat, rows, runs)))
+
+
+def _per_distinct_cell(function, cells) -> dict:
+    """``{cell: function(cell)}`` over the distinct cells of ``cells``.
+
+    Both finalize paths key and decode cells only through this, so each
+    distinct cell's sort key and term is computed once, however often it
+    repeats — result columns are low-cardinality.
+    """
+    return {cell: function(cell) for cell in dict.fromkeys(cells)}
+
+
+def _key_vector(column, cell_key) -> list:
+    """The sort key of every cell of ``column``."""
+    return list(map(_per_distinct_cell(cell_key, column).__getitem__, column))
+
+
+def _whole_row_order(columns, cell_key) -> list[int]:
+    """Row indexes in :func:`solution_sort_key` order (stable): one
+    composite key tuple per row via ``zip``, or the bare key for one
+    column."""
+    keys = [_key_vector(column, cell_key) for column in columns]
+    composite = keys[0] if len(keys) == 1 else list(zip(*keys))
+    return sorted(range(len(composite)), key=composite.__getitem__)
+
+
+def _sliced(order: list[int], query: SelectQuery) -> list[int]:
+    """OFFSET/LIMIT over a row order."""
     if query.offset:
         order = order[query.offset :]
     if query.limit is not None:
         order = order[: query.limit]
-    if len(order) < batch.length:
-        # OFFSET/LIMIT dropped rows: gather the kept cells first, so only
-        # they decode, already in emission order.
-        columns = tuple(list(map(column.__getitem__, order)) for column in columns)
-        order = range(len(order))
+    return order
 
-    decoded_columns = []
-    for column in columns:
-        try:
-            decoded = {
-                cell: None if cell is None else decode_term(cell)
-                for cell in dict.fromkeys(column)
-            }
-        except TypeError:  # unhashable cells: decode row-at-a-time
-            out = [
-                None if column[i] is None else decode_term(column[i]) for i in order
-            ]
-            decoded_columns.append(out)
+
+def _sliced_runs(
+    order: list[int], runs: list[int], offset: int, limit: int | None
+) -> tuple[list[int], list[int]]:
+    """OFFSET/LIMIT over rows held as runs: ``order[i]`` repeated
+    ``runs[i]`` times. Returns the runs that keep a row, the first and last
+    trimmed; stops at the last kept run."""
+    room = sum(runs) if limit is None else limit
+    kept_order: list[int] = []
+    kept_runs: list[int] = []
+    for index, run in zip(order, runs):
+        if room <= 0:
+            break
+        if offset >= run:
+            offset -= run
             continue
-        # Two C-speed passes: decode each cell through the per-distinct
-        # cache, then gather in emission order.
-        full = list(map(decoded.__getitem__, column))
-        decoded_columns.append(list(map(full.__getitem__, order)))
-    if not decoded_columns:
+        take = min(run - offset, room)
+        offset = 0
+        kept_order.append(index)
+        kept_runs.append(take)
+        room -= take
+    return kept_order, kept_runs
+
+
+def _decoded_rows(columns, order: list[int]) -> list[tuple[Term | None, ...]]:
+    """Rows ``order`` of ``columns`` as term tuples: each column is gathered
+    in emission order, then decoded once per distinct kept cell."""
+    if not columns:
         return [()] * len(order)
-    return list(zip(*decoded_columns))
+    decoded = []
+    for column in columns:
+        kept = list(map(column.__getitem__, order))
+        decoded.append(map(_per_distinct_cell(decode_term, kept).__getitem__, kept))
+    return list(zip(*decoded))

@@ -35,6 +35,7 @@ from collections.abc import Callable, Sequence
 from operator import itemgetter
 
 from ..engine.data import _mix_int, stable_hash
+from ..errors import StorageError
 from ..vector import ColumnBatch
 
 #: XOR'd into ``stable_hash`` before re-mixing so bucket placement is
@@ -126,33 +127,36 @@ def grace_hash_join(
     same order, with the build held one bucket at a time instead of whole.
     A bucket batch holds the key columns first and the tag column last;
     ``join_bucket`` matches one bucket pair on those key positions and
-    returns bucket-local pairs.
+    returns bucket-local pairs. An ``OSError`` from bucket I/O is raised as
+    :class:`~repro.errors.StorageError`, with the ``OSError`` as its cause.
     """
     live = left.live()
     right_live = right.live()
-    left_paths = _spill_buckets(
-        store, "left", [left.columns[i] for i in left_key_idx], live,
-        range(len(live)), fanout,
-    )
-    right_paths = _spill_buckets(
-        store, "right", [right.columns[i] for i in right_key_idx], right_live,
-        right_live, fanout,
-    )
-
     # Only one bucket pair is resident at a time — the point of the grace
     # hash. Pairs are (probe live position, build physical row).
     width = len(left_key_idx)
     matches: list[tuple[int, int]] = []
-    for left_path, right_path in zip(left_paths, right_paths):
-        left_bucket = store.read(left_path)
-        right_bucket = store.read(right_path)
-        positions = left_bucket.columns[width]
-        build_rows = right_bucket.columns[width]
-        bucket_left, bucket_right = join_bucket(left_bucket, right_bucket)
-        matches.extend(
-            (positions[i], -1 if m < 0 else build_rows[m])
-            for i, m in zip(bucket_left, bucket_right)
+    try:
+        left_paths = _spill_buckets(
+            store, "left", [left.columns[i] for i in left_key_idx], live,
+            range(len(live)), fanout,
         )
+        right_paths = _spill_buckets(
+            store, "right", [right.columns[i] for i in right_key_idx], right_live,
+            right_live, fanout,
+        )
+        for left_path, right_path in zip(left_paths, right_paths):
+            left_bucket = store.read(left_path)
+            right_bucket = store.read(right_path)
+            positions = left_bucket.columns[width]
+            build_rows = right_bucket.columns[width]
+            bucket_left, bucket_right = join_bucket(left_bucket, right_bucket)
+            matches.extend(
+                (positions[i], -1 if m < 0 else build_rows[m])
+                for i, m in zip(bucket_left, bucket_right)
+            )
+    except OSError as exc:
+        raise StorageError(f"grace-hash spill I/O failed: {exc}") from exc
     # Stable sort by probe position: one probe row's matches all sit in one
     # bucket, already in build insertion order, so this is the in-memory
     # kernel's order exactly.

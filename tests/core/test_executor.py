@@ -149,3 +149,18 @@ class TestLimitDecodesOnlyKeptRows:
         )
         assert window == everything[2:5]
         assert calls <= 6
+
+    def test_limit_decodes_one_cell_when_solutions_repeat(self, monkeypatch):
+        from repro.watdiv.generator import generate_watdiv
+
+        prost = ProstEngine()
+        prost.load(generate_watdiv(scale=60).graph)
+        query = "SELECT ?s WHERE { ?s wsdbm:follows ?o }"  # ?o projected away
+        everything, _ = self._decoded(prost, query, monkeypatch)
+        assert len(set(everything)) < len(everything)  # solutions repeat
+        first, calls = self._decoded(prost, query + " LIMIT 1", monkeypatch)
+        assert first == everything[:1]
+        assert calls <= 1
+        window, calls = self._decoded(prost, query + " LIMIT 3 OFFSET 2", monkeypatch)
+        assert window == everything[2:5]
+        assert calls <= 3

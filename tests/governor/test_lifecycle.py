@@ -137,12 +137,12 @@ class TestSpillDirectory:
             return original(self, path)
 
         monkeypatch.setattr(SpillStore, "read", failing_read)
-        # The raw ``OSError`` reaches the caller untranslated today; a typed
-        # ``repro.errors`` wrapper would have to keep it as its cause.
-        with pytest.raises((OSError, ReproError)) as info:
+        # The I/O error reaches the caller typed, and keeps the OSError.
+        with pytest.raises(ReproError) as info:
             engine.sparql(JOIN_QUERY)
-        error = info.value
-        assert "injected bucket read failure" in str(error) + str(error.__cause__)
+        cause = info.value.__cause__
+        assert type(cause) is OSError
+        assert str(cause) == "injected bucket read failure"
         assert len(reads) == 2
         assert list(tmp_path.iterdir()) == []
 
